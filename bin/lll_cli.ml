@@ -254,25 +254,6 @@ let metrics_arg =
            ~doc:"Write per-round runtime metrics (wall time, messages, nodes stepped, halted \
                  fraction, state-size proxy) as JSON to PATH. Distributed algorithms only.")
 
-let backend_conv =
-  let parse = function
-    | "enum" -> Ok Lll_prob.Space.Enum
-    | "table" -> Ok Lll_prob.Space.Table
-    | s -> Error (`Msg (Printf.sprintf "unknown probability backend %S (enum|table)" s))
-  in
-  let print fmt b =
-    Format.pp_print_string fmt
-      (match b with Lll_prob.Space.Enum -> "enum" | Lll_prob.Space.Table -> "table")
-  in
-  Arg.conv (parse, print)
-
-let prob_backend_arg =
-  Arg.(value & opt (some backend_conv) None
-       & info [ "prob-backend" ] ~docv:"BACKEND"
-           ~doc:"Probability backend: 'table' answers conditional probabilities from compiled \
-                 event tables, 'enum' re-enumerates event scopes. Both are exact; results are \
-                 identical.")
-
 let dump_instance_arg =
   Arg.(value & opt (some string) None
        & info [ "dump-instance" ] ~docv:"PATH"
@@ -280,7 +261,7 @@ let dump_instance_arg =
 
 let solve_cmd =
   let run family n degree seed at_threshold file store_dir list_solvers solver_name trace
-      domains metrics_path prob_backend dump_instance =
+      domains metrics_path dump_instance =
     if list_solvers then print_solver_list ()
     else begin
       let inst = get_instance ?store_dir file family ~n ~degree ~seed ~at_threshold in
@@ -300,7 +281,7 @@ let solve_cmd =
         | Some _ -> Lll_local.Metrics.buffer ()
         | None -> Lll_local.Metrics.disabled
       in
-      let params = { Solver.default_params with seed; domains; metrics; prob_backend } in
+      let params = { Solver.default_params with seed; domains; metrics } in
       Format.printf "%a@." I.pp inst;
       if not (Solver.guarantees solver inst) then
         Format.printf "note: %s's criterion does not hold here; run is best-effort@."
@@ -348,7 +329,7 @@ let solve_cmd =
     Term.(
       const run $ family_arg $ n_arg $ degree_arg $ seed_arg $ at_threshold_arg $ file_arg
       $ store_arg $ list_solvers_arg $ solver_arg $ trace_arg $ domains_arg $ metrics_arg
-      $ prob_backend_arg $ dump_instance_arg)
+      $ dump_instance_arg)
 
 (* ---- fuzz ---- *)
 

@@ -42,11 +42,9 @@ type params = {
   order : int array option;
   domains : int option;
   metrics : Metrics.sink;
-  prob_backend : Space.backend option;
 }
 
-let default_params =
-  { seed = 1; order = None; domains = None; metrics = Metrics.disabled; prob_backend = None }
+let default_params = { seed = 1; order = None; domains = None; metrics = Metrics.disabled }
 
 type outcome = {
   assignment : Assignment.t;
@@ -143,9 +141,6 @@ let create ?(params = default_params) t inst =
          t.key
          (Option.value t.caps.max_rank ~default:max_int)
          (Instance.rank inst));
-  (* the backend choice is global: it selects how Space answers
-     probability queries for every solver created after this point *)
-  Option.iter Space.set_backend params.prob_backend;
   { sdriver = t.impl params inst; sink = params.metrics; exhausted = false; summary = None }
 
 let step s =

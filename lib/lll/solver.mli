@@ -20,8 +20,8 @@
     New engines (e.g. the arbitrary-rank generalisation of
     Brandt–Grunau–Rozhoň, or further LLL algorithms à la Davies)
     register themselves with {!register} and instantly appear in
-    [lll_cli --list-solvers], the experiment sweep, the quick smoke
-    bench and the differential test suite. See DESIGN.md §6. *)
+    [lll_cli --list-solvers], the experiment sweep and the
+    differential test suite. See DESIGN.md §6. *)
 
 module Rat = Lll_num.Rat
 module Assignment = Lll_prob.Assignment
@@ -71,17 +71,10 @@ type params = {
   metrics : Metrics.sink;
       (** receives per-step records from sequential engines and
           per-round records from runtime-backed ones *)
-  prob_backend : Lll_prob.Space.backend option;
-      (** when [Some], set the global probability backend
-          ({!Lll_prob.Space.set_backend}) before the engine starts:
-          [Table] answers from compiled event tables, [Enum] forces the
-          enumeration path. [None] leaves the current choice alone. Both
-          are exact — solutions are identical; only the cost differs. *)
 }
 
 val default_params : params
-(** [seed = 1], identity order, default domains, disabled metrics,
-    backend left as-is. *)
+(** [seed = 1], identity order, default domains, disabled metrics. *)
 
 (** {1 Outcomes and reports} *)
 

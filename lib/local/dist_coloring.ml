@@ -23,10 +23,8 @@ let schedule ~dmax ~m =
   go m []
 
 (* One Linial step given parameters (q, t): pick the smallest evaluation
-   point at which my polynomial differs from every neighbor's. The array
-   form is what the flat runner feeds; the list form is kept as the
-   public entry point. *)
-let linial_step_arr ~q ~t my_color (nbr_colors : int array) =
+   point at which my polynomial differs from every neighbor's. *)
+let linial_step ~q ~t my_color (nbr_colors : int array) =
   let my_poly = Primes.digits ~base:q ~len:(t + 1) my_color in
   let nbr_polys = Array.map (fun c -> Primes.digits ~base:q ~len:(t + 1) c) nbr_colors in
   let rec find a =
@@ -38,9 +36,6 @@ let linial_step_arr ~q ~t my_color (nbr_colors : int array) =
   in
   let a = find 0 in
   (a * q) + Primes.poly_eval q my_poly a
-
-let linial_step ~q ~t my_color nbr_colors =
-  linial_step_arr ~q ~t my_color (Array.of_list nbr_colors)
 
 (* The Kuhn-Wattenhofer reduction schedule: starting palette sizes of the
    successive halving phases (each phase costs [dmax + 1] rounds and maps
@@ -91,7 +86,7 @@ let color ?(id_bound = max_int) ?domains ?(metrics = Metrics.disabled) net =
         let color' =
           if round < linial_rounds then begin
             let q, t, _ = sched_arr.(round) in
-            linial_step_arr ~q ~t color (Array.map (fun u -> colors.(u)) nbrs)
+            linial_step ~q ~t color (Array.map (fun u -> colors.(u)) nbrs)
           end
           else begin
             (* KW reduction: phase k, offset j *)

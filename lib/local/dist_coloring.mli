@@ -7,14 +7,6 @@ val schedule : dmax:int -> m:int -> (int * int * int) list
     starting from [m] colors, derivable by every node without
     communication. *)
 
-val linial_step : q:int -> t:int -> int -> int list -> int
-(** One Linial reduction step: my new color given my color and my
-    neighbors' colors. *)
-
-val kw_schedule : dmax:int -> m:int -> int list
-(** Palette sizes at the start of each Kuhn–Wattenhofer halving phase
-    (each phase costs [dmax + 1] rounds). *)
-
 val color : ?id_bound:int -> ?domains:int -> ?metrics:Metrics.sink -> Network.t -> int array * int
 (** Proper [(max_degree + 1)]-coloring computed distributedly;
     [(coloring, LOCAL rounds)]. Rounds are [O(poly d + log* id_bound)].

@@ -34,8 +34,6 @@ module Rat = Lll_num.Rat
 type backend = Enum | Table
 
 let backend_ref = ref Table
-let set_backend b = backend_ref := b
-let backend () = !backend_ref
 
 let with_backend b f =
   let old = !backend_ref in

@@ -18,10 +18,7 @@ type backend = Enum | Table
 (** How conditional probabilities are computed. [Table] (the default)
     uses compiled event tables when available and silently falls back to
     enumeration otherwise; [Enum] forces the original enumeration path
-    everywhere (reference for differential tests and benchmarks). *)
-
-val set_backend : backend -> unit
-val backend : unit -> backend
+    everywhere (the reference for differential tests and fuzzing). *)
 
 val with_backend : backend -> (unit -> 'a) -> 'a
 (** Run a thunk under a backend, restoring the previous one afterwards

@@ -17,10 +17,9 @@ let connect_socket path =
   {
     ic;
     oc;
-    close =
-      (fun () ->
-        (try close_out oc with Sys_error _ -> ());
-        try close_in ic with Sys_error _ -> ());
+    (* one close for the shared descriptor: a second one could hit a
+       descriptor another domain has just been given the same number *)
+    close = (fun () -> close_out_noerr oc);
   }
 
 let spawn ?exe ?(args = [ "serve"; "--stdio" ]) () =

@@ -20,19 +20,21 @@
    Concurrency: one scheduler is shared by every connection of a
    worker-pool server, so [handle_batch] must be safe to call from
    several domains at once. The two caches below are internally
-   synchronized ({!Cache}); everything else here is per-call state.
+   synchronized ({!Memcache}); everything else here is per-call state.
    Concurrent solves may share one cached instance — that is safe
    because an instance is immutable after construction (solver-side
    trackers are allocated per run) — but each [emit] callback writes
    only to its own connection.
 
    Repeat solves are memoized: a run is fully determined by the
-   instance key, solver name, seed and domain count (solver runs are
-   bit-identical for identical inputs — the determinism contract the
-   scenario corpus pins), so non-streaming solve responses land in a
-   second result cache and repeat requests replay the stored response
-   with [cache=hit memo=1] instead of re-running the solver. Streaming
-   requests and requests carrying [memo=0] always run fresh. *)
+   instance key, solver name and seed (solver runs are bit-identical
+   for identical inputs at any domain count — the determinism contract
+   the scenario corpus pins — and a memoable response carries no
+   per-round data), so non-streaming solve responses land in a second
+   result cache and repeat requests replay the stored response with
+   [cache=hit memo=1] instead of re-running the solver, whatever
+   [domains] they ask for. Streaming requests and requests carrying
+   [memo=0] always run fresh. *)
 
 module Solver = Lll_core.Solver
 module Verify = Lll_core.Verify
@@ -43,6 +45,7 @@ module Metrics = Lll_local.Metrics
 module Corpus = Lll_scenario.Corpus
 module Run = Lll_scenario.Run
 module Store = Lll_store.Store
+module Memcache = Lll_store.Memcache
 
 type solved = {
   sv_fields : (string * string) list; (* result fields minus cache/memo tags *)
@@ -52,21 +55,20 @@ type solved = {
 
 type t = {
   store : Store.t; (* memory tier over optional artifact directory *)
-  results : solved Cache.t;
+  results : solved Memcache.t;
   default_domains : int option;
 }
 
 let create ?(capacity = 32) ?(memo_capacity = 256) ?domains ?store_dir () =
   {
     store = Store.create ?dir:store_dir ~capacity ();
-    results = Cache.create ~capacity:memo_capacity;
+    results = Memcache.create ~capacity:memo_capacity;
     default_domains = domains;
   }
 
 let store t = t.store
-let stats t = (Store.stats t.store).Store.st_mem
 let store_stats t = Store.stats t.store
-let memo_stats t = Cache.stats t.results
+let memo_stats t = Memcache.stats t.results
 
 (* ---- assignment transport: CSV of values in variable-id order ---- *)
 
@@ -172,18 +174,13 @@ let handle_solve t frame ~id ~emit =
     (("op", "solve") :: cache_field sv.sv_built :: sv.sv_fields, sv.sv_body)
   end
   else begin
-    (* the run is a function of (instance, solver, seed, domains) — see
-       the header; everything else in the frame is transport *)
+    (* the run is a function of (instance, solver, seed) — see the
+       header; everything else in the frame, [domains] included, is
+       transport *)
     let seed = Option.value (Protocol.get_int frame "seed") ~default:1 in
-    let domains =
-      match Protocol.get_int frame "domains" with Some d -> Some d | None -> t.default_domains
-    in
-    let mkey =
-      Printf.sprintf "%s|solver=%s|seed=%d|domains=%s" key solver seed
-        (match domains with None -> "-" | Some d -> string_of_int d)
-    in
+    let mkey = Printf.sprintf "%s|solver=%s|seed=%d" key solver seed in
     let sv, memo_status =
-      Cache.find_or_build t.results ~key:mkey ~build:(fun () ->
+      Memcache.find_or_build t.results ~key:mkey ~build:(fun () ->
           solve_now t frame ~key ~descr ~solver ~id ~emit)
     in
     match memo_status with
@@ -256,19 +253,19 @@ let handle_stats t =
   let m = memo_stats t in
   ( [
       ("op", "stats");
-      ("size", string_of_int s.Cache.s_size);
-      ("capacity", string_of_int s.Cache.s_capacity);
-      ("hits", string_of_int s.Cache.s_hits);
-      ("misses", string_of_int s.Cache.s_misses);
-      ("evictions", string_of_int s.Cache.s_evictions);
-      ("waits", string_of_int s.Cache.s_waits);
+      ("size", string_of_int s.Memcache.s_size);
+      ("capacity", string_of_int s.Memcache.s_capacity);
+      ("hits", string_of_int s.Memcache.s_hits);
+      ("misses", string_of_int s.Memcache.s_misses);
+      ("evictions", string_of_int s.Memcache.s_evictions);
+      ("waits", string_of_int s.Memcache.s_waits);
       ("store-dir", Option.value (Store.dir t.store) ~default:"-");
       ("store-built", string_of_int ss.Store.st_built);
       ("store-disk-hits", string_of_int ss.Store.st_disk_hits);
       ("store-quarantined", string_of_int ss.Store.st_quarantined);
-      ("memo-size", string_of_int m.Cache.s_size);
-      ("memo-hits", string_of_int m.Cache.s_hits);
-      ("memo-misses", string_of_int m.Cache.s_misses);
+      ("memo-size", string_of_int m.Memcache.s_size);
+      ("memo-hits", string_of_int m.Memcache.s_hits);
+      ("memo-misses", string_of_int m.Memcache.s_misses);
     ],
     "" )
 

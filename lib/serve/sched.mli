@@ -22,11 +22,7 @@ val store : t -> Lll_store.Store.t
 
 val store_stats : t -> Lll_store.Store.stats
 
-val stats : t -> Cache.stats
-(** Memory-tier counters (kept for compatibility: equals
-    [(store_stats t).st_mem]). *)
-
-val memo_stats : t -> Cache.stats
+val memo_stats : t -> Lll_store.Memcache.stats
 (** Solved-response memo-cache counters. *)
 
 val handle_batch :

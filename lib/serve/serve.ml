@@ -169,9 +169,11 @@ let serve_connection sched fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let outcome = match serve_channels sched ic oc with v -> v | exception _ -> `Eof in
-  (* both channels share the fd; the second close's EBADF is expected *)
-  (try close_out oc with Sys_error _ -> ());
-  (try close_in ic with Sys_error _ -> ());
+  (* Both channels share the descriptor: close it exactly once, through
+     [oc]. Between two closes the accept loop (or a store load on
+     another worker) can be handed the same descriptor number, and the
+     second close would then cut that connection or file instead. *)
+  close_out_noerr oc;
   outcome
 
 (* Refuse to remove anything at [path] except a provably stale unix

@@ -1,6 +1,5 @@
-(* The mutex-guarded build-once LRU: the store's memory tier, and (as
-   the re-exported [Lll_serve.Cache]) the cache behind the solve
-   service.
+(* The mutex-guarded build-once LRU: the store's memory tier, and the
+   response memo behind the solve service.
 
    Keys are content identifiers: for generator-described instances the
    canonical parameter spec, for uploaded blobs an MD5 digest of the

@@ -1,6 +1,6 @@
 (** The content-addressed instance artifact store: the one acquisition
     path from generation specs to built instances, shared by the
-    scenario runner, the solve service, the CLI, bench and fuzz.
+    scenario runner, the solve service, the CLI, perfbench and fuzz.
 
     Tiering: memory (the build-once LRU {!Memcache}) over disk
     (checksummed [.lllbin] v3 containers named by spec digest, loaded

@@ -2,11 +2,11 @@
    concurrent build-once contract), the frame protocol (including the
    hostile length-header bound), the batching scheduler (grouping,
    cache hits, bit-identical repeat output, per-request error
-   isolation, response memoization), the socket server's fault paths
-   (dropped clients, busy sockets), and the mmap read path of the
-   binary container. *)
+   isolation, response memoization across domain counts), and the
+   socket server's fault paths (dropped clients, busy sockets) and
+   behaviour under a repeated worker-pool storm. *)
 
-module Cache = Lll_serve.Cache
+module Memcache = Lll_store.Memcache
 module Protocol = Lll_serve.Protocol
 module Sched = Lll_serve.Sched
 module Serve = Lll_serve.Serve
@@ -23,62 +23,62 @@ module Serial = Lll_core.Serial
 let tiny n () = Syn.ring ~seed:1 ~n ~arity:4 ()
 
 let test_cache_hit_miss () =
-  let c = Cache.create ~capacity:4 in
+  let c = Memcache.create ~capacity:4 in
   let builds = ref 0 in
   let build n () =
     incr builds;
     tiny n ()
   in
-  let _, s1 = Cache.find_or_build c ~key:"a" ~build:(build 10) in
-  let _, s2 = Cache.find_or_build c ~key:"a" ~build:(build 10) in
+  let _, s1 = Memcache.find_or_build c ~key:"a" ~build:(build 10) in
+  let _, s2 = Memcache.find_or_build c ~key:"a" ~build:(build 10) in
   Alcotest.(check bool) "first is miss" true (s1 = `Miss);
   Alcotest.(check bool) "second is hit" true (s2 = `Hit);
   Alcotest.(check int) "built once" 1 !builds;
-  let st = Cache.stats c in
-  Alcotest.(check int) "hits" 1 st.Cache.s_hits;
-  Alcotest.(check int) "misses" 1 st.Cache.s_misses;
-  Alcotest.(check int) "size" 1 st.Cache.s_size
+  let st = Memcache.stats c in
+  Alcotest.(check int) "hits" 1 st.Memcache.s_hits;
+  Alcotest.(check int) "misses" 1 st.Memcache.s_misses;
+  Alcotest.(check int) "size" 1 st.Memcache.s_size
 
 let test_cache_hit_returns_same_instance () =
   (* a hit is the cached instance itself — zero rebuild work *)
-  let c = Cache.create ~capacity:2 in
-  let i1, _ = Cache.find_or_build c ~key:"k" ~build:(tiny 12) in
-  let i2, _ = Cache.find_or_build c ~key:"k" ~build:(tiny 12) in
+  let c = Memcache.create ~capacity:2 in
+  let i1, _ = Memcache.find_or_build c ~key:"k" ~build:(tiny 12) in
+  let i2, _ = Memcache.find_or_build c ~key:"k" ~build:(tiny 12) in
   Alcotest.(check bool) "physically equal" true (i1 == i2)
 
 let test_cache_lru_eviction () =
-  let c = Cache.create ~capacity:2 in
-  let touch key = ignore (Cache.find_or_build c ~key ~build:(tiny 10)) in
+  let c = Memcache.create ~capacity:2 in
+  let touch key = ignore (Memcache.find_or_build c ~key ~build:(tiny 10)) in
   touch "a";
   touch "b";
   touch "a";
   (* "b" is now least recently used; inserting "c" must evict it *)
   touch "c";
-  let _, sa = Cache.find_or_build c ~key:"a" ~build:(tiny 10) in
+  let _, sa = Memcache.find_or_build c ~key:"a" ~build:(tiny 10) in
   Alcotest.(check bool) "a survived" true (sa = `Hit);
-  let _, sb = Cache.find_or_build c ~key:"b" ~build:(tiny 10) in
+  let _, sb = Memcache.find_or_build c ~key:"b" ~build:(tiny 10) in
   Alcotest.(check bool) "b evicted" true (sb = `Miss);
-  let st = Cache.stats c in
-  Alcotest.(check int) "evictions" 2 st.Cache.s_evictions;
-  Alcotest.(check int) "size bounded" 2 st.Cache.s_size
+  let st = Memcache.stats c in
+  Alcotest.(check int) "evictions" 2 st.Memcache.s_evictions;
+  Alcotest.(check int) "size bounded" 2 st.Memcache.s_size
 
 let test_cache_rejects_bad_capacity () =
   try
-    ignore (Cache.create ~capacity:0);
+    ignore (Memcache.create ~capacity:0);
     Alcotest.fail "capacity 0 accepted"
   with Invalid_argument _ -> ()
 
 let test_content_key_distinguishes () =
   Alcotest.(check bool) "same blob same key" true
-    (Cache.content_key "hello" = Cache.content_key "hello");
+    (Memcache.content_key "hello" = Memcache.content_key "hello");
   Alcotest.(check bool) "distinct blobs distinct keys" false
-    (Cache.content_key "hello" = Cache.content_key "hellp")
+    (Memcache.content_key "hello" = Memcache.content_key "hellp")
 
 let test_cache_concurrent_build_once () =
   (* four domains race for the same uncached key; the per-key build
      lock must run the builder exactly once, with everyone else waiting
      for (and sharing) that one value *)
-  let c = Cache.create ~capacity:4 in
+  let c = Memcache.create ~capacity:4 in
   let builds = Atomic.make 0 in
   let build () =
     Atomic.incr builds;
@@ -88,26 +88,26 @@ let test_cache_concurrent_build_once () =
   in
   let doms =
     List.init 4 (fun _ ->
-        Domain.spawn (fun () -> fst (Cache.find_or_build c ~key:"k" ~build)))
+        Domain.spawn (fun () -> fst (Memcache.find_or_build c ~key:"k" ~build)))
   in
   let values = List.map Domain.join doms in
   Alcotest.(check int) "built once" 1 (Atomic.get builds);
   (match values with
   | v :: rest -> List.iter (fun v' -> Alcotest.(check bool) "shared value" true (v == v')) rest
   | [] -> assert false);
-  let st = Cache.stats c in
-  Alcotest.(check int) "one miss" 1 st.Cache.s_misses;
-  Alcotest.(check int) "three hits" 3 st.Cache.s_hits
+  let st = Memcache.stats c in
+  Alcotest.(check int) "one miss" 1 st.Memcache.s_misses;
+  Alcotest.(check int) "three hits" 3 st.Memcache.s_hits
 
 let test_cache_failed_build_not_cached () =
   (* waiters on a failing build see the failure; the key is then free
      for a later successful build *)
-  let c = Cache.create ~capacity:4 in
+  let c = Memcache.create ~capacity:4 in
   (try
-     ignore (Cache.find_or_build c ~key:"k" ~build:(fun () -> failwith "boom"));
+     ignore (Memcache.find_or_build c ~key:"k" ~build:(fun () -> failwith "boom"));
      Alcotest.fail "failure swallowed"
    with Failure m -> Alcotest.(check string) "builder's exception" "boom" m);
-  let _, s = Cache.find_or_build c ~key:"k" ~build:(tiny 10) in
+  let _, s = Memcache.find_or_build c ~key:"k" ~build:(tiny 10) in
   Alcotest.(check bool) "rebuilds after failure" true (s = `Miss)
 
 (* ------------------------------------------------------------------ *)
@@ -277,7 +277,7 @@ let test_workload_blob_key () =
   let blob = Lll_core.Serial.to_binary_string inst in
   let frame = { Protocol.header = [ ("op", "solve") ]; body = blob } in
   let descr = Workload.of_frame frame in
-  Alcotest.(check string) "digest key" (Cache.content_key blob)
+  Alcotest.(check string) "digest key" (Memcache.content_key blob)
     (Store.descr_key store descr);
   let built, _ = Store.fetch_descr store descr in
   Alcotest.(check int) "builds the blob" (Lll_core.Instance.num_events inst)
@@ -427,6 +427,23 @@ let test_sched_stats_op () =
     Alcotest.(check (option int)) "misses" (Some 1) (Protocol.get_int r "misses")
   | _ -> Alcotest.fail "expected one result"
 
+let test_sched_memo_ignores_domains () =
+  (* results do not depend on the domain count, so neither does the
+     memo key: a solve at domains=2 answers the same request at
+     domains=1 *)
+  let sched = Sched.create ~capacity:4 () in
+  let at domains = solve_frame ~solver:"mp2" ~extra:[ ("domains", domains) ] 24 in
+  let _, r1 = run_batch sched [ at "2" ] in
+  let _, r2 = run_batch sched [ at "1" ] in
+  match (r1, r2) with
+  | [ a ], [ b ] ->
+    Alcotest.(check (option string)) "first run fresh" None (Protocol.get a "memo");
+    Alcotest.(check (option string)) "other domain count replays" (Some "1")
+      (Protocol.get b "memo");
+    Alcotest.(check string) "byte-identical body" a.Protocol.body b.Protocol.body;
+    Alcotest.(check (option string)) "ok" (Some "1") (Protocol.get b "ok")
+  | _ -> Alcotest.fail "expected one result per batch"
+
 let test_sched_shutdown_signal () =
   let sched = Sched.create ~capacity:4 () in
   let outcome =
@@ -536,6 +553,31 @@ let test_socket_fleet () =
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
 
+(* The worker-pool storm of serve_stress.exe (4 workers, 4 client
+   domains, memoized, [memo=0] and container-file solves, shutdown and
+   [Domain.join], several rounds) in a child process under a wall-clock
+   watchdog: a child still running after the deadline is killed and the
+   case fails, so a hang is a failure instead of a stalled suite. *)
+let test_socket_stress () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "serve_stress.exe" in
+  let pid = Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr in
+  let seconds = 60. in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if Unix.gettimeofday () > deadline then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "hung: killed after %.0f s" seconds
+      end;
+      Unix.sleepf 0.02;
+      wait ()
+    | _, Unix.WEXITED 0 -> ()
+    | _, _ -> Alcotest.fail "stress child failed (see its stderr)"
+  in
+  wait ()
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -578,6 +620,7 @@ let () =
           Alcotest.test_case "solve then verify" `Quick test_sched_solve_verify_flow;
           Alcotest.test_case "blob solve" `Quick test_sched_blob_solve;
           Alcotest.test_case "stats op" `Quick test_sched_stats_op;
+          Alcotest.test_case "memo ignores domains" `Quick test_sched_memo_ignores_domains;
           Alcotest.test_case "shutdown signal" `Quick test_sched_shutdown_signal;
         ] );
       ( "socket",
@@ -586,5 +629,6 @@ let () =
           Alcotest.test_case "hostile length header" `Quick test_socket_hostile_header;
           Alcotest.test_case "busy socket refused" `Quick test_socket_busy;
           Alcotest.test_case "4-client fleet" `Quick test_socket_fleet;
+          Alcotest.test_case "worker-pool stress" `Quick test_socket_stress;
         ] );
     ]

@@ -14,6 +14,9 @@ module Syn = Lll_core.Synthetic
 module Solver = Lll_core.Solver
 module V = Lll_core.Verify
 module Metrics = Lll_local.Metrics
+module Gen = Lll_graph.Generators
+module Sink = Lll_apps.Sinkless
+module WS = Lll_apps.Weak_splitting
 
 let prop name count arb law = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb law)
 
@@ -200,6 +203,36 @@ let test_shared_postcondition_catches_failure () =
   Alcotest.(check bool) "report.ok mirrors exact verification" report.Solver.verify.V.ok
     report.Solver.ok
 
+(* Engines outside the random rank-2/3 instances above: the rank-r
+   fixer past rank 3, the threshold-straddling sinkless pair, and the
+   application engines on their own problems. Each case must either be
+   off its guarantee or verify, and none may raise. *)
+let test_envelope_cases () =
+  Lll_apps.App_engines.ensure_registered ();
+  let sink_graph = Gen.random_regular ~seed:1 32 3 in
+  let sink_at = Sink.instance sink_graph and sink_below = Sink.relaxed_instance sink_graph in
+  let ws_inst =
+    WS.instance ~nv:16
+      (Gen.random_biregular_bipartite ~seed:1 ~nv:16 ~nu:16 ~deg_u:3 ~deg_v:3)
+  in
+  List.iter
+    (fun (label, engine, inst) ->
+      let s = Solver.find_exn engine in
+      match Solver.solve s inst with
+      | report ->
+        if Solver.guarantees s inst && not report.Solver.ok then
+          Alcotest.failf "%s: guaranteed run not ok (violated %s)" label
+            (String.concat "," (List.map string_of_int report.Solver.verify.V.violated))
+      | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e))
+    [
+      ("fixr-rank4", "fixr", Syn.random ~seed:1 ~n:16 ~rank:4 ~delta:2 ~arity:16 ());
+      ("fix2-sinkless-below", "fix2", sink_below);
+      ("mt-par-sinkless-at", "mt-par", sink_at);
+      ("sinkless-orient-at", "sinkless-orient", sink_at);
+      ("sinkless-orient-below", "sinkless-orient", sink_below);
+      ("weak-split-greedy-ws", "weak-split-greedy", ws_inst);
+    ]
+
 (* A dumped instance, reloaded, must be solved identically by every
    deterministic engine — the serialized form carries the exact
    distributions and bad sets, so the fixing processes cannot diverge. *)
@@ -237,6 +270,7 @@ let () =
           Alcotest.test_case "trace carries exact Inc ratios" `Quick test_trace_incs_exact;
           Alcotest.test_case "post-condition catches failures" `Quick
             test_shared_postcondition_catches_failure;
+          Alcotest.test_case "envelope-stretching cases" `Quick test_envelope_cases;
         ] );
       ( "differential",
         [
