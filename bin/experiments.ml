@@ -15,7 +15,6 @@
      T9  Moser-Tardos baseline statistics + witness trees
      T10 Conjecture 1.5: experimental rank-r fixing
      T11 Existence vs distributed complexity (Shearer's exact region)
-     T12 Ablations (value-selection policies, MT selection rules)
      T13 The Omega(log* n) lower bound on shift graphs
      T14 Domain-parallel runtime + round metrics
      T15 The solver registry: every engine, one shared post-condition
@@ -23,6 +22,8 @@
 
    Every solver run goes through the Solver registry (one shared
    [sweep] loop below); no experiment hand-wires an engine API.
+
+   (T12, the retired ablations, survives as history in EXPERIMENTS.md.)
 
    Usage: experiments [f1 f2 t1 ... t16]   (default: all)         *)
 
@@ -523,40 +524,6 @@ let t11 () =
     "criterion: the threshold is about distributed COMPLEXITY, not existence.@."
 
 (* ------------------------------------------------------------------ *)
-(* T12: ablations — value-selection policies, MT selection rules        *)
-(* ------------------------------------------------------------------ *)
-
-let t12 () =
-  section "t12" "Ablations: value selection policies and MT selection rules";
-  Format.printf "rank-2 fixer policies on rings (20 seeds):@.";
-  Format.printf "%-26s %-12s %s@." "policy" "success" "worst headroom (budget - score)";
-  List.iter
-    (fun (solver, name) ->
-      let st = sweep ~solver ~count:20 (fun seed -> Syn.ring ~seed ~n:30 ~arity:4 ()) in
-      Format.printf "%-26s %d/%-10d %.4f@." name st.succ 20 (st.detail_min "worst_headroom"))
-    [ ("fix2", "min-score"); ("fix2-first", "first-within-budget") ];
-  Format.printf "@.rank-3 fixer policies on random rank-3 instances (10 seeds):@.";
-  Format.printf "%-26s %-12s %s@." "policy" "success" "max S_rep violation";
-  List.iter
-    (fun (solver, name) ->
-      let st =
-        sweep ~solver ~count:10 (fun seed -> Syn.random ~seed ~n:15 ~rank:3 ~delta:2 ~arity:8 ())
-      in
-      Format.printf "%-26s %d/%-10d %.2e@." name st.succ 10 st.max_viol)
-    [ ("fix3", "min-violation"); ("fix3-first", "first-feasible") ];
-  Format.printf "@.Moser-Tardos selection rules on below-threshold rings (5 seeds each):@.";
-  Format.printf "%-8s %-22s %-22s@." "n" "id-minima rounds(avg)" "resample-all rounds(avg)";
-  List.iter
-    (fun n ->
-      let inst = Syn.ring ~seed:3 ~n ~arity:4 () in
-      let avg solver = (sweep ~solver ~count:5 (fun _ -> inst)).rounds_avg in
-      Format.printf "%-8d %-22.1f %-22.1f@." n (avg "mt-par") (avg "mt-par-all"))
-    [ 32; 128; 512 ];
-  Format.printf
-    "@.expected: all policies succeed (both are sound by the theorems); the MT variants@.";
-  Format.printf "differ only in constants on these instances.@."
-
-(* ------------------------------------------------------------------ *)
 (* T13: the Omega(log* n) side, concretely                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -747,7 +714,7 @@ let t16 () =
 let all : (string * (unit -> unit)) list =
   [
     ("f1", f1); ("f2", f2); ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5);
-    ("t6", t6); ("t7", t7); ("t8", t8); ("t9", t9); ("t10", t10); ("t11", t11); ("t12", t12);
+    ("t6", t6); ("t7", t7); ("t8", t8); ("t9", t9); ("t10", t10); ("t11", t11);
     ("t13", t13); ("t14", t14); ("t15", t15); ("t16", t16);
   ]
 

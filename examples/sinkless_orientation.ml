@@ -13,7 +13,7 @@ module Gen = Lll_graph.Generators
 module Graph = Lll_graph.Graph
 module Criteria = Lll_core.Criteria
 module Distributed = Lll_core.Distributed
-module Moser_tardos = Lll_core.Moser_tardos
+module Solver = Lll_core.Solver
 module Sinkless = Lll_apps.Sinkless
 
 let () =
@@ -25,8 +25,10 @@ let () =
   Format.printf "== classic sinkless orientation (AT the threshold) ==@.";
   Format.printf "%a" Criteria.pp_report (Criteria.evaluate at);
   Format.printf "-> the deterministic theorems do not apply; randomized it goes:@.";
-  let mt = Distributed.solve_moser_tardos ~seed:7 at in
-  Format.printf "   parallel Moser-Tardos: solved=%b in %d resampling rounds@.@." mt.ok mt.rounds;
+  let params = { Solver.default_params with Solver.seed = 7 } in
+  let mt = Solver.solve_by_name ~params "mt-par" at in
+  Format.printf "   parallel Moser-Tardos: solved=%b in %d resampling rounds@.@." mt.Solver.ok
+    (Option.value mt.Solver.outcome.Solver.rounds ~default:0);
 
   (* strictly below *)
   let below = Sinkless.relaxed_instance g in

@@ -29,26 +29,7 @@ module Solver = Lll_core.Solver
 (* ------------------------------------------------------------------ *)
 
 (* One-shot driver: all work happens on the first [advance]/[finish]. *)
-let oneshot (compute : Solver.params -> Instance.t -> Solver.outcome) : Solver.impl =
- fun params inst ->
-  let result = lazy (compute params inst) in
-  let spent = ref false in
-  {
-    Solver.advance =
-      (fun () ->
-        if !spent then false
-        else begin
-          ignore (Lazy.force result);
-          spent := true;
-          false
-        end);
-    peek_assignment = (fun () -> (Lazy.force result).Solver.assignment);
-    peek_trace = (fun () -> []);
-    finish =
-      (fun () ->
-        spent := true;
-        Lazy.force result);
-  }
+let oneshot compute : Solver.impl = fun params inst -> Solver.oneshot (fun () -> compute params inst)
 
 let outcome ?rounds ?(detail = []) assignment =
   {

@@ -77,7 +77,7 @@ let mutant_name = "fix3-mutant-phi"
    discipline the Replay checker models. (fixr generalises the
    potential differently; the exact rank-3 fixer keeps phi rational —
    its own pstar claim is already checked by the post-condition.) *)
-let default_replay_engines = [ "fix2"; "fix2-first"; "fix3"; "fix3-first"; mutant_name ]
+let default_replay_engines = [ "fix2"; "fix3"; mutant_name ]
 
 let check ?(eps = Srep.default_eps)
     ?(replay = fun name -> List.mem name default_replay_engines) ~engines inst =

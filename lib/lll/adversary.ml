@@ -33,7 +33,7 @@ let max_event_bound instance t =
 (* The certificate bound of the most-loaded event after a rank-2 run:
    max_v  Pr[E_v] * prod_{e ∋ v} phi_e^v  (exact). *)
 let final_bound_rank2 instance order =
-  let t = Fix_rank2.run ~order instance in
+  let _, t = Fix_rank2.solve ~order instance in
   max_event_bound instance t
 
 (* The PEAK of the certificate over the whole run — the closest approach

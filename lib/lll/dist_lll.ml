@@ -60,89 +60,50 @@ let phi_side g e v ((lo, hi), _) =
   let u, _ = Graph.endpoints g e in
   if v = u then lo else hi
 
-(* Fix one variable exactly as Fix_rank3 does, against local knowledge.
-   Returns the chosen value and the phi updates (edge -> both sides). *)
+(* Fix one variable exactly as Fix_rank3 does, against local knowledge:
+   the same Fixing choice rules, fed from this node's known values and
+   phi copies. Returns the chosen value and the phi updates (edge ->
+   both sides). *)
 let fix_one instance g st ~version vid =
   let space = Instance.space instance in
-  let arity = Lll_prob.Var.arity (Space.var space vid) in
   let fixed = Assignment.empty (Instance.num_vars instance) in
   IntMap.iter (fun v x -> Assignment.set_inplace fixed v x) st.known;
   let get_phi e v = phi_side g e v (IntMap.find e st.phi) in
   let vector ev =
-    let after, before =
-      Space.prob_vector space (Instance.event instance ev) ~fixed ~var:vid
-    in
-    let incs =
-      Array.map (fun a -> if Rat.is_zero before then Rat.zero else Rat.div a before) after
-    in
-    incs
+    Fixing.inc_ratios (Space.prob_vector space (Instance.event instance ev) ~fixed ~var:vid)
   in
-  match Array.to_list (Instance.events_of_var instance vid) with
-  | [] -> (0, [])
-  | [ u ] ->
-    let incs = vector u in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      match !best with
-      | Some (_, i') when Rat.leq i' incs.(y) -> ()
-      | _ -> best := Some (y, incs.(y))
-    done;
-    (fst (Option.get !best), [])
-  | [ u; v ] ->
+  (* the entry of [edge] with [value_at] on [at]'s side *)
+  let entry edge ~at ~value_at ~value_other =
+    let u0, _ = Graph.endpoints g edge in
+    (edge, ((if at = u0 then (value_at, value_other) else (value_other, value_at)), version))
+  in
+  match Instance.events_of_var instance vid with
+  | [||] -> (0, [])
+  | [| u |] -> (Fixing.min_inc (vector u), [])
+  | [| u; v |] ->
     let e = Graph.find_edge_exn g u v in
     let s = get_phi e u and w = get_phi e v in
     let incs_u = vector u and incs_v = vector v in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let score = (Rat.to_float incs_u.(y) *. s) +. (Rat.to_float incs_v.(y) *. w) in
-      match !best with
-      | Some (_, score') when score' <= score -> ()
-      | _ -> best := Some (y, score)
-    done;
-    let y, _ = Option.get !best in
+    let y = Fixing.choose_rank2_float incs_u incs_v ~s ~w in
     let up_u = Rat.to_float incs_u.(y) *. s and up_v = Rat.to_float incs_v.(y) *. w in
-    let u0, _ = Graph.endpoints g e in
-    let pair = if u = u0 then (up_u, up_v) else (up_v, up_u) in
-    (y, [ (e, (pair, version)) ])
-  | [ u; v; w ] ->
+    (y, [ entry e ~at:u ~value_at:up_u ~value_other:up_v ])
+  | [| u; v; w |] ->
     let e = Graph.find_edge_exn g u v in
     let e' = Graph.find_edge_exn g u w in
     let e'' = Graph.find_edge_exn g v w in
     let a = get_phi e u *. get_phi e' u in
     let b = get_phi e v *. get_phi e'' v in
     let c = get_phi e' w *. get_phi e'' w in
-    let incs_u = vector u and incs_v = vector v and incs_w = vector w in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let triple =
-        ( Rat.to_float incs_u.(y) *. a,
-          Rat.to_float incs_v.(y) *. b,
-          Rat.to_float incs_w.(y) *. c )
-      in
-      let viol = Srep.violation triple in
-      match !best with
-      | Some (_, _, viol') when viol' <= viol -> ()
-      | _ -> best := Some (y, triple, viol)
-    done;
-    let y, triple, _ = Option.get !best in
-    let d = Srep.decompose triple in
-    let pair edge ~at ~value_at ~other ~value_other =
-      let u0, _ = Graph.endpoints g edge in
-      if at = u0 then (value_at, value_other)
-      else begin
-        assert (other = u0);
-        (value_other, value_at)
-      end
-    in
+    let y, _, d = Fixing.choose_rank3_float (vector u) (vector v) (vector w) ~a ~b ~c in
     ( y,
       [
-        (e, (pair e ~at:u ~value_at:d.Srep.a1 ~other:v ~value_other:d.Srep.b1, version));
-        (e', (pair e' ~at:u ~value_at:d.Srep.a2 ~other:w ~value_other:d.Srep.c2, version));
-        (e'', (pair e'' ~at:v ~value_at:d.Srep.b3 ~other:w ~value_other:d.Srep.c3, version));
+        entry e ~at:u ~value_at:d.Srep.a1 ~value_other:d.Srep.b1;
+        entry e' ~at:u ~value_at:d.Srep.a2 ~value_other:d.Srep.c2;
+        entry e'' ~at:v ~value_at:d.Srep.b3 ~value_other:d.Srep.c3;
       ] )
   | _ -> invalid_arg "Dist_lll: rank > 3"
 
-type result = {
+type result = Distributed.result = {
   assignment : Assignment.t;
   ok : bool;
   rounds : int;
@@ -224,6 +185,25 @@ let run_sweep ?(engine = `Flat) ?domains ?(metrics = Metrics.disabled) instance 
     (assignment, rounds)
   end
 
+let no_events instance =
+  {
+    assignment = Assignment.empty (Instance.num_vars instance);
+    ok = true;
+    rounds = 0;
+    coloring_rounds = 0;
+    sweep_rounds = 0;
+    colors = 0;
+  }
+
+(* The gossiping sweep, then the free variables at 0, then exact
+   verification. *)
+let sweep_and_verify ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors ~classes
+    ~duty ~free =
+  let assignment, sweep_rounds = run_sweep ?engine ?domains ~metrics instance g net ~classes ~duty in
+  List.iter (fun vid -> Assignment.set_inplace assignment vid 0) free;
+  let ok = Assignment.is_complete assignment && Verify.avoids_all instance assignment in
+  { assignment; ok; rounds = coloring_rounds + sweep_rounds; coloring_rounds; sweep_rounds; colors }
+
 (* Corollary 1.2 as a message-passing protocol: edge-color the dependency
    graph (variables of rank 2 live on its edges; the smaller endpoint of
    an edge fixes its variables in the edge's class round). Rank <= 1
@@ -232,15 +212,7 @@ let solve_rank2 ?engine ?domains ?(metrics = Metrics.disabled) instance =
   if Instance.rank instance > 2 then invalid_arg "Dist_lll.solve_rank2: instance has rank > 2";
   let g = Instance.dep_graph instance in
   let n = Graph.n g in
-  if n = 0 then
-    {
-      assignment = Assignment.empty (Instance.num_vars instance);
-      ok = true;
-      rounds = 0;
-      coloring_rounds = 0;
-      sweep_rounds = 0;
-      colors = 0;
-    }
+  if n = 0 then no_events instance
   else begin
     let net = Network.create g in
     let lg = Graph.line_graph g in
@@ -267,47 +239,24 @@ let solve_rank2 ?engine ?domains ?(metrics = Metrics.disabled) instance =
       if cls = 0 then small.(me)
       else List.filter_map (fun (c, vid) -> if c = cls - 1 then Some vid else None) by_edge_owner.(me)
     in
-    let assignment, sweep_rounds =
-      run_sweep ?engine ?domains ~metrics instance g net ~classes:(colors + 1) ~duty
-    in
-    List.iter (fun vid -> Assignment.set_inplace assignment vid 0) !free;
-    let ok = Assignment.is_complete assignment && Verify.avoids_all instance assignment in
-    { assignment; ok; rounds = coloring_rounds + sweep_rounds; coloring_rounds; sweep_rounds; colors }
+    sweep_and_verify ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors
+      ~classes:(colors + 1) ~duty ~free:!free
   end
 
 let solve ?engine ?domains ?(metrics = Metrics.disabled) instance =
   if Instance.rank instance > 3 then invalid_arg "Dist_lll.solve: instance has rank > 3";
   let g = Instance.dep_graph instance in
   let n = Graph.n g in
-  if n = 0 then
-    {
-      assignment = Assignment.empty (Instance.num_vars instance);
-      ok = true;
-      rounds = 0;
-      coloring_rounds = 0;
-      sweep_rounds = 0;
-      colors = 0;
-    }
+  if n = 0 then no_events instance
   else begin
     let net = Network.create g in
     (* phase 1: distributed 2-hop coloring *)
     Metrics.set_phase metrics "two-hop-coloring";
     let vcolors, coloring_rounds = Dist_coloring.two_hop_color ?domains ~metrics net in
     let colors = Array.fold_left (fun acc c -> max acc (c + 1)) 0 vcolors in
-    (* ownership: a variable belongs to its smallest event *)
-    let owned = Array.make n [] in
-    let free_vars = ref [] in
-    for vid = Instance.num_vars instance - 1 downto 0 do
-      match Instance.events_of_var instance vid with
-      | [||] -> free_vars := vid :: !free_vars
-      | evs -> owned.(evs.(0)) <- vid :: owned.(evs.(0))
-    done;
+    let owned, free = Distributed.vars_by_owner instance in
     (* phase 2: the gossiping sweep, three rounds per class *)
     let duty ~me ~cls = if vcolors.(me) = cls then owned.(me) else [] in
-    let assignment, sweep_rounds =
-      run_sweep ?engine ?domains ~metrics instance g net ~classes:colors ~duty
-    in
-    List.iter (fun vid -> Assignment.set_inplace assignment vid 0) !free_vars;
-    let ok = Assignment.is_complete assignment && Verify.avoids_all instance assignment in
-    { assignment; ok; rounds = coloring_rounds + sweep_rounds; coloring_rounds; sweep_rounds; colors }
+    sweep_and_verify ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors
+      ~classes:colors ~duty ~free
   end

@@ -10,7 +10,7 @@
 
 module Assignment = Lll_prob.Assignment
 
-type result = {
+type result = Distributed.result = {
   assignment : Assignment.t;
   ok : bool;
   rounds : int;

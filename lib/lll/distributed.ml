@@ -20,7 +20,8 @@
    events, phi edges and scope variables — DESIGN.md §11), each class
    round genuinely fans out across the domain pool via [fix_class],
    with one [Metrics.record_sweep] record per class carrying the class
-   width and the domains used. *)
+   width and the domains used. The 2-hop schedule takes its fixer as an
+   argument: [solve_rank3] and [solve_rankr] are that one driver. *)
 
 module Graph = Lll_graph.Graph
 module Network = Lll_local.Network
@@ -53,12 +54,28 @@ let vars_by_edge instance =
   done;
   (by_edge, !small)
 
-(* Group the per-item duty lists ([by_edge] / [by_owner]) into one duty
-   array per color class — item order within a class is ascending item
-   id, exactly the order the former sequential [Array.iteri] sweep
-   visited — then run one [fix_class] fan-out per class. One sweep
-   record per class lands in [metrics]. *)
-let sweep_classes ?domains ~metrics ~colors ~item_colors ~duties fix_class =
+(* A fixer as the drivers see it: fix one variable up front, fan one
+   color class out, read the assignment back. *)
+module type FIXER = sig
+  type t
+
+  val create : Instance.t -> t
+  val fix_var : t -> int -> unit
+  val fix_class : ?domains:int -> t -> int list array -> unit
+  val assignment : t -> Assignment.t
+end
+
+(* The tail both schedules share: fix the [pre] variables in a leading
+   round (if any), sweep the color classes, verify. The per-item duty
+   lists ([by_edge] / [by_owner]) are grouped into one duty array per
+   color class — item order within a class is ascending item id — and
+   each class is one [fix_class] fan-out with one sweep record in
+   [metrics]. *)
+let sweep_and_verify (module F : FIXER) ?domains ~metrics instance ~coloring_rounds ~colors
+    ~item_colors ~duties ~pre =
+  let t = F.create instance in
+  List.iter (F.fix_var t) pre;
+  Metrics.set_phase metrics "fix-sweep";
   let members = Array.make (max colors 1) [] in
   for i = Array.length duties - 1 downto 0 do
     if duties.(i) <> [] then members.(item_colors.(i)) <- duties.(i) :: members.(item_colors.(i))
@@ -68,11 +85,21 @@ let sweep_classes ?domains ~metrics ~colors ~item_colors ~duties fix_class =
     let class_duties = Array.of_list members.(c) in
     let width = Array.length class_duties in
     let t0 = if Metrics.enabled metrics then Metrics.now_ns () else 0 in
-    fix_class ?domains class_duties;
+    F.fix_class ?domains t class_duties;
     Metrics.record_sweep metrics ~round:c ~total:colors
       ~wall_ns:(if Metrics.enabled metrics then Metrics.now_ns () - t0 else 0)
       ~width ~domains:(min resolved (max 1 width))
-  done
+  done;
+  let assignment = F.assignment t in
+  let sweep_rounds = colors + if pre = [] then 0 else 1 in
+  {
+    assignment;
+    ok = Verify.avoids_all instance assignment;
+    rounds = coloring_rounds + sweep_rounds;
+    coloring_rounds;
+    sweep_rounds;
+    colors;
+  }
 
 let solve_rank2 ?domains ?(metrics = Metrics.disabled) instance =
   let g = Instance.dep_graph instance in
@@ -83,23 +110,10 @@ let solve_rank2 ?domains ?(metrics = Metrics.disabled) instance =
   in
   let colors = Array.fold_left (fun acc c -> max acc (c + 1)) 0 ecolors in
   let by_edge, small = vars_by_edge instance in
-  let fixer = Fix_rank2.create instance in
-  (* round 0: every node fixes its rank <= 1 variables *)
-  List.iter (fun vid -> Fix_rank2.fix_var fixer vid) small;
-  (* one round per edge-color class, class members fanned out *)
-  Metrics.set_phase metrics "fix-sweep";
-  sweep_classes ?domains ~metrics ~colors ~item_colors:ecolors ~duties:by_edge
-    (fun ?domains ds -> Fix_rank2.fix_class ?domains fixer ds);
-  let assignment = Fix_rank2.assignment fixer in
-  let sweep_rounds = colors + if small = [] then 0 else 1 in
-  {
-    assignment;
-    ok = Verify.avoids_all instance assignment;
-    rounds = coloring_rounds + sweep_rounds;
-    coloring_rounds;
-    sweep_rounds;
-    colors;
-  }
+  (* round 0: every node fixes its rank <= 1 variables; then one round
+     per edge-color class, class members fanned out *)
+  sweep_and_verify (module Fix_rank2) ?domains ~metrics instance ~coloring_rounds ~colors
+    ~item_colors:ecolors ~duties:by_edge ~pre:small
 
 (* Each variable is owned by its smallest event; a node's class round
    fixes all its owned variables. *)
@@ -113,7 +127,11 @@ let vars_by_owner instance =
   done;
   (by_owner, !free)
 
-let solve_rank3 ?domains ?(metrics = Metrics.disabled) instance =
+(* The 2-hop schedule, for any fixer: a variable's events are pairwise
+   adjacent, so they all lie in the closed neighborhood of its owner,
+   and owners of the same 2-hop color class are at distance >= 3 —
+   their variables share no event, for any rank. *)
+let solve_two_hop fixer ?domains ?(metrics = Metrics.disabled) instance =
   let g = Instance.dep_graph instance in
   Metrics.set_phase metrics "two-hop-coloring";
   let vcolors, coloring_rounds =
@@ -122,60 +140,11 @@ let solve_rank3 ?domains ?(metrics = Metrics.disabled) instance =
   in
   let colors = Array.fold_left (fun acc c -> max acc (c + 1)) 0 vcolors in
   let by_owner, free = vars_by_owner instance in
-  let fixer = Fix_rank3.create instance in
-  List.iter (fun vid -> Fix_rank3.fix_var fixer vid) free;
-  Metrics.set_phase metrics "fix-sweep";
-  sweep_classes ?domains ~metrics ~colors ~item_colors:vcolors ~duties:by_owner
-    (fun ?domains ds -> Fix_rank3.fix_class ?domains fixer ds);
-  let assignment = Fix_rank3.assignment fixer in
-  let sweep_rounds = colors + if free = [] then 0 else 1 in
-  {
-    assignment;
-    ok = Verify.avoids_all instance assignment;
-    rounds = coloring_rounds + sweep_rounds;
-    coloring_rounds;
-    sweep_rounds;
-    colors;
-  }
+  sweep_and_verify fixer ?domains ~metrics instance ~coloring_rounds ~colors
+    ~item_colors:vcolors ~duties:by_owner ~pre:free
 
-(* The same 2-hop schedule drives the EXPERIMENTAL rank-r fixer: a
-   variable's events are pairwise adjacent, so they all lie in the closed
-   neighborhood of its owner, and owners of the same 2-hop color class
-   are at distance >= 3 — their variables share no event, for any rank. *)
-let solve_rankr ?domains ?(metrics = Metrics.disabled) instance =
-  let g = Instance.dep_graph instance in
-  Metrics.set_phase metrics "two-hop-coloring";
-  let vcolors, coloring_rounds =
-    if Graph.n g = 0 then ([||], 0)
-    else Dist_coloring.two_hop_color ?domains ~metrics (Network.create g)
-  in
-  let colors = Array.fold_left (fun acc c -> max acc (c + 1)) 0 vcolors in
-  let by_owner, free = vars_by_owner instance in
-  let fixer = Fix_rankr.create instance in
-  List.iter (fun vid -> Fix_rankr.fix_var fixer vid) free;
-  Metrics.set_phase metrics "fix-sweep";
-  sweep_classes ?domains ~metrics ~colors ~item_colors:vcolors ~duties:by_owner
-    (fun ?domains ds -> Fix_rankr.fix_class ?domains fixer ds);
-  let assignment = Fix_rankr.assignment fixer in
-  let sweep_rounds = colors + if free = [] then 0 else 1 in
-  {
-    assignment;
-    ok = Verify.avoids_all instance assignment;
-    rounds = coloring_rounds + sweep_rounds;
-    coloring_rounds;
-    sweep_rounds;
-    colors;
-  }
+let solve_rank3 ?domains ?metrics instance =
+  solve_two_hop (module Fix_rank3) ?domains ?metrics instance
 
-(* Distributed parallel Moser–Tardos for comparison: its LOCAL round count
-   is the number of resampling rounds (each costs O(1) real rounds). *)
-let solve_moser_tardos ?max_rounds ~seed instance =
-  let assignment, stats = Moser_tardos.solve_parallel ?max_rounds ~seed instance in
-  {
-    assignment;
-    ok = Verify.avoids_all instance assignment;
-    rounds = stats.rounds;
-    coloring_rounds = 0;
-    sweep_rounds = stats.rounds;
-    colors = 0;
-  }
+let solve_rankr ?domains ?metrics instance =
+  solve_two_hop (module Fix_rankr) ?domains ?metrics instance

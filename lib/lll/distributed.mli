@@ -1,6 +1,7 @@
 (** Distributed LLL solvers with LOCAL round accounting: Corollary 1.2
-    (rank 2, edge coloring) and Corollary 1.4 (rank 3, 2-hop coloring),
-    plus a distributed Moser–Tardos baseline. *)
+    (rank 2, edge coloring) and Corollary 1.4 (rank 3, 2-hop coloring).
+    The parallel Moser–Tardos baseline is the registry engine
+    ["mt-par"]. *)
 
 module Assignment = Lll_prob.Assignment
 
@@ -12,6 +13,10 @@ type result = {
   sweep_rounds : int;
   colors : int;
 }
+
+val vars_by_owner : Instance.t -> int list array * int list
+(** Each variable is owned by its smallest event: the owned variables
+    of every event in ascending order, and the variables on no event. *)
 
 val solve_rank2 : ?domains:int -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> result
 (** Corollary 1.2: [O(d + log* n)]-style schedule (edge coloring via the
@@ -26,6 +31,3 @@ val solve_rankr : ?domains:int -> ?metrics:Lll_local.Metrics.sink -> Instance.t 
 (** The Corollary 1.4 schedule driving the experimental rank-r fixer
     ({!Fix_rankr}); sound scheduling for any rank, heuristic feasibility
     for rank [>= 4]. *)
-
-val solve_moser_tardos : ?max_rounds:int -> seed:int -> Instance.t -> result
-(** Parallel Moser–Tardos; [rounds] is its resampling-round count. *)

@@ -11,15 +11,11 @@
 
    which by linearity of expectation is at most [phi_e^u + phi_e^v <= 2]
    for some value. After all variables are fixed, every bad event has
-   conditional probability at most [p * 2^d < 1], hence 0. *)
+   conditional probability at most [p * 2^d < 1], hence 0. Both rules
+   live in {!Fixing}; this module keeps the step log. *)
 
 module Rat = Lll_num.Rat
-module Graph = Lll_graph.Graph
-module Space = Lll_prob.Space
-module Event = Lll_prob.Event
 module Assignment = Lll_prob.Assignment
-module Metrics = Lll_local.Metrics
-module Par = Lll_local.Par
 
 type step = {
   var : int;
@@ -29,183 +25,41 @@ type step = {
   budget : Rat.t; (* phi_e^u + phi_e^v before the step (the score bound) *)
 }
 
-(* Value-selection policy. [Min_score] picks the value minimising the
-   phi-weighted Inc sum; [First_within_budget] picks the smallest value
-   whose score is within the budget (the proof of Theorem 1.1 only needs
-   existence, so any within-budget choice is sound). Exposed for the
-   ablation benchmarks. *)
-type policy = Min_score | First_within_budget
+type t = { core : Rat.t Fixing.t; mutable steps : step list }
 
-type t = {
-  policy : policy;
-  instance : Instance.t;
-  tracker : Space.Cond_tracker.tracker; (* assignment + exact Pr[E_v | assignment] *)
-  phi : Rat.t array array; (* edge id -> [| side of min endpoint; side of max |] *)
-  initial_probs : Rat.t array;
-  mutable steps : step list;
-}
-
-let create ?(policy = Min_score) instance =
-  if Instance.rank instance > 2 then invalid_arg "Fix_rank2.create: instance has rank > 2";
-  let g = Instance.dep_graph instance in
-  let initial_probs = Instance.initial_probs instance in
-  {
-    policy;
-    instance;
-    tracker = Space.Cond_tracker.create (Instance.space instance) (Instance.events instance);
-    phi = Array.init (Graph.m g) (fun _ -> [| Rat.one; Rat.one |]);
-    initial_probs;
-    steps = [];
-  }
-
-let assignment t = Space.Cond_tracker.assignment t.tracker
+let name = "Fix_rank2"
+let create instance = { core = Fixing.create ~name ~max_rank:2 Rat.one instance; steps = [] }
+let assignment t = Fixing.assignment t.core
 let steps t = List.rev t.steps
-let instance t = t.instance
-
-let side g e v =
-  let u, _ = Graph.endpoints g e in
-  if v = u then 0 else 1
-
-let phi t e v = t.phi.(e).(side (Instance.dep_graph t.instance) e v)
-let set_phi t e v x = t.phi.(e).(side (Instance.dep_graph t.instance) e v) <- x
-
-(* The Inc ratios of event [ev] for the candidate values of [var],
-   against the tracker's incrementally maintained current probability.
-   One pass over the event's live table rows (see
-   Space.Cond_tracker.prob_vector). *)
-let inc_vector t ev ~var =
-  let after, before = Space.Cond_tracker.prob_vector t.tracker ev ~var in
-  Array.map (fun a -> if Rat.is_zero before then Rat.zero else Rat.div a before) after
-
+let phi t e v = t.core.phi.(Fixing.slot t.core.graph e v)
 let record t step = t.steps <- step :: t.steps
 
-(* Fix one (currently unfixed) variable. The chosen value minimises the
-   phi-weighted sum of Inc ratios over the (at most two) affected
-   events. The [_quiet] form does all the work without touching the
-   shared step log, so [fix_class] can fan members of one color class
-   out across domains (their tracker/phi state is disjoint — DESIGN.md
-   §11). *)
+let step_of var ({ value; incs; score; budget } : Rat.t Fixing.choice) =
+  { var; value; incs; score; budget }
+
+(* Fix one (currently unfixed) variable without touching the shared
+   step log, so [fix_class] can fan members of one color class out
+   across domains. *)
 let fix_var_quiet t vid =
-  if Assignment.is_fixed (assignment t) vid then invalid_arg "Fix_rank2.fix_var: already fixed";
-  let space = Instance.space t.instance in
-  let arity = Lll_prob.Var.arity (Space.var space vid) in
-  let evs = Instance.events_of_var t.instance vid in
-  let g = Instance.dep_graph t.instance in
-  match Array.to_list evs with
-  | [] ->
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:0;
+  Fixing.check_unfixed ~name t.core vid;
+  match Instance.events_of_var t.core.instance vid with
+  | [||] ->
+    Fixing.fix_free t.core vid;
     { var = vid; value = 0; incs = []; score = Rat.zero; budget = Rat.zero }
-  | [ u ] ->
-    (* rank 1: some value has Inc <= 1 *)
-    let incs_u = inc_vector t u ~var:vid in
-    let pick_min () =
-      let best = ref None in
-      for y = 0 to arity - 1 do
-        let i = incs_u.(y) in
-        match !best with
-        | Some (_, i') when Rat.leq i' i -> ()
-        | _ -> best := Some (y, i)
-      done;
-      Option.get !best
-    in
-    let y, i =
-      match t.policy with
-      | Min_score -> pick_min ()
-      | First_within_budget ->
-        let rec first y = if Rat.leq incs_u.(y) Rat.one then (y, incs_u.(y)) else first (y + 1) in
-        first 0
-    in
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-    { var = vid; value = y; incs = [ (u, i) ]; score = i; budget = Rat.one }
-  | [ u; v ] ->
-    let e = Graph.find_edge_exn g u v in
-    let s = phi t e u and w = phi t e v in
-    let incs_u = inc_vector t u ~var:vid in
-    let incs_v = inc_vector t v ~var:vid in
-    let score_of y = Rat.add (Rat.mul incs_u.(y) s) (Rat.mul incs_v.(y) w) in
-    let pick_min () =
-      let best = ref None in
-      for y = 0 to arity - 1 do
-        let score = score_of y in
-        match !best with
-        | Some (_, score') when Rat.leq score' score -> ()
-        | _ -> best := Some (y, score)
-      done;
-      Option.get !best
-    in
-    let y, score =
-      match t.policy with
-      | Min_score -> pick_min ()
-      | First_within_budget ->
-        let budget = Rat.add s w in
-        let rec first y =
-          if Rat.leq (score_of y) budget then (y, score_of y) else first (y + 1)
-        in
-        first 0
-    in
-    let iu = incs_u.(y) and iv = incs_v.(y) in
-    let budget = Rat.add s w in
-    (* Theorem 1.1 / Section 3.1 (weighted form): the minimum is within
-       budget. This is a mathematical invariant, not an input check. *)
-    assert (Rat.leq score budget);
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-    set_phi t e u (Rat.mul iu s);
-    set_phi t e v (Rat.mul iv w);
-    { var = vid; value = y; incs = [ (u, iu); (v, iv) ]; score; budget }
+  | [| u |] -> step_of vid (Fixing.fix_rank1 t.core vid u)
+  | [| u; v |] -> step_of vid (Fixing.fix_rank2_exact t.core vid u v)
   | _ -> assert false
 
 let fix_var t vid = record t (fix_var_quiet t vid)
 
-(* One color class's duty lists, fanned out across [domains]; steps are
-   merged into the shared log in member order, so the trace matches the
-   sequential loop exactly. See Fix_rank3.fix_class. *)
-let fix_class ?domains t (duties : int list array) =
-  let k = Array.length duties in
-  if k > 0 then begin
-    let buf = Array.make k [] in
-    Par.parallel_for ?domains ~n:k (fun i ->
-        buf.(i) <- List.map (fun vid -> fix_var_quiet t vid) duties.(i));
-    Array.iter (fun steps -> List.iter (fun s -> record t s) steps) buf
-  end
+let fix_class ?domains t duties =
+  Fixing.fix_class ?domains ~fix:(fix_var_quiet t) ~record:(record t) duties
 
 (* Property P* specialised to rank 2 (exact): every edge's phi values sum
-   to at most 2, and every event's conditional probability is bounded by
-   its initial probability times the product of its phi values. *)
-let pstar_holds t =
-  let g = Instance.dep_graph t.instance in
-  let edges_ok =
-    Array.for_all (fun pair -> Rat.leq (Rat.add pair.(0) pair.(1)) Rat.two) t.phi
-  in
-  edges_ok
-  && Array.for_all
-       (fun e ->
-         let v = Event.id e in
-         let bound =
-           List.fold_left
-             (fun acc eid -> Rat.mul acc (phi t eid v))
-             t.initial_probs.(v)
-             (Graph.incident_edges g v)
-         in
-         Rat.leq (Space.prob (Instance.space t.instance) e ~fixed:(assignment t)) bound)
-       (Instance.events t.instance)
+   to at most 2. *)
+let pstar_holds t = Fixing.pstar_exact t.core ~edge_ok:(fun a b -> Rat.leq (Rat.add a b) Rat.two)
 
-let run ?policy ?order ?(metrics = Metrics.disabled) instance =
-  let t = create ?policy instance in
-  let m = Instance.num_vars instance in
-  let order = match order with Some o -> o | None -> Array.init m (fun i -> i) in
-  if Metrics.enabled metrics then begin
-    Metrics.set_phase metrics "fix-rank2";
-    Array.iteri
-      (fun i vid ->
-        let t0 = Metrics.now_ns () in
-        fix_var t vid;
-        Metrics.record_step metrics ~round:i ~total:m ~wall_ns:(Metrics.now_ns () - t0)
-          ~state:(assignment t))
-      order
-  end
-  else Array.iter (fun vid -> fix_var t vid) order;
-  t
-
-let solve ?policy ?order ?metrics instance =
-  let t = run ?policy ?order ?metrics instance in
+let solve ?order ?metrics instance =
+  let t = create instance in
+  Fixing.run t.core ~phase:"fix-rank2" ~fix:(fix_var t) ?order ?metrics ();
   (assignment t, t)

@@ -2,7 +2,8 @@
     every variable affects at most two events, under [p < 2^-d].
 
     Exact rational bookkeeping throughout; the variable order is
-    arbitrary (adversary-chosen). *)
+    arbitrary (adversary-chosen). The rules are {!Fixing}'s rank <= 2
+    rules; this module keeps the step log. *)
 
 module Rat = Lll_num.Rat
 module Assignment = Lll_prob.Assignment
@@ -17,44 +18,22 @@ type step = {
 
 type t
 
-type policy = Min_score | First_within_budget
-(** Value selection: the minimiser of the weighted Inc sum, or the first
-    value within the proof's budget (both sound; see the ablation
-    benchmarks). Default [Min_score]. *)
-
-val create : ?policy:policy -> Instance.t -> t
+val create : Instance.t -> t
 (** @raise Invalid_argument if the instance has rank [> 2]. *)
 
 val fix_var : t -> int -> unit
 (** Deterministically fix one unfixed variable (Theorem 1.1 step). *)
 
-val fix_var_quiet : t -> int -> step
-(** {!fix_var} without appending to the shared step log — the unit of
-    work {!fix_class} fans out across domains. *)
-
 val fix_class : ?domains:int -> t -> int list array -> unit
-(** Fix each member's duty list, members fanned out across [domains].
-    Sound only for members forming one color class of the relevant
-    conflict graph (disjoint tracker/phi state — DESIGN.md §11); the
-    step log ends up in member order, bit-identical to the sequential
-    loop. *)
-
-val run :
-  ?policy:policy -> ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> t
-(** Fix all variables in the given order (identity by default). With a
-    [metrics] sink, records one per-step record (phase ["fix-rank2"]) in
-    the same shape as the LOCAL runtime's per-round records. *)
+(** One color class's duty lists through {!Fixing.fix_class}. *)
 
 val solve :
-  ?policy:policy ->
-  ?order:int array ->
-  ?metrics:Lll_local.Metrics.sink ->
-  Instance.t ->
-  Assignment.t * t
+  ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> Assignment.t * t
+(** Fix all variables in [order] (identity by default); per-step
+    metrics records carry phase ["fix-rank2"]. *)
 
 val assignment : t -> Assignment.t
 val steps : t -> step list
-val instance : t -> Instance.t
 
 val phi : t -> int -> int -> Rat.t
 (** [phi t e v]: the potential on edge [e] at endpoint [v]. *)

@@ -19,15 +19,12 @@
 
    Inc ratios are exact rationals; only the phi potential uses floats
    (its optimal updates are irrational). Final solutions are always
-   validated exactly against the event predicates (see Verify). *)
+   validated exactly against the event predicates (see Verify). The
+   rank <= 2 rules and the rank-3 choice live in {!Fixing}; this module
+   keeps the phi plumbing of the rank-3 step and the step log. *)
 
 module Rat = Lll_num.Rat
-module Graph = Lll_graph.Graph
-module Space = Lll_prob.Space
-module Event = Lll_prob.Event
 module Assignment = Lll_prob.Assignment
-module Metrics = Lll_local.Metrics
-module Par = Lll_local.Par
 
 type step = {
   var : int;
@@ -36,240 +33,78 @@ type step = {
   violation : float; (* S_rep violation of the chosen scaled triple *)
 }
 
-(* Value-selection policy: the S_rep-violation minimiser, or the first
-   value whose scaled triple is (numerically) representable — Lemma 3.2
-   guarantees one exists, so both are sound. For the ablation bench. *)
-type policy = Min_violation | First_feasible
+type t = { core : float Fixing.t; mutable steps : step list; mutable max_violation : float }
 
-type t = {
-  policy : policy;
-  instance : Instance.t;
-  tracker : Space.Cond_tracker.tracker; (* assignment + exact Pr[E_v | assignment] *)
-  phi : float array array; (* edge id -> [| side of min endpoint; side of max |] *)
-  initial_probs : Rat.t array;
-  mutable steps : step list;
-  mutable max_violation : float;
-}
+let name = "Fix_rank3"
 
-let create ?(policy = Min_violation) instance =
-  if Instance.rank instance > 3 then invalid_arg "Fix_rank3.create: instance has rank > 3";
-  let g = Instance.dep_graph instance in
-  let initial_probs = Instance.initial_probs instance in
-  {
-    policy;
-    instance;
-    tracker = Space.Cond_tracker.create (Instance.space instance) (Instance.events instance);
-    phi = Array.init (Graph.m g) (fun _ -> [| 1.0; 1.0 |]);
-    initial_probs;
-    steps = [];
-    max_violation = neg_infinity;
-  }
+let create instance =
+  { core = Fixing.create ~name ~max_rank:3 1.0 instance; steps = []; max_violation = neg_infinity }
 
-let assignment t = Space.Cond_tracker.assignment t.tracker
+let assignment t = Fixing.assignment t.core
 let steps t = List.rev t.steps
-let instance t = t.instance
 let max_violation t = t.max_violation
-
-let side g e v =
-  let u, _ = Graph.endpoints g e in
-  if v = u then 0 else 1
-
-let phi t e v = t.phi.(e).(side (Instance.dep_graph t.instance) e v)
-let set_phi t e v x = t.phi.(e).(side (Instance.dep_graph t.instance) e v) <- x
-
-(* The exact Inc ratios of event [ev] for the candidate values of [var],
-   against the tracker's incrementally maintained current probability.
-   One pass over the event's live table rows. *)
-let inc_vector t ev ~var =
-  let after, before = Space.Cond_tracker.prob_vector t.tracker ev ~var in
-  Array.map (fun a -> if Rat.is_zero before then Rat.zero else Rat.div a before) after
 
 let record t step =
   t.steps <- step :: t.steps;
   if step.violation > t.max_violation then t.max_violation <- step.violation
 
-(* Fix a rank-2 variable: the weighted rank-2 statement of Section 3.1
-   (linearity of expectation gives a value with
-   [Inc_u * phi_e^u + Inc_v * phi_e^v <= phi_e^u + phi_e^v <= 2]). *)
-let fix_rank2_var t vid u v ~arity =
-  let g = Instance.dep_graph t.instance in
-  let e = Graph.find_edge_exn g u v in
-  let s = phi t e u and w = phi t e v in
-  let incs_u = inc_vector t u ~var:vid in
-  let incs_v = inc_vector t v ~var:vid in
-  let score_of y = (Rat.to_float incs_u.(y) *. s) +. (Rat.to_float incs_v.(y) *. w) in
-  let pick_min () =
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let score = score_of y in
-      match !best with
-      | Some (_, score') when score' <= score -> ()
-      | _ -> best := Some (y, score)
-    done;
-    Option.get !best
-  in
-  let y, score =
-    match t.policy with
-    | Min_violation -> pick_min ()
-    | First_feasible ->
-      let rec first y =
-        if y >= arity then pick_min ()
-        else if score_of y <= s +. w +. 1e-9 then (y, score_of y)
-        else first (y + 1)
-      in
-      first 0
-  in
-  let iu = incs_u.(y) and iv = incs_v.(y) in
-  Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-  set_phi t e u (Rat.to_float iu *. s);
-  set_phi t e v (Rat.to_float iv *. w);
-  { var = vid; value = y; incs = [ (u, iu); (v, iv) ]; violation = score -. (s +. w) }
+(* Fix a rank-3 variable via the Variable Fixing Lemma: the triple's
+   phi products in, the decomposition's six sides back out. *)
+let fix_rank3_var t vid u v w =
+  let c0 = t.core in
+  let g = c0.graph and phi = c0.phi in
+  let e = Lll_graph.Graph.find_edge_exn g u v in
+  let e' = Lll_graph.Graph.find_edge_exn g u w in
+  let e'' = Lll_graph.Graph.find_edge_exn g v w in
+  let eu = Fixing.slot g e u and e'u = Fixing.slot g e' u in
+  let ev = Fixing.slot g e v and e''v = Fixing.slot g e'' v in
+  let e'w = Fixing.slot g e' w and e''w = Fixing.slot g e'' w in
+  let a = phi.(eu) *. phi.(e'u) in
+  let b = phi.(ev) *. phi.(e''v) in
+  let c = phi.(e'w) *. phi.(e''w) in
+  let incs_u = Fixing.inc_vector c0 u ~var:vid in
+  let incs_v = Fixing.inc_vector c0 v ~var:vid in
+  let incs_w = Fixing.inc_vector c0 w ~var:vid in
+  let y, viol, d = Fixing.choose_rank3_float incs_u incs_v incs_w ~a ~b ~c in
+  Lll_prob.Space.Cond_tracker.fix c0.tracker ~var:vid ~value:y;
+  phi.(eu) <- d.a1;
+  phi.(e'u) <- d.a2;
+  phi.(ev) <- d.b1;
+  phi.(e''v) <- d.b3;
+  phi.(e'w) <- d.c2;
+  phi.(e''w) <- d.c3;
+  { var = vid; value = y; incs = [ (u, incs_u.(y)); (v, incs_v.(y)); (w, incs_w.(y)) ];
+    violation = viol }
 
-(* Fix a rank-3 variable via the Variable Fixing Lemma. *)
-let fix_rank3_var t vid u v w ~arity =
-  let g = Instance.dep_graph t.instance in
-  let e = Graph.find_edge_exn g u v in
-  let e' = Graph.find_edge_exn g u w in
-  let e'' = Graph.find_edge_exn g v w in
-  let a = phi t e u *. phi t e' u in
-  let b = phi t e v *. phi t e'' v in
-  let c = phi t e' w *. phi t e'' w in
-  let incs_u = inc_vector t u ~var:vid in
-  let incs_v = inc_vector t v ~var:vid in
-  let incs_w = inc_vector t w ~var:vid in
-  let triple_of y =
-    ( Rat.to_float incs_u.(y) *. a,
-      Rat.to_float incs_v.(y) *. b,
-      Rat.to_float incs_w.(y) *. c )
-  in
-  let pick_min () =
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let triple = triple_of y in
-      let viol = Srep.violation triple in
-      match !best with
-      | Some (_, _, viol') when viol' <= viol -> ()
-      | _ -> best := Some (y, triple, viol)
-    done;
-    Option.get !best
-  in
-  let y, triple, viol =
-    match t.policy with
-    | Min_violation -> pick_min ()
-    | First_feasible ->
-      (* first numerically representable value; fall back to the
-         minimiser if float noise leaves none *)
-      let rec first y =
-        if y >= arity then pick_min ()
-        else begin
-          let triple = triple_of y in
-          let viol = Srep.violation triple in
-          if viol <= 1e-9 then (y, triple, viol) else first (y + 1)
-        end
-      in
-      first 0
-  in
-  let iu = incs_u.(y) and iv = incs_v.(y) and iw = incs_w.(y) in
-  (* Lemma 3.2: some value is not evil, i.e. the minimum violation is
-     non-positive (up to float rounding, which [Srep.decompose] clamps). *)
-  let d = Srep.decompose triple in
-  Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-  set_phi t e u d.a1;
-  set_phi t e' u d.a2;
-  set_phi t e v d.b1;
-  set_phi t e'' v d.b3;
-  set_phi t e' w d.c2;
-  set_phi t e'' w d.c3;
-  { var = vid; value = y; incs = [ (u, iu); (v, iv); (w, iw) ]; violation = viol }
-
-(* All the work of a fixing step — tracker update, phi writes — without
-   touching the shared step log: the unit [fix_class] fans out across
-   domains. Safe to run concurrently for variables of one color class:
-   their events (and hence their phi edges, tracker entries and scope
-   variables) are pairwise disjoint — see DESIGN.md §11. *)
+(* All the work of a fixing step without touching the shared step log:
+   the unit [fix_class] fans out across domains. *)
 let fix_var_quiet t vid =
-  if Assignment.is_fixed (assignment t) vid then invalid_arg "Fix_rank3.fix_var: already fixed";
-  let space = Instance.space t.instance in
-  let arity = Lll_prob.Var.arity (Space.var space vid) in
-  match Array.to_list (Instance.events_of_var t.instance vid) with
-  | [] ->
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:0;
+  Fixing.check_unfixed ~name t.core vid;
+  match Instance.events_of_var t.core.instance vid with
+  | [||] ->
+    Fixing.fix_free t.core vid;
     { var = vid; value = 0; incs = []; violation = neg_infinity }
-  | [ u ] ->
-    let incs_u = inc_vector t u ~var:vid in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let i = incs_u.(y) in
-      match !best with
-      | Some (_, i') when Rat.leq i' i -> ()
-      | _ -> best := Some (y, i)
-    done;
-    let y, i = Option.get !best in
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-    { var = vid; value = y; incs = [ (u, i) ]; violation = Rat.to_float i -. 1.0 }
-  | [ u; v ] -> fix_rank2_var t vid u v ~arity
-  | [ u; v; w ] -> fix_rank3_var t vid u v w ~arity
+  | [| u |] ->
+    let c = Fixing.fix_rank1 t.core vid u in
+    { var = vid; value = c.value; incs = c.incs; violation = Rat.to_float c.score -. 1.0 }
+  | [| u; v |] ->
+    let c = Fixing.fix_rank2_float t.core vid u v in
+    { var = vid; value = c.value; incs = c.incs; violation = c.score -. c.budget }
+  | [| u; v; w |] -> fix_rank3_var t vid u v w
   | _ -> assert false
 
 let fix_var t vid = record t (fix_var_quiet t vid)
 
-(* Fix the duty lists of one color class, fanned out across [domains]:
-   member [i]'s steps land in a private buffer, then all buffers are
-   folded into the shared log in member order — the same trace, floats
-   and all, as the sequential member-by-member loop. *)
-let fix_class ?domains t (duties : int list array) =
-  let k = Array.length duties in
-  if k > 0 then begin
-    let buf = Array.make k [] in
-    Par.parallel_for ?domains ~n:k (fun i ->
-        buf.(i) <- List.map (fun vid -> fix_var_quiet t vid) duties.(i));
-    Array.iter (fun steps -> List.iter (fun s -> record t s) steps) buf
-  end
+let fix_class ?domains t duties =
+  Fixing.fix_class ?domains ~fix:(fix_var_quiet t) ~record:(record t) duties
 
-(* Property P* (Definition 3.1), with a float tolerance on the phi side:
-   (1) phi values in [0,2] summing to <= 2 per edge, and (2) every event's
-   exact conditional probability bounded by its initial probability times
-   its phi product. *)
+(* Property P* (Definition 3.1) with a float tolerance on the phi side:
+   phi values in [0,2] summing to <= 2 per edge. *)
 let pstar_holds ?(eps = Srep.default_eps) t =
-  let g = Instance.dep_graph t.instance in
-  let edges_ok =
-    Array.for_all
-      (fun pair ->
-        pair.(0) >= -.eps && pair.(1) >= -.eps && pair.(0) <= 2. +. eps && pair.(1) <= 2. +. eps
-        && pair.(0) +. pair.(1) <= 2. +. eps)
-      t.phi
-  in
-  edges_ok
-  && Array.for_all
-       (fun e ->
-         let v = Event.id e in
-         let bound =
-           List.fold_left
-             (fun acc eid -> acc *. phi t eid v)
-             (Rat.to_float t.initial_probs.(v))
-             (Graph.incident_edges g v)
-         in
-         Rat.to_float (Space.prob (Instance.space t.instance) e ~fixed:(assignment t))
-         <= bound +. eps)
-       (Instance.events t.instance)
+  Fixing.pstar_float ~eps t.core ~edge_ok:(fun p0 p1 ->
+      p0 >= -.eps && p1 >= -.eps && p0 <= 2. +. eps && p1 <= 2. +. eps && p0 +. p1 <= 2. +. eps)
 
-let run ?policy ?order ?(metrics = Metrics.disabled) instance =
-  let t = create ?policy instance in
-  let m = Instance.num_vars instance in
-  let order = match order with Some o -> o | None -> Array.init m (fun i -> i) in
-  if Metrics.enabled metrics then begin
-    Metrics.set_phase metrics "fix-rank3";
-    Array.iteri
-      (fun i vid ->
-        let t0 = Metrics.now_ns () in
-        fix_var t vid;
-        Metrics.record_step metrics ~round:i ~total:m ~wall_ns:(Metrics.now_ns () - t0)
-          ~state:(assignment t))
-      order
-  end
-  else Array.iter (fun vid -> fix_var t vid) order;
-  t
-
-let solve ?policy ?order ?metrics instance =
-  let t = run ?policy ?order ?metrics instance in
+let solve ?order ?metrics instance =
+  let t = create instance in
+  Fixing.run t.core ~phase:"fix-rank3" ~fix:(fix_var t) ?order ?metrics ();
   (assignment t, t)

@@ -20,49 +20,22 @@ type step = {
 
 type t
 
-type policy = Min_violation | First_feasible
-(** Value selection: the S_rep-violation minimiser, or the first value
-    whose scaled triple is representable (Lemma 3.2 guarantees existence).
-    Default [Min_violation]. *)
-
-val create : ?policy:policy -> Instance.t -> t
+val create : Instance.t -> t
 (** @raise Invalid_argument if the instance has rank [> 3]. *)
 
 val fix_var : t -> int -> unit
 (** Fix one unfixed variable (the Variable Fixing Lemma step). *)
 
-val fix_var_quiet : t -> int -> step
-(** {!fix_var} without appending to the shared step log — the unit of
-    work {!fix_class} fans out across domains. *)
-
 val fix_class : ?domains:int -> t -> int list array -> unit
-(** [fix_class t duties] fixes each member's duty list, members fanned
-    out across [domains] (default {!Lll_local.Par.default_domains}).
-    SOUND ONLY when the members form one color class of the squared
-    dependency graph: their events, phi edges and scope variables are
-    then pairwise disjoint (DESIGN.md §11), so the concurrent tracker
-    updates never touch shared state. Steps are logged in member order —
-    the trace is bit-identical to the sequential loop for any domain
-    count. *)
-
-val run :
-  ?policy:policy -> ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> t
-(** With a [metrics] sink, records one per-step record (phase
-    ["fix-rank3"]) in the LOCAL runtime's per-round shape. *)
+(** One color class's duty lists through {!Fixing.fix_class}. *)
 
 val solve :
-  ?policy:policy ->
-  ?order:int array ->
-  ?metrics:Lll_local.Metrics.sink ->
-  Instance.t ->
-  Assignment.t * t
+  ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> Assignment.t * t
+(** Fix all variables in [order] (identity by default); per-step
+    metrics records carry phase ["fix-rank3"]. *)
 
 val assignment : t -> Assignment.t
 val steps : t -> step list
-val instance : t -> Instance.t
-
-val phi : t -> int -> int -> float
-(** [phi t e v]: potential on edge [e] at endpoint [v]. *)
 
 val max_violation : t -> float
 (** Largest [S_rep] violation over all steps so far ([neg_infinity] if no

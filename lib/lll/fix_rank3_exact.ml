@@ -21,47 +21,18 @@
    the actual execution, not about a float approximation of it. *)
 
 module Rat = Lll_num.Rat
-module Bigint = Lll_num.Bigint
-module Graph = Lll_graph.Graph
-module Space = Lll_prob.Space
-module Event = Lll_prob.Event
 module Assignment = Lll_prob.Assignment
-module Metrics = Lll_local.Metrics
 
 type t = {
-  instance : Instance.t;
-  tracker : Space.Cond_tracker.tracker; (* assignment + exact Pr[E_v | assignment] *)
-  phi : Rat.t array array; (* edge id -> [| side min; side max |] *)
-  initial_probs : Rat.t array;
+  core : Rat.t Fixing.t;
   mutable fallbacks : int; (* steps where no exact decomposition was found *)
 }
 
-let create instance =
-  if Instance.rank instance > 3 then invalid_arg "Fix_rank3_exact.create: instance has rank > 3";
-  let g = Instance.dep_graph instance in
-  let initial_probs = Instance.initial_probs instance in
-  {
-    instance;
-    tracker = Space.Cond_tracker.create (Instance.space instance) (Instance.events instance);
-    phi = Array.init (Graph.m g) (fun _ -> [| Rat.one; Rat.one |]);
-    initial_probs;
-    fallbacks = 0;
-  }
-
-let assignment t = Space.Cond_tracker.assignment t.tracker
-let instance t = t.instance
+let name = "Fix_rank3_exact"
+let create instance = { core = Fixing.create ~name ~max_rank:3 Rat.one instance; fallbacks = 0 }
+let assignment t = Fixing.assignment t.core
 let fallbacks t = t.fallbacks
-
-let side g e v =
-  let u, _ = Graph.endpoints g e in
-  if v = u then 0 else 1
-
-let phi t e v = t.phi.(e).(side (Instance.dep_graph t.instance) e v)
-let set_phi t e v x = t.phi.(e).(side (Instance.dep_graph t.instance) e v) <- x
-
-let inc_vector t ev ~var =
-  let after, before = Space.Cond_tracker.prob_vector t.tracker ev ~var in
-  Array.map (fun a -> if Rat.is_zero before then Rat.zero else Rat.div a before) after
+let phi t e v = t.core.phi.(Fixing.slot t.core.graph e v)
 
 (* exact representability condition for split x (in [a/2, 2-b/2]):
    c * x * (2-x) <= (2x - a) * (2(2-x) - b) *)
@@ -134,36 +105,23 @@ let decompose_rat (a, b, c) =
       Some (a1, a2, b1, b3, c2, c3)
   end
 
-let fix_rank2_var t vid u v ~arity =
-  let g = Instance.dep_graph t.instance in
-  let e = Graph.find_edge_exn g u v in
-  let s = phi t e u and w = phi t e v in
-  let incs_u = inc_vector t u ~var:vid in
-  let incs_v = inc_vector t v ~var:vid in
-  let best = ref None in
-  for y = 0 to arity - 1 do
-    let score = Rat.add (Rat.mul incs_u.(y) s) (Rat.mul incs_v.(y) w) in
-    match !best with
-    | Some (_, score') when Rat.leq score' score -> ()
-    | _ -> best := Some (y, score)
-  done;
-  let y, score = Option.get !best in
-  assert (Rat.leq score (Rat.add s w));
-  Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-  set_phi t e u (Rat.mul incs_u.(y) s);
-  set_phi t e v (Rat.mul incs_v.(y) w)
-
-let fix_rank3_var t vid u v w ~arity =
-  let g = Instance.dep_graph t.instance in
-  let e = Graph.find_edge_exn g u v in
-  let e' = Graph.find_edge_exn g u w in
-  let e'' = Graph.find_edge_exn g v w in
-  let a = Rat.mul (phi t e u) (phi t e' u) in
-  let b = Rat.mul (phi t e v) (phi t e'' v) in
-  let c = Rat.mul (phi t e' w) (phi t e'' w) in
-  let incs_u = inc_vector t u ~var:vid in
-  let incs_v = inc_vector t v ~var:vid in
-  let incs_w = inc_vector t w ~var:vid in
+let fix_rank3_var t vid u v w =
+  let c0 = t.core in
+  let g = c0.graph in
+  let phi = c0.phi in
+  let e = Lll_graph.Graph.find_edge_exn g u v in
+  let e' = Lll_graph.Graph.find_edge_exn g u w in
+  let e'' = Lll_graph.Graph.find_edge_exn g v w in
+  let eu = Fixing.slot g e u and e'u = Fixing.slot g e' u in
+  let ev = Fixing.slot g e v and e''v = Fixing.slot g e'' v in
+  let e'w = Fixing.slot g e' w and e''w = Fixing.slot g e'' w in
+  let a = Rat.mul phi.(eu) phi.(e'u) in
+  let b = Rat.mul phi.(ev) phi.(e''v) in
+  let c = Rat.mul phi.(e'w) phi.(e''w) in
+  let incs_u = Fixing.inc_vector c0 u ~var:vid in
+  let incs_v = Fixing.inc_vector c0 v ~var:vid in
+  let incs_w = Fixing.inc_vector c0 w ~var:vid in
+  let arity = Array.length incs_u in
   let triple_of y = (Rat.mul incs_u.(y) a, Rat.mul incs_v.(y) b, Rat.mul incs_w.(y) c) in
   (* exact-first: a value whose scaled triple is exactly representable
      AND admits an exact dyadic decomposition *)
@@ -182,13 +140,13 @@ let fix_rank3_var t vid u v w ~arity =
    with Exit -> ());
   match !chosen with
   | Some (y, (a1, a2, b1, b3, c2, c3)) ->
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-    set_phi t e u a1;
-    set_phi t e' u a2;
-    set_phi t e v b1;
-    set_phi t e'' v b3;
-    set_phi t e' w c2;
-    set_phi t e'' w c3
+    Lll_prob.Space.Cond_tracker.fix c0.tracker ~var:vid ~value:y;
+    phi.(eu) <- a1;
+    phi.(e'u) <- a2;
+    phi.(ev) <- b1;
+    phi.(e''v) <- b3;
+    phi.(e'w) <- c2;
+    phi.(e''w) <- c3
   | None ->
     (* fallback: float-minimising choice, dyadic-rounded potential;
        exactness is lost for this step (counted) *)
@@ -204,77 +162,31 @@ let fix_rank3_var t vid u v w ~arity =
     let y, _ = Option.get !best in
     let ta, tb, tc = triple_of y in
     let d = Srep.decompose (Rat.to_float ta, Rat.to_float tb, Rat.to_float tc) in
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
+    Lll_prob.Space.Cond_tracker.fix c0.tracker ~var:vid ~value:y;
     (* round each side DOWN so the edge-sum constraints stay exact *)
     let down x = Rat.of_ints (int_of_float (Float.max 0. x *. float_of_int (1 lsl 40))) (1 lsl 40) in
-    set_phi t e u (down d.Srep.a1);
-    set_phi t e' u (down d.Srep.a2);
-    set_phi t e v (down d.Srep.b1);
-    set_phi t e'' v (down d.Srep.b3);
-    set_phi t e' w (down d.Srep.c2);
-    set_phi t e'' w (down d.Srep.c3)
+    phi.(eu) <- down d.Srep.a1;
+    phi.(e'u) <- down d.Srep.a2;
+    phi.(ev) <- down d.Srep.b1;
+    phi.(e''v) <- down d.Srep.b3;
+    phi.(e'w) <- down d.Srep.c2;
+    phi.(e''w) <- down d.Srep.c3
 
 let fix_var t vid =
-  if Assignment.is_fixed (assignment t) vid then
-    invalid_arg "Fix_rank3_exact.fix_var: already fixed";
-  let space = Instance.space t.instance in
-  let arity = Lll_prob.Var.arity (Space.var space vid) in
-  match Array.to_list (Instance.events_of_var t.instance vid) with
-  | [] -> Space.Cond_tracker.fix t.tracker ~var:vid ~value:0
-  | [ u ] ->
-    let incs_u = inc_vector t u ~var:vid in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      match !best with
-      | Some (_, i') when Rat.leq i' incs_u.(y) -> ()
-      | _ -> best := Some (y, incs_u.(y))
-    done;
-    let y, _ = Option.get !best in
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y
-  | [ u; v ] -> fix_rank2_var t vid u v ~arity
-  | [ u; v; w ] -> fix_rank3_var t vid u v w ~arity
+  Fixing.check_unfixed ~name t.core vid;
+  match Instance.events_of_var t.core.instance vid with
+  | [||] -> Fixing.fix_free t.core vid
+  | [| u |] -> ignore (Fixing.fix_rank1 t.core vid u : Rat.t Fixing.choice)
+  | [| u; v |] -> ignore (Fixing.fix_rank2_exact t.core vid u v : Rat.t Fixing.choice)
+  | [| u; v; w |] -> fix_rank3_var t vid u v w
   | _ -> assert false
 
 (* Property P*, checked EXACTLY — no epsilon anywhere. *)
 let pstar_holds_exact t =
-  let g = Instance.dep_graph t.instance in
-  let edges_ok =
-    Array.for_all
-      (fun pair ->
-        Rat.sign pair.(0) >= 0 && Rat.sign pair.(1) >= 0
-        && Rat.leq (Rat.add pair.(0) pair.(1)) Rat.two)
-      t.phi
-  in
-  edges_ok
-  && Array.for_all
-       (fun e ->
-         let v = Event.id e in
-         let bound =
-           List.fold_left
-             (fun acc eid -> Rat.mul acc (phi t eid v))
-             t.initial_probs.(v)
-             (Graph.incident_edges g v)
-         in
-         Rat.leq (Space.prob (Instance.space t.instance) e ~fixed:(assignment t)) bound)
-       (Instance.events t.instance)
-
-let run ?order ?(metrics = Metrics.disabled) instance =
-  let t = create instance in
-  let m = Instance.num_vars instance in
-  let order = match order with Some o -> o | None -> Array.init m (fun i -> i) in
-  if Metrics.enabled metrics then begin
-    Metrics.set_phase metrics "fix-rank3-exact";
-    Array.iteri
-      (fun i vid ->
-        let t0 = Metrics.now_ns () in
-        fix_var t vid;
-        Metrics.record_step metrics ~round:i ~total:m ~wall_ns:(Metrics.now_ns () - t0)
-          ~state:(assignment t))
-      order
-  end
-  else Array.iter (fun vid -> fix_var t vid) order;
-  t
+  Fixing.pstar_exact t.core ~edge_ok:(fun a b ->
+      Rat.sign a >= 0 && Rat.sign b >= 0 && Rat.leq (Rat.add a b) Rat.two)
 
 let solve ?order ?metrics instance =
-  let t = run ?order ?metrics instance in
+  let t = create instance in
+  Fixing.run t.core ~phase:"fix-rank3-exact" ~fix:(fix_var t) ?order ?metrics ();
   (assignment t, t)

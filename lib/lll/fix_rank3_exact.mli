@@ -13,11 +13,9 @@ val create : Instance.t -> t
 (** @raise Invalid_argument if the instance has rank [> 3]. *)
 
 val fix_var : t -> int -> unit
-val run : ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> t
 val solve :
   ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> Assignment.t * t
 val assignment : t -> Assignment.t
-val instance : t -> Instance.t
 
 val phi : t -> int -> int -> Rat.t
 

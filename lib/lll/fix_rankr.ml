@@ -25,12 +25,7 @@
    verification. *)
 
 module Rat = Lll_num.Rat
-module Graph = Lll_graph.Graph
-module Space = Lll_prob.Space
-module Event = Lll_prob.Event
 module Assignment = Lll_prob.Assignment
-module Metrics = Lll_local.Metrics
-module Par = Lll_local.Par
 
 type step = {
   var : int;
@@ -40,105 +35,52 @@ type step = {
 }
 
 type t = {
-  instance : Instance.t;
-  tracker : Space.Cond_tracker.tracker; (* assignment + exact Pr[E_v | assignment] *)
-  phi : float array array;
-  initial_probs : Rat.t array;
+  core : float Fixing.t;
   mutable steps : step list;
   mutable min_slack : float; (* worst slack over all clique steps *)
   mutable infeasible_steps : int;
 }
 
-let create instance =
-  let g = Instance.dep_graph instance in
-  let initial_probs = Instance.initial_probs instance in
-  {
-    instance;
-    tracker = Space.Cond_tracker.create (Instance.space instance) (Instance.events instance);
-    phi = Array.init (Graph.m g) (fun _ -> [| 1.0; 1.0 |]);
-    initial_probs;
-    steps = [];
-    min_slack = infinity;
-    infeasible_steps = 0;
-  }
+let name = "Fix_rankr"
 
-let assignment t = Space.Cond_tracker.assignment t.tracker
+let create instance =
+  { core = Fixing.create ~name 1.0 instance; steps = []; min_slack = infinity; infeasible_steps = 0 }
+
+let assignment t = Fixing.assignment t.core
 let steps t = List.rev t.steps
-let instance t = t.instance
 let min_slack t = t.min_slack
 let infeasible_steps t = t.infeasible_steps
-
-let side g e v =
-  let u, _ = Graph.endpoints g e in
-  if v = u then 0 else 1
-
-let phi t e v = t.phi.(e).(side (Instance.dep_graph t.instance) e v)
-let set_phi t e v x = t.phi.(e).(side (Instance.dep_graph t.instance) e v) <- x
-
-let inc_vector t ev ~var =
-  let after, before = Space.Cond_tracker.prob_vector t.tracker ev ~var in
-  Array.map (fun a -> if Rat.is_zero before then Rat.zero else Rat.div a before) after
 
 let record t step =
   t.steps <- step :: t.steps;
   if step.slack < t.min_slack then t.min_slack <- step.slack;
   if step.slack < -1e-7 then t.infeasible_steps <- t.infeasible_steps + 1
 
-(* rank <= 2: the exact argument of Theorem 1.1 / Section 3.1 *)
-let fix_small t vid evs ~arity =
-  let g = Instance.dep_graph t.instance in
-  match evs with
-  | [] ->
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:0;
-    { var = vid; value = 0; incs = []; slack = infinity }
-  | [ u ] ->
-    let incs_u = inc_vector t u ~var:vid in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let i = incs_u.(y) in
-      match !best with
-      | Some (_, i') when Rat.leq i' i -> ()
-      | _ -> best := Some (y, i)
-    done;
-    let y, i = Option.get !best in
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-    { var = vid; value = y; incs = [ (u, i) ]; slack = -.(Rat.to_float i -. 1.0) }
-  | [ u; v ] ->
-    let e = Graph.find_edge_exn g u v in
-    let s = phi t e u and w = phi t e v in
-    let incs_u = inc_vector t u ~var:vid in
-    let incs_v = inc_vector t v ~var:vid in
-    let best = ref None in
-    for y = 0 to arity - 1 do
-      let score = (Rat.to_float incs_u.(y) *. s) +. (Rat.to_float incs_v.(y) *. w) in
-      match !best with
-      | Some (_, score') when score' <= score -> ()
-      | _ -> best := Some (y, score)
-    done;
-    let y, score = Option.get !best in
-    Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
-    set_phi t e u (Rat.to_float incs_u.(y) *. s);
-    set_phi t e v (Rat.to_float incs_v.(y) *. w);
-    { var = vid; value = y; incs = [ (u, incs_u.(y)); (v, incs_v.(y)) ];
-      slack = s +. w -. score }
-  | _ -> assert false
-
 (* rank >= 3: clique targets + numeric representability *)
-let fix_clique t vid evs ~arity =
-  let g = Instance.dep_graph t.instance in
-  let c = Array.of_list evs in
+let fix_clique t vid c =
+  let c0 = t.core in
+  let g = c0.graph in
   let k = Array.length c in
+  let phi = c0.phi in
   let clique = Srep_r.clique_edges k in
-  (* dependency-graph edge ids of the clique *)
-  let dep_edge = Array.map (fun (i, j) -> Graph.find_edge_exn g c.(i) c.(j)) clique in
+  (* the two phi slots of each clique edge *)
+  let slots =
+    Array.map
+      (fun (i, j) ->
+        let e = Lll_graph.Graph.find_edge_exn g c.(i) c.(j) in
+        (Fixing.slot g e c.(i), Fixing.slot g e c.(j)))
+      clique
+  in
   (* current clique-product of phi at each event *)
   let base = Array.make k 1.0 in
   Array.iteri
     (fun idx (i, j) ->
-      base.(i) <- base.(i) *. phi t dep_edge.(idx) c.(i);
-      base.(j) <- base.(j) *. phi t dep_edge.(idx) c.(j))
+      let si, sj = slots.(idx) in
+      base.(i) <- base.(i) *. phi.(si);
+      base.(j) <- base.(j) *. phi.(sj))
     clique;
-  let vectors = Array.map (fun v -> inc_vector t v ~var:vid) c in
+  let vectors = Array.map (fun v -> Fixing.inc_vector c0 v ~var:vid) c in
+  let arity = Array.length vectors.(0) in
   let targets_of y = Array.mapi (fun i incs -> Rat.to_float incs.(y) *. base.(i)) vectors in
   (* first feasible value, else the largest-slack one *)
   let best = ref None in
@@ -152,82 +94,44 @@ let fix_clique t vid evs ~arity =
      done
    with Exit -> ());
   let y, sol, slack = Option.get !best in
-  Space.Cond_tracker.fix t.tracker ~var:vid ~value:y;
+  Lll_prob.Space.Cond_tracker.fix c0.tracker ~var:vid ~value:y;
   Array.iteri
-    (fun idx (i, j, pi, pj) ->
-      ignore (i, j);
-      let ci, cj = clique.(idx) in
-      set_phi t dep_edge.(idx) c.(ci) pi;
-      set_phi t dep_edge.(idx) c.(cj) pj)
+    (fun idx (_, _, pi, pj) ->
+      let si, sj = slots.(idx) in
+      phi.(si) <- pi;
+      phi.(sj) <- pj)
     sol.Srep_r.psi;
   { var = vid; value = y;
     incs = Array.to_list (Array.mapi (fun i v -> (v, vectors.(i).(y))) c);
     slack }
 
-(* The work of a fixing step without the shared-log append; see
-   Fix_rank3.fix_var_quiet for the disjointness conditions under which
-   this may run concurrently. *)
+(* The work of a fixing step without the shared-log append: the unit
+   [fix_class] fans out across domains. *)
 let fix_var_quiet t vid =
-  if Assignment.is_fixed (assignment t) vid then invalid_arg "Fix_rankr.fix_var: already fixed";
-  let space = Instance.space t.instance in
-  let arity = Lll_prob.Var.arity (Space.var space vid) in
-  match Array.to_list (Instance.events_of_var t.instance vid) with
-  | ([] | [ _ ] | [ _; _ ]) as evs -> fix_small t vid evs ~arity
-  | evs -> fix_clique t vid evs ~arity
+  Fixing.check_unfixed ~name t.core vid;
+  match Instance.events_of_var t.core.instance vid with
+  | [||] ->
+    Fixing.fix_free t.core vid;
+    { var = vid; value = 0; incs = []; slack = infinity }
+  | [| u |] ->
+    let c = Fixing.fix_rank1 t.core vid u in
+    { var = vid; value = c.value; incs = c.incs; slack = -.(Rat.to_float c.score -. 1.0) }
+  | [| u; v |] ->
+    let c = Fixing.fix_rank2_float t.core vid u v in
+    { var = vid; value = c.value; incs = c.incs; slack = c.budget -. c.score }
+  | evs -> fix_clique t vid evs
 
 let fix_var t vid = record t (fix_var_quiet t vid)
 
-(* One color class's duty lists across [domains]; slack/infeasibility
-   aggregates are folded in member order during the merge, identical to
-   the sequential loop. *)
-let fix_class ?domains t (duties : int list array) =
-  let k = Array.length duties in
-  if k > 0 then begin
-    let buf = Array.make k [] in
-    Par.parallel_for ?domains ~n:k (fun i ->
-        buf.(i) <- List.map (fun vid -> fix_var_quiet t vid) duties.(i));
-    Array.iter (fun steps -> List.iter (fun s -> record t s) steps) buf
-  end
+let fix_class ?domains t duties =
+  Fixing.fix_class ?domains ~fix:(fix_var_quiet t) ~record:(record t) duties
 
+(* Unlike Fix_rank3's, the edge test does not cap each side at 2. *)
 let pstar_holds ?(eps = Srep.default_eps) t =
-  let g = Instance.dep_graph t.instance in
-  let edges_ok =
-    Array.for_all
-      (fun pair ->
-        pair.(0) >= -.eps && pair.(1) >= -.eps && pair.(0) +. pair.(1) <= 2. +. eps)
-      t.phi
-  in
-  edges_ok
-  && Array.for_all
-       (fun e ->
-         let v = Event.id e in
-         let bound =
-           List.fold_left
-             (fun acc eid -> acc *. phi t eid v)
-             (Rat.to_float t.initial_probs.(v))
-             (Graph.incident_edges g v)
-         in
-         Rat.to_float (Space.prob (Instance.space t.instance) e ~fixed:(assignment t))
-         <= bound +. eps)
-       (Instance.events t.instance)
-
-let run ?order ?(metrics = Metrics.disabled) instance =
-  let t = create instance in
-  let m = Instance.num_vars instance in
-  let order = match order with Some o -> o | None -> Array.init m (fun i -> i) in
-  if Metrics.enabled metrics then begin
-    Metrics.set_phase metrics "fix-rankr";
-    Array.iteri
-      (fun i vid ->
-        let t0 = Metrics.now_ns () in
-        fix_var t vid;
-        Metrics.record_step metrics ~round:i ~total:m ~wall_ns:(Metrics.now_ns () - t0)
-          ~state:(assignment t))
-      order
-  end
-  else Array.iter (fun vid -> fix_var t vid) order;
-  t
+  Fixing.pstar_float ~eps t.core ~edge_ok:(fun p0 p1 ->
+      p0 >= -.eps && p1 >= -.eps && p0 +. p1 <= 2. +. eps)
 
 let solve ?order ?metrics instance =
-  let t = run ?order ?metrics instance in
+  let t = create instance in
+  Fixing.run t.core ~phase:"fix-rankr" ~fix:(fix_var t) ?order ?metrics ();
   (assignment t, t)

@@ -23,22 +23,15 @@ type t
 val create : Instance.t -> t
 val fix_var : t -> int -> unit
 
-val fix_var_quiet : t -> int -> step
-(** {!fix_var} without appending to the shared step log. *)
-
 val fix_class : ?domains:int -> t -> int list array -> unit
-(** Fix each member's duty list, members fanned out across [domains];
-    sound only for one color class (disjoint state — DESIGN.md §11).
-    Step log and slack aggregates end up in member order, bit-identical
-    to the sequential loop. *)
+(** One color class's duty lists through {!Fixing.fix_class}. *)
 
-val run : ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> t
 val solve :
   ?order:int array -> ?metrics:Lll_local.Metrics.sink -> Instance.t -> Assignment.t * t
+(** Per-step metrics records carry phase ["fix-rankr"]. *)
+
 val assignment : t -> Assignment.t
 val steps : t -> step list
-val instance : t -> Instance.t
-val phi : t -> int -> int -> float
 
 val min_slack : t -> float
 (** The worst slack over all steps ([infinity] if no clique step ran);

@@ -123,10 +123,10 @@ let priority_minima g ~prio occurring_ids =
         (Graph.neighbors g id))
     occurring_ids
 
-(* CPS-flavoured variant [CPS17]: local minima under FRESH RANDOM
-   priorities each round (instead of ids) resample — the symmetry
-   breaking Chung-Pettie-Su use to improve the round bound. *)
-let solve_parallel_random_priority ?(max_rounds = 100_000) ~seed instance =
+(* The parallel rounds: each round, the occurring events that are
+   local minima under [(prio rng, id)] — an independent set in the
+   dependency graph, so their scopes are disjoint — resample at once. *)
+let parallel_rounds ~max_rounds ~seed ~prio instance =
   let rng = Random.State.make [| seed |] in
   let space = Instance.space instance in
   let g = Instance.dep_graph instance in
@@ -144,7 +144,7 @@ let solve_parallel_random_priority ?(max_rounds = 100_000) ~seed instance =
                stats = { resamplings = !resamplings; rounds = !rounds };
              });
       incr rounds;
-      let prio = Array.init (Instance.num_events instance) (fun _ -> Random.State.float rng 1.0) in
+      let prio = prio rng in
       let selected = priority_minima g ~prio (List.map Event.id bad) in
       let vars =
         List.concat_map
@@ -159,73 +159,15 @@ let solve_parallel_random_priority ?(max_rounds = 100_000) ~seed instance =
   loop ();
   (!a, { resamplings = !resamplings; rounds = !rounds })
 
-(* The aggressive variant: EVERY occurring event resamples each round
-   (overlapping scopes are resampled once). Converges under stronger
-   criteria; included as an ablation of the independent-set selection. *)
-let solve_parallel_all ?(max_rounds = 100_000) ~seed instance =
-  let rng = Random.State.make [| seed |] in
-  let space = Instance.space instance in
-  let a = ref (Space.sample_unfixed space rng (Assignment.empty (Instance.num_vars instance))) in
-  let rounds = ref 0 in
-  let resamplings = ref 0 in
-  let rec loop () =
-    let bad = occurring instance !a in
-    if bad <> [] then begin
-      if !rounds >= max_rounds then
-        raise
-          (Budget_exhausted
-             {
-               assignment = !a;
-               stats = { resamplings = !resamplings; rounds = !rounds };
-             });
-      incr rounds;
-      resamplings := !resamplings + List.length bad;
-      let vars =
-        List.sort_uniq compare
-          (List.concat_map (fun e -> Array.to_list (Event.scope e)) bad)
-      in
-      a := Space.resample space rng !a vars;
-      loop ()
-    end
-  in
-  loop ();
-  (!a, { resamplings = !resamplings; rounds = !rounds })
+(* CPS-flavoured variant [CPS17]: local minima under FRESH RANDOM
+   priorities each round (instead of ids) resample — the symmetry
+   breaking Chung-Pettie-Su use to improve the round bound. *)
+let solve_parallel_random_priority ?(max_rounds = 100_000) ~seed instance =
+  let m = Instance.num_events instance in
+  parallel_rounds ~max_rounds ~seed instance ~prio:(fun rng ->
+      Array.init m (fun _ -> Random.State.float rng 1.0))
 
+(* Id-minima: with all priorities equal, the id tiebreak decides. *)
 let solve_parallel ?(max_rounds = 100_000) ~seed instance =
-  let rng = Random.State.make [| seed |] in
-  let space = Instance.space instance in
-  let g = Instance.dep_graph instance in
-  let a = ref (Space.sample_unfixed space rng (Assignment.empty (Instance.num_vars instance))) in
-  let rounds = ref 0 in
-  let resamplings = ref 0 in
-  let rec loop () =
-    let bad = occurring instance !a in
-    if bad <> [] then begin
-      if !rounds >= max_rounds then
-        raise
-          (Budget_exhausted
-             {
-               assignment = !a;
-               stats = { resamplings = !resamplings; rounds = !rounds };
-             });
-      incr rounds;
-      let bad_ids = List.map Event.id bad in
-      let is_bad = Array.make (Instance.num_events instance) false in
-      List.iter (fun id -> is_bad.(id) <- true) bad_ids;
-      (* local minima among occurring events: an independent set in the
-         dependency graph, so their scopes are disjoint *)
-      let selected =
-        List.filter
-          (fun id -> List.for_all (fun u -> (not is_bad.(u)) || u > id) (Graph.neighbors g id))
-          bad_ids
-      in
-      let vars =
-        List.concat_map (fun id -> Array.to_list (Event.scope (Instance.event instance id))) selected
-      in
-      resamplings := !resamplings + List.length selected;
-      a := Space.resample space rng !a vars;
-      loop ()
-    end
-  in
-  loop ();
-  (!a, { resamplings = !resamplings; rounds = !rounds })
+  let zeros = Array.make (Instance.num_events instance) 0.0 in
+  parallel_rounds ~max_rounds ~seed instance ~prio:(fun _ -> zeros)

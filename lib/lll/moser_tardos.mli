@@ -49,9 +49,3 @@ val priority_minima : Graph.t -> prio:float array -> int list -> int list
     and non-empty whenever [occurring] is: the id tiebreak prevents the
     livelock where a tied edge blocks both endpoints and a round selects
     nothing. [prio] must cover every event id. *)
-
-val solve_parallel_all :
-  ?max_rounds:int -> seed:int -> Instance.t -> Assignment.t * stats
-(** Ablation: ALL occurring events resample each round (shared variables
-    once). Needs stronger criteria to converge in theory; compare rounds
-    against {!solve_parallel}. *)

@@ -179,9 +179,10 @@ let solve_by_name ?params key inst = solve ?params (find_exn key) inst
 (* ------------------------------------------------------------------ *)
 
 (* A sequential fixing process: one variable per [advance], per-step
-   metrics records shaped like the runtime's round records. *)
+   metrics records shaped like the runtime's round records. [summarise]
+   gives the P* verdict, max_violation and detail of the finished run. *)
 let seq_driver ~phase ~(fix : int -> unit) ~(get_assignment : unit -> Assignment.t)
-    ~(get_trace : unit -> step list) ~(summarise : unit -> outcome) params inst =
+    ?(get_trace = fun () -> []) ~summarise params inst =
   let n = Instance.num_vars inst in
   let order = match params.order with Some o -> o | None -> Array.init n (fun i -> i) in
   let len = Array.length order in
@@ -191,12 +192,7 @@ let seq_driver ~phase ~(fix : int -> unit) ~(get_assignment : unit -> Assignment
   let advance () =
     if !pos >= len then false
     else begin
-      let i = !pos in
-      let t0 = if Metrics.enabled metrics then Metrics.now_ns () else 0 in
-      fix order.(i);
-      if Metrics.enabled metrics then
-        Metrics.record_step metrics ~round:i ~total:len ~wall_ns:(Metrics.now_ns () - t0)
-          ~state:(get_assignment ());
+      Fixing.timed_fix ~metrics ~total:len ~state:get_assignment fix !pos order.(!pos);
       incr pos;
       !pos < len
     end
@@ -210,7 +206,15 @@ let seq_driver ~phase ~(fix : int -> unit) ~(get_assignment : unit -> Assignment
         while advance () do
           ()
         done;
-        summarise ());
+        let pstar, max_violation, detail = summarise () in
+        {
+          assignment = get_assignment ();
+          trace = get_trace ();
+          rounds = None;
+          pstar = Some pstar;
+          max_violation;
+          detail;
+        });
   }
 
 (* An engine that only exists as a complete run: the single [advance]
@@ -232,18 +236,16 @@ let oneshot run_fn =
     finish = force;
   }
 
-let fix2_impl policy params inst =
-  let t = Fix_rank2.create ~policy inst in
-  let get_trace () =
-    List.map
-      (fun (s : Fix_rank2.step) ->
-        { var = s.var; value = s.value; incs = s.incs; srep_violation = None })
-      (Fix_rank2.steps t)
-  in
+let fix2_impl params inst =
+  let t = Fix_rank2.create inst in
   seq_driver ~phase:"fix-rank2"
     ~fix:(Fix_rank2.fix_var t)
     ~get_assignment:(fun () -> Fix_rank2.assignment t)
-    ~get_trace
+    ~get_trace:(fun () ->
+      List.map
+        (fun (s : Fix_rank2.step) ->
+          { var = s.var; value = s.value; incs = s.incs; srep_violation = None })
+        (Fix_rank2.steps t))
     ~summarise:(fun () ->
       (* worst certificate headroom (budget - score) over the run: how
          close the adversary got to the proof's bound *)
@@ -252,39 +254,23 @@ let fix2_impl policy params inst =
           (fun acc (s : Fix_rank2.step) -> Float.min acc (Rat.to_float (Rat.sub s.budget s.score)))
           infinity (Fix_rank2.steps t)
       in
-      {
-        assignment = Fix_rank2.assignment t;
-        trace = get_trace ();
-        rounds = None;
-        pstar = Some (Fix_rank2.pstar_holds t);
-        max_violation = None;
-        detail =
-          (if headroom = infinity then []
-           else [ ("worst_headroom", Printf.sprintf "%.6f" headroom) ]);
-      })
+      ( Fix_rank2.pstar_holds t,
+        None,
+        if headroom = infinity then [] else [ ("worst_headroom", Printf.sprintf "%.6f" headroom) ]
+      ))
     params inst
 
-let fix3_impl policy params inst =
-  let t = Fix_rank3.create ~policy inst in
-  let get_trace () =
-    List.map
-      (fun (s : Fix_rank3.step) ->
-        { var = s.var; value = s.value; incs = s.incs; srep_violation = Some s.violation })
-      (Fix_rank3.steps t)
-  in
+let fix3_impl params inst =
+  let t = Fix_rank3.create inst in
   seq_driver ~phase:"fix-rank3"
     ~fix:(Fix_rank3.fix_var t)
     ~get_assignment:(fun () -> Fix_rank3.assignment t)
-    ~get_trace
-    ~summarise:(fun () ->
-      {
-        assignment = Fix_rank3.assignment t;
-        trace = get_trace ();
-        rounds = None;
-        pstar = Some (Fix_rank3.pstar_holds t);
-        max_violation = Some (Fix_rank3.max_violation t);
-        detail = [];
-      })
+    ~get_trace:(fun () ->
+      List.map
+        (fun (s : Fix_rank3.step) ->
+          { var = s.var; value = s.value; incs = s.incs; srep_violation = Some s.violation })
+        (Fix_rank3.steps t))
+    ~summarise:(fun () -> (Fix_rank3.pstar_holds t, Some (Fix_rank3.max_violation t), []))
     params inst
 
 let fix3_exact_impl params inst =
@@ -292,44 +278,30 @@ let fix3_exact_impl params inst =
   seq_driver ~phase:"fix-rank3-exact"
     ~fix:(Fix_rank3_exact.fix_var t)
     ~get_assignment:(fun () -> Fix_rank3_exact.assignment t)
-    ~get_trace:(fun () -> [])
     ~summarise:(fun () ->
-      {
-        assignment = Fix_rank3_exact.assignment t;
-        trace = [];
-        rounds = None;
-        pstar = Some (Fix_rank3_exact.pstar_holds_exact t);
-        max_violation = None;
-        detail = [ ("fallbacks", string_of_int (Fix_rank3_exact.fallbacks t)) ];
-      })
+      ( Fix_rank3_exact.pstar_holds_exact t,
+        None,
+        [ ("fallbacks", string_of_int (Fix_rank3_exact.fallbacks t)) ] ))
     params inst
 
 let fixr_impl params inst =
   let t = Fix_rankr.create inst in
-  let get_trace () =
-    List.map
-      (fun (s : Fix_rankr.step) ->
-        { var = s.var; value = s.value; incs = s.incs; srep_violation = Some (-.s.slack) })
-      (Fix_rankr.steps t)
-  in
   seq_driver ~phase:"fix-rankr"
     ~fix:(Fix_rankr.fix_var t)
     ~get_assignment:(fun () -> Fix_rankr.assignment t)
-    ~get_trace
+    ~get_trace:(fun () ->
+      List.map
+        (fun (s : Fix_rankr.step) ->
+          { var = s.var; value = s.value; incs = s.incs; srep_violation = Some (-.s.slack) })
+        (Fix_rankr.steps t))
     ~summarise:(fun () ->
       let slack = Fix_rankr.min_slack t in
-      {
-        assignment = Fix_rankr.assignment t;
-        trace = get_trace ();
-        rounds = None;
-        pstar = Some (Fix_rankr.pstar_holds t);
-        max_violation = (if slack = infinity then None else Some (-.slack));
-        detail =
-          [
-            ("min_slack", Printf.sprintf "%.3e" slack);
-            ("infeasible_steps", string_of_int (Fix_rankr.infeasible_steps t));
-          ];
-      })
+      ( Fix_rankr.pstar_holds t,
+        (if slack = infinity then None else Some (-.slack)),
+        [
+          ("min_slack", Printf.sprintf "%.3e" slack);
+          ("infeasible_steps", string_of_int (Fix_rankr.infeasible_steps t));
+        ] ))
     params inst
 
 let union_bound_impl params inst =
@@ -397,23 +369,6 @@ let dist_impl solve_fn params inst =
           ];
       })
 
-let mp_impl solve_fn params inst =
-  oneshot (fun () ->
-      let (r : Dist_lll.result) = solve_fn ?domains:params.domains ?metrics:(Some params.metrics) inst in
-      {
-        assignment = r.Dist_lll.assignment;
-        trace = [];
-        rounds = Some r.Dist_lll.rounds;
-        pstar = None;
-        max_violation = None;
-        detail =
-          [
-            ("coloring_rounds", string_of_int r.Dist_lll.coloring_rounds);
-            ("sweep_rounds", string_of_int r.Dist_lll.sweep_rounds);
-            ("colors", string_of_int r.Dist_lll.colors);
-          ];
-      })
-
 (* ------------------------------------------------------------------ *)
 (* Built-in registrations (the CLI/--list-solvers order)               *)
 (* ------------------------------------------------------------------ *)
@@ -423,27 +378,15 @@ let seq_caps ~max_rank ~exact =
 
 let (_ : t) =
   register ~name:"fix2"
-    ~doc:"Theorem 1.1: rank-2 deterministic sequential fixing (min-score policy)"
+    ~doc:"Theorem 1.1: rank-2 deterministic sequential fixing (min-score value)"
     ~caps:(seq_caps ~max_rank:(Some 2) ~exact:true)
-    (fix2_impl Fix_rank2.Min_score)
-
-let (_ : t) =
-  register ~name:"fix2-first"
-    ~doc:"rank-2 fixing, first-within-budget policy (ablation)"
-    ~caps:(seq_caps ~max_rank:(Some 2) ~exact:true)
-    (fix2_impl Fix_rank2.First_within_budget)
+    fix2_impl
 
 let (_ : t) =
   register ~name:"fix3"
-    ~doc:"Theorem 1.3: rank-3 fixing via S_rep (float potential, min-violation policy)"
+    ~doc:"Theorem 1.3: rank-3 fixing via S_rep (float potential, min-violation value)"
     ~caps:(seq_caps ~max_rank:(Some 3) ~exact:false)
-    (fix3_impl Fix_rank3.Min_violation)
-
-let (_ : t) =
-  register ~name:"fix3-first"
-    ~doc:"rank-3 fixing, first-feasible policy (ablation)"
-    ~caps:(seq_caps ~max_rank:(Some 3) ~exact:false)
-    (fix3_impl Fix_rank3.First_feasible)
+    fix3_impl
 
 let (_ : t) =
   register ~name:"fix3-exact"
@@ -491,13 +434,6 @@ let (_ : t) =
     ~guarantees:shattering
     (mt_par_impl (fun ~seed inst -> Moser_tardos.solve_parallel_random_priority ~seed inst))
 
-let (_ : t) =
-  register ~name:"mt-par-all"
-    ~doc:"parallel Moser-Tardos ablation: ALL occurring events resample each round"
-    ~caps:{ mt_caps with distributed = true }
-    ~guarantees:shattering
-    (mt_par_impl (fun ~seed inst -> Moser_tardos.solve_parallel_all ~seed inst))
-
 let dist_caps ~max_rank ~exact =
   { max_rank; exact; distributed = true; randomized = false; claims_pstar = false }
 
@@ -524,10 +460,10 @@ let (_ : t) =
   register ~name:"mp2"
     ~doc:"Corollary 1.2 as a genuinely message-passing protocol on the LOCAL runtime"
     ~caps:(dist_caps ~max_rank:(Some 2) ~exact:true)
-    (mp_impl (fun ?domains ?metrics inst -> Dist_lll.solve_rank2 ?domains ?metrics inst))
+    (dist_impl (fun ?domains ?metrics inst -> Dist_lll.solve_rank2 ?domains ?metrics inst))
 
 let (_ : t) =
   register ~name:"mp3"
     ~doc:"Corollary 1.4 as a genuinely message-passing protocol on the LOCAL runtime"
     ~caps:(dist_caps ~max_rank:(Some 3) ~exact:false)
-    (mp_impl (fun ?domains ?metrics inst -> Dist_lll.solve ?domains ?metrics inst))
+    (dist_impl (fun ?domains ?metrics inst -> Dist_lll.solve ?domains ?metrics inst))

@@ -178,6 +178,11 @@ and driver = {
   finish : unit -> outcome;  (** drain remaining work and summarise *)
 }
 
+val oneshot : (unit -> outcome) -> driver
+(** The driver of an engine that only exists as a complete run: the
+    first [advance], peek or [finish] performs it, and the outcome is
+    memoised. *)
+
 val register :
   name:string ->
   doc:string ->

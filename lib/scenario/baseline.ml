@@ -117,6 +117,13 @@ let check t ms =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter
+    (fun (m : Run.measurement) ->
+      Option.iter
+        (fail "%s/%s n=%d seed=%d: engine crashed: %s" m.Run.family m.Run.engine m.Run.n
+           m.Run.seed)
+        m.Run.crashed)
+    ms;
+  List.iter
     (fun e ->
       match Hashtbl.find_opt tbl (e.e_family, e.e_engine, e.e_n) with
       | None ->

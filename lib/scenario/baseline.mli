@@ -53,8 +53,8 @@ val of_measurements :
     @raise Failure if some [Below]-side family has no O(1) witness. *)
 
 val check : t -> Run.measurement list -> string list
-(** Regression verdict: empty = pass. Reports every measured round
-    count outside its band, every baseline entry with no matching
+(** Regression verdict: empty = pass. Reports every crashed
+    measurement, every measured round count outside its band, every baseline entry with no matching
     measurement, and every sub-threshold witness whose engine no longer
     stays within [o1_cap] rounds. *)
 

@@ -99,8 +99,8 @@ let find name = List.find_opt (fun f -> f.name = name) all
 
 (* CI-sized, but an order of magnitude past the PR 6 corpus now that
    warm sweeps load artifacts instead of regenerating: at n = 960 the
-   at- vs below-threshold envelopes separate in the fits. Superlinear
-   ablation engines are capped (see [Run.heavy_cutoff]) so the tail of
+   at- vs below-threshold envelopes separate in the fits. The
+   message-passing engines are capped (see [Run.heavy_cutoff]) so the tail of
    the grid costs seconds, not minutes. *)
 let default_grid = [ 24; 48; 96; 480; 960 ]
 let default_seeds = [ 1; 2 ]

@@ -39,7 +39,7 @@ val default_grid : int list
     constraints (even [n] for 3-regular graphs, [3 | 2n] for the rank-3
     hypergraph, girth-6 Moore bound). An order of magnitude past the
     PR 6 grids: warm-store sweeps load artifacts instead of
-    regenerating, and superlinear ablation engines stop at
+    regenerating, and the message-passing engines stop at
     {!Run.heavy_cutoff}. *)
 
 val default_seeds : int list

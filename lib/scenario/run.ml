@@ -22,6 +22,7 @@ type measurement = {
   guaranteed : bool;
   round_records : int;
   max_sweep_width : int;
+  crashed : string option;
 }
 
 type growth = Constant | Log_log | Log
@@ -45,12 +46,13 @@ type fit = {
 let round_engines () =
   List.filter (fun s -> (Solver.caps s).Solver.distributed) (Solver.all ())
 
-(* The boxed-ablation Moser–Tardos variants re-enumerate superlinearly
-   per step; past this size they dominate a sweep by minutes while
-   adding no envelope information (their round counts track mt-par's).
-   The cutoff is part of the measurement definition: [measure] applies
-   it identically when recording and when checking baselines, so bands
-   for these engines simply stop at the cutoff. *)
+(* The message-passing engines gossip persistent maps of fixed values
+   and phi copies every round, so their cost per round grows with the
+   neighborhood's knowledge; past this size they dominate a sweep while
+   adding no envelope information (their round counts equal dist2's and
+   dist3's). The cutoff is part of the measurement definition:
+   [measure] applies it identically when recording and when checking
+   baselines, so bands for these engines simply stop at the cutoff. *)
 let heavy_engines = [ "mp2"; "mp3" ]
 let heavy_cutoff = 96
 
@@ -95,11 +97,10 @@ let measure ?(grid = Corpus.default_grid) ?(seeds = Corpus.default_seeds)
                         domains;
                       }
                     in
-                    let rounds, ok =
+                    let rounds, ok, crashed =
                       match Solver.solve ~params s inst with
-                      | report ->
-                        (report.Solver.outcome.Solver.rounds, report.Solver.ok)
-                      | exception _ -> (None, false)
+                      | report -> (report.Solver.outcome.Solver.rounds, report.Solver.ok, None)
+                      | exception e -> (None, false, Some (Printexc.to_string e))
                     in
                     Some
                       {
@@ -112,6 +113,7 @@ let measure ?(grid = Corpus.default_grid) ?(seeds = Corpus.default_seeds)
                         guaranteed = Solver.guarantees s inst;
                         round_records = List.length (Metrics.records sink);
                         max_sweep_width = max_sweep_width (Metrics.records sink);
+                        crashed;
                       }
                   end)
                 engines)
@@ -182,10 +184,14 @@ let pp_measurements ppf ms =
     "seed" "rounds" "ok" "guar" "metric" "width";
   List.iter
     (fun m ->
-      Format.fprintf ppf "%-18s %-18s %6d %5d %7s %-5b %-5b %6d %5d@." m.family m.engine
+      Format.fprintf ppf "%-18s %-18s %6d %5d %7s %-5b %-5b %6d %5d%s@." m.family m.engine
         m.n m.seed
-        (match m.rounds with Some r -> string_of_int r | None -> "-")
-        m.ok m.guaranteed m.round_records m.max_sweep_width)
+        (match (m.crashed, m.rounds) with
+        | Some _, _ -> "CRASH"
+        | None, Some r -> string_of_int r
+        | None, None -> "-")
+        m.ok m.guaranteed m.round_records m.max_sweep_width
+        (match m.crashed with Some e -> "  crashed: " ^ e | None -> ""))
     ms
 
 let pp_fits ppf fits =

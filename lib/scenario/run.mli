@@ -17,6 +17,9 @@ type measurement = {
       (** widest color-class fixer sweep (max [stepped] over
           ["fix-sweep"]-phase records with [par_width > 0]); [0] when
           the engine never ran a parallel class sweep *)
+  crashed : string option;
+      (** the exception the engine raised, if any: [rounds = None] then
+          means a crash, not an engine declining the instance *)
 }
 
 type growth = Constant | Log_log | Log
@@ -36,8 +39,8 @@ type fit = {
 }
 
 val heavy_engines : string list
-(** Superlinear ablation engines measured only up to {!heavy_cutoff}
-    nodes; part of the measurement definition (applied identically when
+(** The message-passing engines (["mp2"], ["mp3"]), measured only up
+    to {!heavy_cutoff} nodes; part of the measurement definition (applied identically when
     recording and when checking baselines). *)
 
 val heavy_cutoff : int
@@ -61,8 +64,8 @@ val measure :
     Deterministic in (grid, seeds): engines draw randomness only from
     the per-measurement seed, and a store hit is bit-identical to a
     regeneration (serialization round-trips exactly). An engine that
-    raises yields a [rounds = None, ok = false] measurement rather than
-    aborting the sweep. [domains] defaults to [Some 1] so baselines
+    raises yields a [rounds = None, ok = false] measurement carrying the
+    exception in [crashed] rather than aborting the sweep. [domains] defaults to [Some 1] so baselines
     never depend on the machine's core count; any override must leave
     every round count bit-identical (the runtime's determinism
     contract) and only affects the recorded sweep widths. *)

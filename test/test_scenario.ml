@@ -97,6 +97,30 @@ let test_witness_loss_detected () =
   let failures = Baseline.check broken (Lazy.force measurements) in
   Alcotest.(check bool) "lost witness reported" true (failures <> [])
 
+let test_crash_detected () =
+  (* an engine that raised must fail the check even with no band to
+     miss: a crash is not an engine declining the instance *)
+  let b = { (Lazy.force baseline) with Baseline.entries = []; witnesses = [] } in
+  let crashed =
+    {
+      Run.family = "ring-below";
+      engine = "dist2";
+      n = 24;
+      seed = 1;
+      rounds = None;
+      ok = false;
+      guaranteed = true;
+      round_records = 0;
+      max_sweep_width = 0;
+      crashed = Some "Failure(\"boom\")";
+    }
+  in
+  Alcotest.(check (list string)) "crash reported"
+    [ "ring-below/dist2 n=24 seed=1: engine crashed: Failure(\"boom\")" ]
+    (Baseline.check b [ crashed ]);
+  Alcotest.(check (list string)) "declined cell passes" []
+    (Baseline.check b [ { crashed with Run.crashed = None } ])
+
 let test_json_roundtrip () =
   let b = Lazy.force baseline in
   let b' = Baseline.of_json (Baseline.to_json b) in
@@ -157,6 +181,7 @@ let () =
           Alcotest.test_case "single tightened band detected" `Quick
             test_single_band_tightening_detected;
           Alcotest.test_case "witness loss detected" `Quick test_witness_loss_detected;
+          Alcotest.test_case "crashed cell fails the check" `Quick test_crash_detected;
           Alcotest.test_case "JSON round-trips" `Quick test_json_roundtrip;
         ] );
       ( "threshold-story",
