@@ -383,6 +383,46 @@ let test_golden_outputs () =
         (List.sort compare (golden_digests ~domains:(Some d))))
     [ 1; 2 ]
 
+(* The .lllbin bytes of one fixed spec per corpus family (n = 48,
+   seed 1), pinned by md5, plus the decode/re-encode round trip. The
+   container format writes every rational through [Serialize.add_rat],
+   so a change to how [Rat] stores or exposes its values shows up here
+   as changed bytes. Change a cell only for a deliberate format
+   change. *)
+
+module Serial = Lll_core.Serial
+module Spec = Lll_store.Spec
+
+let artifact_digests () =
+  List.map
+    (fun (f : Corpus.family) ->
+      let blob = Serial.to_binary_string (Spec.build (f.Corpus.spec ~seed:1 golden_n)) in
+      let again = Serial.to_binary_string (Serial.of_binary_string blob) in
+      (f.Corpus.name, md5 blob, String.length blob, String.equal blob again))
+    Corpus.all
+
+let artifact_table =
+  [
+    ("sinkless-at", "f2f4fca2576c917cb1a06a33b3105695", 7518);
+    ("sinkless-below", "bb4be975ad71d3578cf39b4f231a8616", 7518);
+    ("ring-at", "93fa18055fa944fac5633ffa5ddb47bc", 6102);
+    ("ring-below", "dbf287774ff2d9852c7cde65c5b84869", 6054);
+    ("rank3-at", "d18b59b765c80a06c2a8a8fdd1642050", 5686);
+    ("rank3-below", "95e8757047bc7f29accabdfeddd39387", 5638);
+    ("rank4-at", "cc4a69efceb8d8f47ef4a489dc099431", 5635);
+    ("rank4-below", "417efc0aaaa283de0adb123838334fe0", 5587);
+    ("weak-split-below", "d2298cf4646a4c0adfb8470de5e8d635", 8485);
+  ]
+
+let test_artifact_bytes () =
+  List.iter2
+    (fun (name, digest, len) (name', digest', len', roundtrip) ->
+      Alcotest.(check string) "family" name name';
+      Alcotest.(check string) (name ^ " md5") digest digest';
+      Alcotest.(check int) (name ^ " bytes") len len';
+      Alcotest.(check bool) (name ^ " decode/re-encode identical") true roundtrip)
+    artifact_table (artifact_digests ())
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -401,6 +441,7 @@ let () =
             test_shared_postcondition_catches_failure;
           Alcotest.test_case "envelope-stretching cases" `Quick test_envelope_cases;
           Alcotest.test_case "golden outputs at 1 and 2 domains" `Quick test_golden_outputs;
+          Alcotest.test_case "artifact bytes pinned per corpus family" `Quick test_artifact_bytes;
         ] );
       ( "differential",
         [
