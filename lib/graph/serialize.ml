@@ -532,8 +532,8 @@ module Bin = struct
   let add_rat w q =
     let b = cur w in
     let open Lll_num in
-    match (Bigint.to_int_opt (Rat.num q), Bigint.to_int_opt (Rat.den q)) with
-    | Some n, Some d ->
+    match Rat.to_ints_opt q with
+    | Some (n, d) ->
       Buffer.add_char b '\000';
       buf_i64 b n;
       buf_i64 b d

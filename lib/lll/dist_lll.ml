@@ -38,6 +38,7 @@ module Dist_coloring = Lll_local.Dist_coloring
 module Metrics = Lll_local.Metrics
 module Space = Lll_prob.Space
 module Assignment = Lll_prob.Assignment
+module Event = Lll_prob.Event
 
 module IntMap = Map.Make (Int)
 
@@ -66,8 +67,18 @@ let phi_side g e v ((lo, hi), _) =
    both sides). *)
 let fix_one instance g st ~version vid =
   let space = Instance.space instance in
+  let events = Instance.events_of_var instance vid in
+  (* [Space.prob_vector] reads only the scopes of [vid]'s events *)
   let fixed = Assignment.empty (Instance.num_vars instance) in
-  IntMap.iter (fun v x -> Assignment.set_inplace fixed v x) st.known;
+  Array.iter
+    (fun ev ->
+      Array.iter
+        (fun v ->
+          match IntMap.find_opt v st.known with
+          | Some x -> Assignment.set_inplace fixed v x
+          | None -> ())
+        (Event.scope (Instance.event instance ev)))
+    events;
   let get_phi e v = phi_side g e v (IntMap.find e st.phi) in
   let vector ev =
     Fixing.inc_ratios (Space.prob_vector space (Instance.event instance ev) ~fixed ~var:vid)
@@ -77,7 +88,7 @@ let fix_one instance g st ~version vid =
     let u0, _ = Graph.endpoints g edge in
     (edge, ((if at = u0 then (value_at, value_other) else (value_other, value_at)), version))
   in
-  match Instance.events_of_var instance vid with
+  match events with
   | [||] -> (0, [])
   | [| u |] -> (Fixing.min_inc (vector u), [])
   | [| u; v |] ->

@@ -29,16 +29,18 @@ let make sign mag =
 
 (* ---- construction ---- *)
 
+(* At most three limbs ([max_int] < 10^27). [min_int] has no positive
+   counterpart, so each limb is negated separately: [i mod base] and
+   [i / base] keep the sign of [i]. *)
 let of_int i =
   if i = 0 then zero
   else begin
     let sign = if i < 0 then -1 else 1 in
-    (* careful with [min_int]: negate limb-wise *)
-    let rec limbs acc i =
-      if i = 0 then List.rev acc
-      else limbs (abs (i mod base) :: acc) (i / base)
-    in
-    { sign; mag = Array.of_list (limbs [] i) }
+    let l0 = abs (i mod base) and i = i / base in
+    if i = 0 then { sign; mag = [| l0 |] }
+    else
+      let l1 = abs (i mod base) and i = i / base in
+      if i = 0 then { sign; mag = [| l0; l1 |] } else { sign; mag = [| l0; l1; abs i |] }
   end
 
 let one = of_int 1

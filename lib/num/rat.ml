@@ -1,117 +1,123 @@
-(* Exact rational numbers over [Bigint].
+(* Exact rational numbers over [Bigint], with a machine-int form.
 
-   Invariant: [den] is strictly positive and [gcd (abs num) den = 1];
-   zero is represented as [0/1]. *)
+   Invariant: a value is in lowest terms with a strictly positive
+   denominator, and its form is canonical —
+   - [Small (n, d)] whenever both [n] and [d] fit a native int other
+     than [min_int] (zero is [Small (0, 1)]);
+   - [Big (num, den)] only when at least one side does not.
+   So equal values are structurally equal, and [equal], [compare],
+   [to_string] and [hash] read values, not how a value was built.
+   [Bigint.to_int_opt] accepts exactly the ints other than [min_int],
+   which is how Bigint results are narrowed back to [Small]. *)
 
-type t = { num : Bigint.t; den : Bigint.t }
+type t = Small of int * int | Big of Bigint.t * Bigint.t
 
-let make_raw num den = { num; den }
+let zero = Small (0, 1)
+let one = Small (1, 1)
+let two = Small (2, 1)
+let minus_one = Small (-1, 1)
 
 let rec igcd a b = if b = 0 then a else igcd b (a mod b)
 
 (* Normalise a machine-int fraction with native Euclid; [d > 0] and
-   neither operand is [min_int]. *)
+   neither side is [min_int]. *)
 let make_ints n d =
-  if n = 0 then { num = Bigint.zero; den = Bigint.one }
-  else begin
+  if n = 0 then zero
+  else
     let g = igcd (Stdlib.abs n) d in
-    make_raw (Bigint.of_int (n / g)) (Bigint.of_int (d / g))
-  end
+    if g = 1 then Small (n, d) else Small (n / g, d / g)
+
+(* The canonical form of a lowest-terms pair with [den > 0]. *)
+let narrow num den =
+  match (Bigint.to_int_opt num, Bigint.to_int_opt den) with
+  | Some n, Some d -> Small (n, d)
+  | _ -> Big (num, den)
 
 let make num den =
   if Bigint.is_zero den then invalid_arg "Rat.make: zero denominator";
-  if Bigint.is_zero num then make_raw Bigint.zero Bigint.one
-  else
-    match (Bigint.to_int_opt num, Bigint.to_int_opt den) with
-    | Some n, Some d when n <> min_int && d <> min_int ->
-      (* limb-wise gcd dominates bulk construction; native Euclid is an
-         order of magnitude cheaper when both sides fit a machine int *)
-      let n, d = if d < 0 then (-n, -d) else (n, d) in
-      make_ints n d
-    | _ ->
-      let num, den =
-        if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den) else (num, den)
-      in
-      let g = Bigint.gcd num den in
-      if Bigint.equal g Bigint.one then make_raw num den
-      else make_raw (Bigint.div num g) (Bigint.div den g)
+  match (Bigint.to_int_opt num, Bigint.to_int_opt den) with
+  | Some n, Some d -> if d < 0 then make_ints (-n) (-d) else make_ints n d
+  | _ ->
+    let num, den =
+      if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den) else (num, den)
+    in
+    let g = Bigint.gcd num den in
+    (* a side that does not fit still does not fit after a sign flip *)
+    if Bigint.equal g Bigint.one then Big (num, den)
+    else narrow (Bigint.div num g) (Bigint.div den g)
 
-let zero = make_raw Bigint.zero Bigint.one
-let one = make_raw Bigint.one Bigint.one
-let two = make_raw Bigint.two Bigint.one
-let minus_one = make_raw Bigint.minus_one Bigint.one
-
-let of_bigint n = make_raw n Bigint.one
-let of_int i = of_bigint (Bigint.of_int i)
+let of_bigint n = narrow n Bigint.one
+let of_int i = if i = min_int then Big (Bigint.of_int i, Bigint.one) else Small (i, 1)
 
 let of_ints n d =
   if d = 0 then invalid_arg "Rat.make: zero denominator"
   else if n = min_int || d = min_int then make (Bigint.of_int n) (Bigint.of_int d)
-  else
-    let n, d = if d < 0 then (-n, -d) else (n, d) in
-    make_ints n d
+  else if d < 0 then make_ints (-n) (-d)
+  else make_ints n d
 
-let num x = x.num
-let den x = x.den
-let is_zero x = Bigint.is_zero x.num
-let sign x = Bigint.sign x.num
+let to_ints_opt = function Small (n, d) -> Some (n, d) | Big _ -> None
+let num = function Small (n, _) -> Bigint.of_int n | Big (n, _) -> n
+let den = function Small (_, d) -> Bigint.of_int d | Big (_, d) -> d
+let is_zero = function Small (n, _) -> n = 0 | Big _ -> false
+let sign = function Small (n, _) -> Stdlib.compare n 0 | Big (n, _) -> Bigint.sign n
 
-let neg x = { x with num = Bigint.neg x.num }
-let abs x = { x with num = Bigint.abs x.num }
+(* [Bigint.to_int_opt] is symmetric in sign, so negation keeps the form *)
+let neg = function Small (n, d) -> Small (-n, d) | Big (n, d) -> Big (Bigint.neg n, d)
+let abs = function Small (n, d) -> Small (Stdlib.abs n, d) | Big (n, d) -> Big (Bigint.abs n, d)
 
-(* Machine-int fast path for the ring operations: when all four sides
-   fit below 2^30 the cross-products stay below 2^60 and native
-   arithmetic (and [make_ints]' native gcd) replaces four [Bigint]
-   allocations. Table weights and tracker sums live in this range. *)
+(* Native path for the ring operations: when all four sides lie below
+   the 2^30 guard the cross-products stay below 2^60 (their sum below
+   2^61), so native arithmetic and [make_ints]' native gcd replace the
+   Bigint round trip. Table weights and tracker sums live in this
+   range; anything larger goes through Bigint and [make] narrows the
+   result back to [Small] when it fits. *)
 let small = 0x4000_0000
+let[@inline] guarded n d = -small < n && n < small && d < small
 
-let as_small x =
-  match (Bigint.to_int_opt x.num, Bigint.to_int_opt x.den) with
-  | Some n, Some d when -small < n && n < small && d < small -> Some (n, d)
-  | _ -> None
-
-(* Same-denominator fast path: a/d + b/d = (a+b)/d, normalized by [make]
-   — one gcd over much smaller operands than the cross-multiplied form.
-   Probability sums in the tracker hot loops overwhelmingly add
-   same-table weights (identical denominators), where this saves two
-   multiplications and the large-operand gcd. *)
+(* Same-denominator fast path: a/d + b/d = (a+b)/d — one gcd over much
+   smaller operands than the cross-multiplied form. Probability sums in
+   the tracker hot loops overwhelmingly add same-table weights
+   (identical denominators), where this saves two multiplications. *)
 let add x y =
-  match (as_small x, as_small y) with
-  | Some (a, b), Some (c, d) ->
+  match (x, y) with
+  | Small (a, b), Small (c, d) when guarded a b && guarded c d ->
     if b = d then make_ints (a + c) b else make_ints ((a * d) + (c * b)) (b * d)
   | _ ->
-    if Bigint.equal x.den y.den then make (Bigint.add x.num y.num) x.den
-    else
-      make
-        (Bigint.add (Bigint.mul x.num y.den) (Bigint.mul y.num x.den))
-        (Bigint.mul x.den y.den)
+    let xd = den x and yd = den y in
+    if Bigint.equal xd yd then make (Bigint.add (num x) (num y)) xd
+    else make (Bigint.add (Bigint.mul (num x) yd) (Bigint.mul (num y) xd)) (Bigint.mul xd yd)
 
-let sub x y =
-  match (as_small x, as_small y) with
-  | Some (a, b), Some (c, d) ->
-    if b = d then make_ints (a - c) b else make_ints ((a * d) - (c * b)) (b * d)
-  | _ ->
-    if Bigint.equal x.den y.den then make (Bigint.sub x.num y.num) x.den
-    else
-      make
-        (Bigint.sub (Bigint.mul x.num y.den) (Bigint.mul y.num x.den))
-        (Bigint.mul x.den y.den)
+let sub x y = add x (neg y)
 
 let mul x y =
-  match (as_small x, as_small y) with
-  | Some (a, b), Some (c, d) -> make_ints (a * c) (b * d)
-  | _ -> make (Bigint.mul x.num y.num) (Bigint.mul x.den y.den)
+  match (x, y) with
+  | Small (a, b), Small (c, d) when guarded a b && guarded c d -> make_ints (a * c) (b * d)
+  | _ -> make (Bigint.mul (num x) (num y)) (Bigint.mul (den x) (den y))
 
 let inv x =
-  if is_zero x then invalid_arg "Rat.inv: zero";
-  make x.den x.num
+  match x with
+  | Small (0, _) -> invalid_arg "Rat.inv: zero"
+  | Small (n, d) -> if n < 0 then Small (-d, -n) else Small (d, n)
+  | Big (n, d) -> make d n
 
 let div x y =
-  if is_zero y then invalid_arg "Rat.div: division by zero";
-  make (Bigint.mul x.num y.den) (Bigint.mul x.den y.num)
+  match (x, y) with
+  | _, Small (0, _) -> invalid_arg "Rat.div: division by zero"
+  | Small (a, b), Small (c, d) when guarded a b && guarded c d ->
+    if c < 0 then make_ints (-(a * d)) (-(b * c)) else make_ints (a * d) (b * c)
+  | _ -> make (Bigint.mul (num x) (den y)) (Bigint.mul (den x) (num y))
 
-let compare x y = Bigint.compare (Bigint.mul x.num y.den) (Bigint.mul y.num x.den)
-let equal x y = Bigint.equal x.num y.num && Bigint.equal x.den y.den
+let compare x y =
+  match (x, y) with
+  | Small (a, b), Small (c, d) when guarded a b && guarded c d -> Stdlib.compare (a * d) (c * b)
+  | _ -> Bigint.compare (Bigint.mul (num x) (den y)) (Bigint.mul (num y) (den x))
+
+let equal x y =
+  match (x, y) with
+  | Small (a, b), Small (c, d) -> a = c && b = d
+  | Big (a, b), Big (c, d) -> Bigint.equal a c && Bigint.equal b d
+  | _ -> false
+
 let lt x y = compare x y < 0
 let leq x y = compare x y <= 0
 let gt x y = compare x y > 0
@@ -120,20 +126,29 @@ let min x y = if leq x y then x else y
 let max x y = if geq x y then x else y
 
 let pow x n =
-  if n >= 0 then make_raw (Bigint.pow x.num n) (Bigint.pow x.den n)
+  if n >= 0 then narrow (Bigint.pow (num x) n) (Bigint.pow (den x) n)
   else begin
     if is_zero x then invalid_arg "Rat.pow: zero to negative power";
-    make (Bigint.pow x.den (-n)) (Bigint.pow x.num (-n))
+    make (Bigint.pow (den x) (-n)) (Bigint.pow (num x) (-n))
   end
 
 let sum = List.fold_left add zero
 let product = List.fold_left mul one
 
-let to_float x = Bigint.to_float x.num /. Bigint.to_float x.den
+(* [float_of_int] gives the bits of [Bigint.to_float] on every int
+   other than [min_int]: the limb formula (l2·10^9 + l1)·10^9 + l0 is
+   exact up to its last addition, because (l2·10^9 + l1)·5^9 < 2^53,
+   so it rounds once, to nearest, just as [float_of_int] does. *)
+let to_float = function
+  | Small (n, d) -> float_of_int n /. float_of_int d
+  | Big (n, d) -> Bigint.to_float n /. Bigint.to_float d
 
-let to_string x =
-  if Bigint.equal x.den Bigint.one then Bigint.to_string x.num
-  else Bigint.to_string x.num ^ "/" ^ Bigint.to_string x.den
+let to_string = function
+  | Small (n, 1) -> string_of_int n
+  | Small (n, d) -> string_of_int n ^ "/" ^ string_of_int d
+  | Big (n, d) ->
+    if Bigint.equal d Bigint.one then Bigint.to_string n
+    else Bigint.to_string n ^ "/" ^ Bigint.to_string d
 
 let of_string s =
   match String.index_opt s '/' with
@@ -142,7 +157,10 @@ let of_string s =
     make (Bigint.of_string (String.sub s 0 i)) (Bigint.of_string (String.sub s (i + 1) (String.length s - i - 1)))
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
-let hash x = Hashtbl.hash (Bigint.hash x.num, Bigint.hash x.den)
+
+(* canonical forms: structural hashing is a hash of the value *)
+let hash (x : t) = Hashtbl.hash x
 
 (* 2^-e as a rational, e >= 0 *)
-let pow2 e = if e >= 0 then of_bigint (Bigint.pow Bigint.two e) else make_raw Bigint.one (Bigint.pow Bigint.two (-e))
+let pow2 e =
+  if e >= 0 then of_bigint (Bigint.pow Bigint.two e) else narrow Bigint.one (Bigint.pow Bigint.two (-e))

@@ -1,6 +1,10 @@
 (** Exact rational arithmetic over {!Bigint}.
 
     Values are kept in lowest terms with a strictly positive denominator.
+    A value whose numerator and denominator both fit a native int (other
+    than [min_int]) is stored as that pair of ints and computed on with
+    native arithmetic; only larger values carry {!Bigint} limbs. The
+    choice of form is canonical and invisible to callers.
     Used throughout the LLL library for exact event probabilities and
     [Inc] ratios; floats appear only at the geometric boundary
     (the [S_rep] surface) and never in correctness-critical checks. *)
@@ -27,6 +31,10 @@ val of_string : string -> t
 
 val num : t -> Bigint.t
 val den : t -> Bigint.t
+
+val to_ints_opt : t -> (int * int) option
+(** [Some (n, d)] (lowest terms, [d > 0]) iff both sides fit a native
+    int other than [min_int]; allocates no {!Bigint}. *)
 
 val is_zero : t -> bool
 val sign : t -> int

@@ -329,6 +329,136 @@ let rat_props =
         R.equal (R.mul (R.pow2 e) (R.pow2 (-e))) R.one);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Rat boundary differential                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A Bigint-only reference: normalised (num, den) pairs, den > 0. Rat
+   keeps values that fit native ints in a machine-int form and computes
+   on them natively below a 2^30 guard; this model has no such form,
+   so every disagreement at the form and guard boundaries shows up. *)
+module Ref = struct
+  let norm n d =
+    let n, d = if B.sign d < 0 then (B.neg n, B.neg d) else (n, d) in
+    if B.is_zero n then (B.zero, B.one)
+    else
+      let g = B.gcd n d in
+      (B.div n g, B.div d g)
+
+  let of_ints n d = norm (B.of_int n) (B.of_int d)
+  let add (a, b) (c, d) = norm (B.add (B.mul a d) (B.mul c b)) (B.mul b d)
+  let sub (a, b) (c, d) = norm (B.sub (B.mul a d) (B.mul c b)) (B.mul b d)
+  let mul (a, b) (c, d) = norm (B.mul a c) (B.mul b d)
+  let div (a, b) (c, d) = norm (B.mul a d) (B.mul b c)
+  let compare (a, b) (c, d) = B.compare (B.mul a d) (B.mul c b)
+  let pow (a, b) k = if k >= 0 then norm (B.pow a k) (B.pow b k) else norm (B.pow b (-k)) (B.pow a (-k))
+  let to_float (a, b) = B.to_float a /. B.to_float b
+  let to_string (a, b) = if B.equal b B.one then B.to_string a else B.to_string a ^ "/" ^ B.to_string b
+end
+
+let p30 = 1 lsl 30
+let p53 = 1 lsl 53
+
+(* numerators and denominators at the form and guard boundaries *)
+let boundary_ints =
+  let pos = [ 1; p30 - 1; p30; p30 + 1; p53 - 1; p53; p53 + 1; max_int ] in
+  (0 :: pos) @ List.map (fun i -> -i) pos @ [ min_int ]
+
+let boundary_dens = [ 1; -1; 3; p30 - 1; p30 + 1; -(p53 + 1); max_int; min_int + 1; min_int ]
+
+(* every boundary fraction, fractions with all sides just past the
+   guard (a guard loosened to 2^31 would overflow their cross-product
+   sums), and products that cross the guard *)
+let boundary_rats =
+  let fracs = List.map (fun (n, d) -> (R.of_ints n d, Ref.of_ints n d)) in
+  let base = fracs (List.concat_map (fun n -> List.map (fun d -> (n, d)) boundary_dens) boundary_ints) in
+  let p31 = 2 * p30 in
+  let past_guard = fracs [ (p31 - 1, p31 - 2); (p31 - 3, p31 - 1); (-(p31 - 1), p31 - 2) ] in
+  let crossing =
+    List.map
+      (fun (a, b, c, d) -> (R.mul (R.of_ints a b) (R.of_ints c d), Ref.mul (Ref.of_ints a b) (Ref.of_ints c d)))
+      [
+        (p30 - 1, 1, p30 - 1, 1);
+        (p30 + 1, 3, p30 - 1, 7);
+        (1, p30 - 1, 1, p30 + 1);
+        (p53 + 1, p30 + 1, p30 + 1, p53 + 1);
+        (max_int, 2, 2, max_int);
+        (-(p30 - 1), p53 - 1, p30 + 1, 3);
+      ]
+  in
+  base @ past_guard @ crossing
+
+let same_as_ref what r (n, d) =
+  if not (B.equal (R.num r) n && B.equal (R.den r) d) then
+    Alcotest.failf "%s: got %s, reference %s" what (R.to_string r) (Ref.to_string (n, d))
+
+let test_rat_boundary_unary () =
+  List.iter
+    (fun (r, ((n, d) as q)) ->
+      let what = Ref.to_string q in
+      same_as_ref what r q;
+      Alcotest.(check string) (what ^ " to_string") (Ref.to_string q) (R.to_string r);
+      Alcotest.(check bool) (what ^ " of_string canonical") true (R.of_string (R.to_string r) = r);
+      Alcotest.(check bool) (what ^ " num/den round trip") true (R.make (R.num r) (R.den r) = r);
+      Alcotest.(check int64)
+        (what ^ " to_float bits")
+        (Int64.bits_of_float (Ref.to_float q))
+        (Int64.bits_of_float (R.to_float r));
+      Alcotest.(check (option (pair int int)))
+        (what ^ " to_ints_opt")
+        (match (B.to_int_opt n, B.to_int_opt d) with Some n, Some d -> Some (n, d) | _ -> None)
+        (R.to_ints_opt r);
+      (* the same value reached through Bigint gcd must take the same form *)
+      let k = B.pow B.two 70 in
+      Alcotest.(check bool) (what ^ " canonical via Bigint") true (R.make (B.mul n k) (B.mul d k) = r);
+      Alcotest.(check int) (what ^ " hash") (R.hash (R.make (B.mul n k) (B.mul d k))) (R.hash r);
+      List.iter
+        (fun k ->
+          if k >= 0 || not (R.is_zero r) then
+            same_as_ref (Printf.sprintf "(%s)^%d" what k) (R.pow r k) (Ref.pow q k))
+        [ -2; -1; 0; 1; 2; 3 ])
+    boundary_rats
+
+let test_rat_boundary_binary () =
+  List.iter
+    (fun (x, qx) ->
+      List.iter
+        (fun (y, qy) ->
+          let what op = Printf.sprintf "%s %s %s" (Ref.to_string qx) op (Ref.to_string qy) in
+          same_as_ref (what "+") (R.add x y) (Ref.add qx qy);
+          same_as_ref (what "-") (R.sub x y) (Ref.sub qx qy);
+          same_as_ref (what "*") (R.mul x y) (Ref.mul qx qy);
+          if not (R.is_zero y) then begin
+            let q = R.div x y in
+            same_as_ref (what "/") q (Ref.div qx qy);
+            if R.equal x y then Alcotest.(check bool) (what "/ canonical") true (q = R.one)
+          end;
+          Alcotest.(check int) (what "cmp") (Ref.compare qx qy) (R.compare x y);
+          Alcotest.(check bool) (what "=") (Ref.compare qx qy = 0) (R.equal x y);
+          Alcotest.(check bool) (what "= structural") (R.equal x y) (x = y))
+        boundary_rats)
+    boundary_rats
+
+(* [to_float] on the machine-int form must keep the bits of the limb
+   formula over the whole int range, not only where ints are exact *)
+let prop_to_float_bits =
+  prop "to_float bits over the int range" 2000
+    (QCheck.pair QCheck.int QCheck.int)
+    (fun (n, d) ->
+      QCheck.assume (d <> 0);
+      Int64.bits_of_float (R.to_float (R.of_ints n d))
+      = Int64.bits_of_float (Ref.to_float (Ref.of_ints n d)))
+
+let test_rat_min_int_of_ints () =
+  let b = B.of_int min_int in
+  Alcotest.(check string) "min_int/1" (B.to_string b) (R.to_string (R.of_ints min_int 1));
+  Alcotest.(check (option (pair int int))) "min_int keeps Bigint form" None (R.to_ints_opt (R.of_int min_int));
+  Alcotest.(check bool) "min_int/min_int = 1" true (R.of_ints min_int min_int = R.one);
+  Alcotest.(check bool) "min_int/2 narrows" true (R.of_ints min_int 2 = R.of_ints (-(1 lsl 61)) 1);
+  Alcotest.(check bool) "1/min_int" true (R.of_ints 1 min_int = R.neg (R.make B.one (B.neg b)));
+  Alcotest.(check bool) "neg (min_int/1) leaves the int range" true (R.to_ints_opt (R.neg (R.of_int min_int)) = None);
+  Alcotest.(check bool) "-max_int - 1 = min_int" true (R.sub (R.of_int (-max_int)) R.one = R.of_int min_int)
+
 let () =
   Alcotest.run "lll_num"
     [
@@ -372,4 +502,11 @@ let () =
           Alcotest.test_case "large pow2" `Quick test_rat_large_pow2;
         ] );
       ("rat-properties", rat_props);
+      ( "rat-boundary",
+        [
+          Alcotest.test_case "unary and conversions vs Bigint model" `Quick test_rat_boundary_unary;
+          Alcotest.test_case "binary ops vs Bigint model" `Quick test_rat_boundary_binary;
+          Alcotest.test_case "of_ints with min_int" `Quick test_rat_min_int_of_ints;
+          prop_to_float_bits;
+        ] );
     ]
