@@ -251,8 +251,8 @@ let domains_arg =
 let metrics_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics" ] ~docv:"PATH"
-           ~doc:"Write per-round runtime metrics (wall time, messages, nodes stepped, halted \
-                 fraction, state-size proxy) as JSON to PATH. Distributed algorithms only.")
+           ~doc:"Write per-round runtime metrics (wall time, nodes stepped, halted fraction, \
+                 state-size proxy) as JSON to PATH. Distributed algorithms only.")
 
 let dump_instance_arg =
   Arg.(value & opt (some string) None
@@ -313,9 +313,8 @@ let solve_cmd =
       | Some path ->
         let recs = Lll_local.Metrics.records metrics in
         Lll_local.Metrics.write_json path recs;
-        Format.printf "metrics: %d round records (%d messages, %.2f ms) -> %s@."
+        Format.printf "metrics: %d round records (%.2f ms) -> %s@."
           (List.length recs)
-          (Lll_local.Metrics.total_messages recs)
           (float_of_int (Lll_local.Metrics.total_wall_ns recs) /. 1e6)
           path);
       Format.printf "%a@." Solver.pp_report report;

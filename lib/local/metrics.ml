@@ -148,8 +148,6 @@ let write_json path recs =
 
 (* ---- aggregates (for quick textual reports) ---- *)
 
-let total_messages recs = List.fold_left (fun acc r -> acc + r.messages) 0 recs
-
 let total_wall_ns recs = List.fold_left (fun acc r -> acc + r.wall_ns) 0 recs
 
 let pp fmt recs =

@@ -67,6 +67,5 @@ val record_to_json : round_record -> string
 val to_json : round_record list -> string
 val write_json : string -> round_record list -> unit
 
-val total_messages : round_record list -> int
 val total_wall_ns : round_record list -> int
 val pp : Format.formatter -> round_record list -> unit

@@ -20,13 +20,11 @@
 
 let recommended () = Domain.recommended_domain_count ()
 
-let default = ref (recommended ())
+(* Read once at startup; [parallel_for] consults it on every call that
+   omits [?domains]. *)
+let default = recommended ()
 
-let default_domains () = !default
-
-let set_default_domains d =
-  if d < 1 then invalid_arg "Par.set_default_domains: need >= 1 domain";
-  default := d
+let default_domains () = default
 
 (* Chunk [j] of [k] over [0, n): indices [j*n/k, (j+1)*n/k). Contiguous,
    disjoint, covering; empty chunks possible only when [k > n]. *)
@@ -60,7 +58,7 @@ let fork_join ~domains ~n f =
 
 let parallel_for ?domains ~n f =
   if n > 0 then begin
-    let domains = match domains with Some d -> max 1 d | None -> !default in
+    let domains = match domains with Some d -> max 1 d | None -> default in
     fork_join ~domains ~n (fun lo hi ->
         for i = lo to hi do
           f i

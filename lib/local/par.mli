@@ -11,12 +11,7 @@ val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 val default_domains : unit -> int
-(** The domain count used when [?domains] is omitted; initially
-    {!recommended}. *)
-
-val set_default_domains : int -> unit
-(** Override the default (e.g. from a CLI flag).
-    @raise Invalid_argument on counts [< 1]. *)
+(** The domain count used when [?domains] is omitted: {!recommended}. *)
 
 val chunks : domains:int -> n:int -> (int * int) array
 (** The static [(lo, hi)] inclusive chunk bounds used by

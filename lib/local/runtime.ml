@@ -1,60 +1,34 @@
 (* Synchronous execution engine for the LOCAL model.
 
-   In each round, every non-halted node consumes the messages sent to it in
-   the previous round, updates its state, and emits new messages to
-   neighbors. Messages are unbounded (standard LOCAL); the complexity
-   measure is the number of rounds until every node has halted.
+   In each round, every non-halted node sees the previous-round state of
+   each neighbor and updates its own state. Since messages are unbounded
+   in LOCAL, these full-information rounds are equivalent to message
+   passing, and they are the natural way to express the paper's
+   algorithms; the complexity measure is the number of rounds until every
+   node has halted.
 
-   Two interfaces are provided:
-   - a message-passing interface ([run]) where nodes address messages to
-     neighbor indices, and
-   - a full-information interface ([run_full_info]) where each round every
-     node sees the previous-round state of each neighbor — equivalent to
-     LOCAL since messages are unbounded, and the natural way to express
-     the paper's algorithms.
-
-   Both engines step the non-halted nodes of a round IN PARALLEL across
-   OCaml 5 domains ([Par]): all nodes read the same immutable snapshot
-   (previous-round states / inboxes) and each writes only its own cell of
-   the result arrays, so the parallel execution is faithful to the
-   synchronous-round semantics by construction. Everything order-sensitive
-   — message delivery, the non-neighbor check, halt bookkeeping, metrics —
-   happens in a sequential merge sweep over nodes 0..n-1 after the
-   parallel phase, in exactly the order the sequential engine used; with
+   [run_flat] is the one engine: node states live in a record-of-arrays
+   [Flat_state.t], and the non-halted nodes of a round are stepped IN
+   PARALLEL across OCaml 5 domains ([Par]). All nodes read the same
+   immutable snapshot of the previous round and each writes only its own
+   row, so the parallel execution is faithful to the synchronous-round
+   semantics by construction. Halt bookkeeping and metrics happen in a
+   sequential sweep over nodes 0..n-1 after the parallel phase; with
    [~domains:1] no domain is spawned and the engine IS the sequential
-   reference, which the differential tests exploit.
-
-   Message storage is a double-buffered ARENA instead of the former
-   per-node [(sender, msg) list] inboxes: each round the per-destination
-   message counts are prefix-summed into an offsets array and all payloads
-   land in two flat arrays (sender, message), giving per-node inbox
-   SLICES. The commit sweep walks senders in node order, so every slice
-   holds its messages in ascending sender order — exactly the order the
-   list engine delivered after its [List.rev]. The parallel step phase
-   reads only its own node's slice (disjoint reads of an immutable
-   snapshot), and the two arenas swap roles every round, so steady-state
-   rounds allocate nothing proportional to the message count.
-
-   Above [par_commit_cutoff] nodes the commit sweep itself also runs in
-   parallel: each domain counts its own contiguous sender chunk into a
-   private per-destination array, a shared prefix sum turns those into
-   per-(destination, domain) slot starts, and the scatter reuses the
-   same chunking — ascending domain blocks of ascending senders, i.e.
-   exactly the sequential ascending-sender slice order, so results stay
-   bit-identical at any [~domains] (differentially tested). See
-   DESIGN.md §9 for the layout and the determinism argument. *)
+   reference, which the differential tests exploit. [run_full_info] (the
+   assoc-list API) and [gather_balls] are thin wrappers over it;
+   [run_full_info_boxed] is the retired boxed engine, kept as the
+   reference implementation the wrappers are tested against. *)
 
 exception Round_limit_exceeded of int
 
-type ('s, 'm) step_result = { state : 's; send : (int * 'm) list; halt : bool }
-
-type stats = { rounds : int; messages : int; per_round : Metrics.round_record list }
+type stats = { rounds : int }
 
 let default_max_rounds = 1_000_000
 
-(* Per-node neighbor arrays, read straight off the CSR: slices are already
-   sorted by neighbor, so the per-message destination check is an
-   O(log deg) binary search with no per-run sort. *)
+(* Per-node neighbor arrays, read straight off the CSR: slices are
+   already sorted by neighbor, so every step sees its neighbors in
+   ascending order. *)
 let neighbor_index net =
   let g = Network.graph net in
   Array.init (Network.n net) (fun v ->
@@ -66,288 +40,29 @@ let neighbor_index net =
           incr i);
       a)
 
-let mem_sorted (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let y = a.(mid) in
-    if y = x then found := true else if y < x then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
-(* ---- the message arena ----
-
-   [off] has length n+1; the inbox of node [v] is the slice
-   [off.(v), off.(v+1)) of the parallel [src]/[msg] arrays. [msg] is
-   allocated lazily on the first message of the run (we need a message
-   value as the array filler) and both payload arrays grow by doubling;
-   stale slots beyond [total] are never read. *)
-type 'm arena = {
-  mutable off : int array;
-  mutable src : int array;
-  mutable msg : 'm array;
-  mutable total : int;
-}
-
-let arena_create n = { off = Array.make (n + 1) 0; src = [||]; msg = [||]; total = 0 }
-
-let arena_capacity a = Array.length a.msg
-
-(* The inbox slice of [v], materialised as the [(sender, msg)] list the
-   step API consumes; slice order is ascending sender order. *)
-let arena_inbox a v =
-  let lo = a.off.(v) and hi = a.off.(v + 1) in
-  let rec go i acc = if i < lo then acc else go (i - 1) ((a.src.(i), a.msg.(i)) :: acc) in
-  go (hi - 1) []
-
-let arena_max_inbox a n =
-  let best = ref 0 in
-  for v = 0 to n - 1 do
-    best := max !best (a.off.(v + 1) - a.off.(v))
-  done;
-  !best
-
 (* The domain count a [?domains] argument resolves to for an [n]-node
    parallel phase — what [Par.fork_join] will actually use, surfaced in
    metrics as the round's [par_width]. *)
 let effective_domains ?domains n =
   min (match domains with Some d -> max 1 d | None -> Par.default_domains ()) (max 1 n)
 
-(* One metrics record, appended both to the sink and to the per-run
-   accumulator surfaced through [stats.per_round]. *)
-let emit metrics acc ~round ~t0 ~messages ~stepped ~halted_count ~n ~sample ~max_inbox
-    ~arena_occupancy ~par_width =
-  if Metrics.enabled metrics then begin
-    let r =
+(* One metrics record per round. Full-information rounds send no
+   messages, so the message fields of the record read 0. *)
+let emit metrics ~round ~t0 ~stepped ~halted_count ~n ~sample ~par_width =
+  if Metrics.enabled metrics then
+    Metrics.record metrics
       {
         Metrics.round;
         phase = Metrics.phase metrics;
         wall_ns = Metrics.now_ns () - t0;
-        messages;
+        messages = 0;
         stepped;
         halted_fraction = (if n = 0 then 1.0 else float_of_int halted_count /. float_of_int n);
         state_words = Metrics.state_words sample;
-        max_inbox;
-        arena_occupancy;
+        max_inbox = 0;
+        arena_occupancy = 0;
         par_width;
       }
-    in
-    Metrics.record metrics r;
-    acc := r :: !acc
-  end
-
-let finish ~rounds ~messages acc = { rounds; messages; per_round = List.rev !acc }
-
-(* Below this node count the parallel commit sweep's per-domain count
-   arrays and extra barriers cost more than the O(n) sequential sweep
-   they replace; measured crossover is in the low thousands. *)
-let par_commit_cutoff = 2048
-
-let run ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.disabled) net ~init ~step =
-  let n = Network.n net in
-  let nbr_index = neighbor_index net in
-  let states = Array.init n init in
-  let halted = Array.make n false in
-  let halted_count = ref 0 in
-  (* double buffer: [cur] is this round's inboxes, [nxt] receives the
-     sends; they swap at the end of every round *)
-  let cur = ref (arena_create n) in
-  let nxt = ref (arena_create n) in
-  let counts = Array.make (max n 1) 0 in
-  let results : ('s, 'm) step_result option array = Array.make n None in
-  let round = ref 0 in
-  let messages = ref 0 in
-  let recs = ref [] in
-  let par_width = effective_domains ?domains n in
-  (* parallel commit sweep scratch: one destination-count array per
-     domain, plus per-domain tallies. [bounds] fixes the sender chunking
-     shared by the count and scatter passes. Engaged only when the node
-     count amortises the k·n scratch (sequential sweep otherwise). *)
-  let commit_k = if par_width > 1 && n >= par_commit_cutoff then par_width else 1 in
-  let dcounts = Array.init (if commit_k > 1 then commit_k else 0) (fun _ -> Array.make n 0) in
-  let dstepped = Array.make (max commit_k 1) 0 in
-  let dhalted = Array.make (max commit_k 1) 0 in
-  let dmsgs = Array.make (max commit_k 1) 0 in
-  let dfiller = Array.make (max commit_k 1) None in
-  let col_total = Array.make (if commit_k > 1 then n else 0) 0 in
-  let bounds = if commit_k > 1 then Par.chunks ~domains:commit_k ~n else [||] in
-  while !halted_count < n do
-    if !round >= max_rounds then raise (Round_limit_exceeded max_rounds);
-    let t0 = if Metrics.enabled metrics then Metrics.now_ns () else 0 in
-    let inbox_arena = !cur in
-    (* parallel phase: pure per-node computation against the round's
-       snapshot; node [v] reads only its own inbox slice and writes only
-       [results.(v)] *)
-    Par.parallel_for ?domains ~n (fun v ->
-        if not halted.(v) then
-          results.(v) <- Some (step ~round:!round ~me:v states.(v) (arena_inbox inbox_arena v)));
-    let stepped = ref 0 in
-    let round_msgs = ref 0 in
-    let dst = !nxt in
-    if commit_k <= 1 then begin
-      (* sequential merge in node order. Pass 1 commits states/halts and
-         validates every destination in exactly the interleaving the list
-         engine used (so a non-neighbor send raises after the same
-         prefix of state commits), accumulating per-destination counts. *)
-      Array.fill counts 0 (max n 1) 0;
-      for v = 0 to n - 1 do
-        match results.(v) with
-        | None -> ()
-        | Some r ->
-          incr stepped;
-          states.(v) <- r.state;
-          if r.halt then begin
-            halted.(v) <- true;
-            incr halted_count
-          end;
-          List.iter
-            (fun (target, _) ->
-              if not (mem_sorted nbr_index.(v) target) then
-                invalid_arg "Runtime.run: message to non-neighbor";
-              incr round_msgs;
-              counts.(target) <- counts.(target) + 1)
-            r.send
-      done;
-      (* prefix-sum the counts into the next arena's offsets and write each
-         message into its destination slice; sweeping senders in node order
-         fills every slice in ascending sender order *)
-      dst.off.(0) <- 0;
-      for v = 0 to n - 1 do
-        dst.off.(v + 1) <- dst.off.(v) + counts.(v)
-      done;
-      dst.total <- !round_msgs;
-      if Array.length dst.src < !round_msgs then
-        dst.src <- Array.make (max !round_msgs (2 * Array.length dst.src)) 0;
-      let cursor = Array.blit dst.off 0 counts 0 (max n 1); counts in
-      for v = 0 to n - 1 do
-        match results.(v) with
-        | None -> ()
-        | Some r ->
-          results.(v) <- None;
-          List.iter
-            (fun (target, msg) ->
-              let p = cursor.(target) in
-              cursor.(target) <- p + 1;
-              if Array.length dst.msg < dst.total then
-                (* first message of the run (or a grown round): (re)allocate
-                   using a real message as filler *)
-                dst.msg <-
-                  (let grown = Array.make (max dst.total (2 * Array.length dst.msg)) msg in
-                   Array.blit dst.msg 0 grown 0 (Array.length dst.msg);
-                   grown);
-              dst.src.(p) <- v;
-              dst.msg.(p) <- msg)
-            r.send
-      done
-    end
-    else begin
-      (* parallel commit sweep. Pass A: each domain commits the states
-         and halts of its own sender chunk (disjoint cells), validates
-         destinations, and accumulates counts into its private
-         destination array. A non-neighbor send raises from the
-         lowest-numbered raising chunk — i.e. the globally lowest
-         offending sender, the same node the sequential sweep blamed. *)
-      Par.parallel_for ~domains:commit_k ~n:commit_k (fun j ->
-          let lo, hi = bounds.(j) in
-          let counts_j = dcounts.(j) in
-          Array.fill counts_j 0 n 0;
-          let stp = ref 0 and hlt = ref 0 and msgs = ref 0 in
-          for v = lo to hi do
-            match results.(v) with
-            | None -> ()
-            | Some r ->
-              incr stp;
-              states.(v) <- r.state;
-              if r.halt then begin
-                halted.(v) <- true;
-                incr hlt
-              end;
-              List.iter
-                (fun ((target, m) : int * 'm) ->
-                  if not (mem_sorted nbr_index.(v) target) then
-                    invalid_arg "Runtime.run: message to non-neighbor";
-                  incr msgs;
-                  (match dfiller.(j) with None -> dfiller.(j) <- Some m | Some _ -> ());
-                  counts_j.(target) <- counts_j.(target) + 1)
-                r.send
-          done;
-          dstepped.(j) <- !stp;
-          dhalted.(j) <- !hlt;
-          dmsgs.(j) <- !msgs);
-      for j = 0 to commit_k - 1 do
-        stepped := !stepped + dstepped.(j);
-        halted_count := !halted_count + dhalted.(j);
-        round_msgs := !round_msgs + dmsgs.(j)
-      done;
-      (* shared prefix sum. Per destination, turn each domain's count
-         into its slot start within that destination's slice (parallel
-         over destinations); the only remaining sequential pass is the
-         bare int scan turning per-destination totals into offsets. *)
-      Par.parallel_for ?domains ~n (fun v ->
-          let running = ref 0 in
-          for j = 0 to commit_k - 1 do
-            let c = dcounts.(j).(v) in
-            dcounts.(j).(v) <- !running;
-            running := !running + c
-          done;
-          col_total.(v) <- !running);
-      dst.off.(0) <- 0;
-      for v = 0 to n - 1 do
-        dst.off.(v + 1) <- dst.off.(v) + col_total.(v)
-      done;
-      dst.total <- !round_msgs;
-      if Array.length dst.src < !round_msgs then
-        dst.src <- Array.make (max !round_msgs (2 * Array.length dst.src)) 0;
-      if Array.length dst.msg < !round_msgs then begin
-        (* grow BEFORE the parallel scatter (reallocation inside a domain
-           would race); any message captured in pass A serves as filler,
-           and [round_msgs > 0] guarantees one exists *)
-        let filler = ref None in
-        for j = 0 to commit_k - 1 do
-          if !filler = None then filler := dfiller.(j)
-        done;
-        match !filler with
-        | None -> ()
-        | Some m ->
-          let grown = Array.make (max !round_msgs (2 * Array.length dst.msg)) m in
-          Array.blit dst.msg 0 grown 0 (Array.length dst.msg);
-          dst.msg <- grown
-      end;
-      (* Pass B: scatter with the same sender chunking. Domain [j]'s
-         messages to [target] land at [off + its slot start], cursored
-         through its private count cell — so a slice holds domain 0's
-         senders, then domain 1's, ..., each ascending: ascending sender
-         order overall, bit-identical to the sequential scatter. *)
-      Par.parallel_for ~domains:commit_k ~n:commit_k (fun j ->
-          let lo, hi = bounds.(j) in
-          let counts_j = dcounts.(j) in
-          for v = lo to hi do
-            match results.(v) with
-            | None -> ()
-            | Some r ->
-              results.(v) <- None;
-              List.iter
-                (fun (target, msg) ->
-                  let p = dst.off.(target) + counts_j.(target) in
-                  counts_j.(target) <- counts_j.(target) + 1;
-                  dst.src.(p) <- v;
-                  dst.msg.(p) <- msg)
-                r.send
-          done)
-    end;
-    messages := !messages + !round_msgs;
-    (* n > 0 inside the loop, so states.(0) is a valid sample *)
-    emit metrics recs ~round:!round ~t0 ~messages:!round_msgs ~stepped:!stepped
-      ~halted_count:!halted_count ~n ~sample:states.(0)
-      ~max_inbox:(arena_max_inbox inbox_arena n)
-      ~arena_occupancy:(max (arena_capacity !cur) (arena_capacity !nxt))
-      ~par_width;
-    cur := dst;
-    nxt := inbox_arena;
-    incr round
-  done;
-  (states, finish ~rounds:!round ~messages:!messages recs)
 
 (* ---- the flat full-information engine ----
 
@@ -359,8 +74,8 @@ let run ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.disabled
    slice and the contract is: read anything from [prev], write only row
    [me] of [cur], return the halt request. Halt bookkeeping happens in a
    sequential sweep in node order after the parallel phase, so the
-   result is bit-identical for any [domains] — the same determinism
-   contract as [run], asserted by the differential tests. *)
+   result is bit-identical for any [domains], asserted by the
+   differential tests. *)
 let run_flat ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.disabled) net ~state
     ~step =
   let n = Network.n net in
@@ -372,7 +87,6 @@ let run_flat ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.dis
   let halted_count = ref 0 in
   let halt_req = Array.make n false in
   let round = ref 0 in
-  let recs = ref [] in
   let par_width = effective_domains ?domains n in
   let payload = Flat_state.payload_column cur in
   while !halted_count < n do
@@ -396,24 +110,23 @@ let run_flat ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.dis
        state-growth protocols like ball gathering stay observable);
        pure column states sample as an immediate, i.e. 0 words *)
     (if Array.length payload > 0 then
-       emit metrics recs ~round:!round ~t0 ~messages:0 ~stepped:!stepped
-         ~halted_count:!halted_count ~n ~sample:payload.(0) ~max_inbox:0 ~arena_occupancy:0
-         ~par_width
+       emit metrics ~round:!round ~t0 ~stepped:!stepped ~halted_count:!halted_count ~n
+         ~sample:payload.(0) ~par_width
      else
-       emit metrics recs ~round:!round ~t0 ~messages:0 ~stepped:!stepped
-         ~halted_count:!halted_count ~n ~sample:0 ~max_inbox:0 ~arena_occupancy:0 ~par_width);
+       emit metrics ~round:!round ~t0 ~stepped:!stepped ~halted_count:!halted_count ~n ~sample:0
+         ~par_width);
     incr round
   done;
-  (cur, finish ~rounds:!round ~messages:0 recs)
+  (cur, { rounds = !round })
 
 (* Full-information rounds: each node's step sees [(neighbor, neighbor's
    state at the start of the round)]. All nodes are stepped against the
    same snapshot, faithfully modelling synchronous rounds — which is also
    exactly what makes the parallel step phase sound.
 
-   This is the RETIRED boxed engine, kept verbatim as an ablation
-   baseline (bench flat-vs-boxed rows) and as the reference
-   implementation the compatibility shim below is tested against. New
+   This is the RETIRED boxed engine, kept as the reference
+   implementation the compatibility shim below, [Mis.luby] and
+   [Dist_lll] are tested against. New
    protocols must target [run_flat]; the @flat-lint alias keeps boxed
    calls from creeping back into lib/. *)
 let run_full_info_boxed ?(max_rounds = default_max_rounds) ?domains
@@ -425,7 +138,6 @@ let run_full_info_boxed ?(max_rounds = default_max_rounds) ?domains
   let halted_count = ref 0 in
   let halt_req = Array.make n false in
   let round = ref 0 in
-  let recs = ref [] in
   while !halted_count < n do
     if !round >= max_rounds then raise (Round_limit_exceeded max_rounds);
     let t0 = if Metrics.enabled metrics then Metrics.now_ns () else 0 in
@@ -449,16 +161,15 @@ let run_full_info_boxed ?(max_rounds = default_max_rounds) ?domains
         end
       end
     done;
-    emit metrics recs ~round:!round ~t0 ~messages:0 ~stepped:!stepped
-      ~halted_count:!halted_count ~n ~sample:states.(0) ~max_inbox:0 ~arena_occupancy:0
-      ~par_width:(effective_domains ?domains n);
+    emit metrics ~round:!round ~t0 ~stepped:!stepped ~halted_count:!halted_count ~n
+      ~sample:states.(0) ~par_width:(effective_domains ?domains n);
     incr round
   done;
-  (states, finish ~rounds:!round ~messages:0 recs)
+  (states, { rounds = !round })
 
 (* Compatibility shim over [run_flat]: the historical boxed API
    (assoc-list neighborhoods), now a payload-column protocol on the flat
-   engine. Kept for tests and examples; hot paths call [run_flat]
+   engine. Kept for examples, experiments and tests; hot paths call [run_flat]
    directly. The per-node assoc list is materialised inside the step
    wrapper, so callers see exactly the old interface and — because the
    wrapper reads the same snapshot in the same order — exactly the old
@@ -475,28 +186,6 @@ let run_full_info ?max_rounds ?domains ?metrics net ~init ~step =
   in
   let st, stats = run_flat ?max_rounds ?domains ?metrics net ~state ~step:stepf in
   (Flat_state.payload_column st, stats)
-
-(* Flat int-state variant of [run_full_info], for protocols whose whole
-   node state is one integer (colorings, floods) — now a one-int-column
-   wrapper over [run_flat] that still materialises the neighbor int
-   array the historical API promised. Protocols wanting the zero-alloc
-   path read the column straight off [prev] via [run_flat] instead. *)
-let run_full_info_flat ?max_rounds ?domains ?metrics net ~init ~step =
-  let n = Network.n net in
-  let state = Flat_state.create ~n ~int_fields:1 () in
-  let col = Flat_state.int_column state 0 in
-  for v = 0 to n - 1 do
-    col.(v) <- init v
-  done;
-  let stepf ~round ~me ~prev ~cur ~nbrs =
-    let snapshot = Flat_state.int_column prev 0 in
-    let nbr_states = Array.map (fun u -> snapshot.(u)) nbrs in
-    let s, h = step ~round ~me snapshot.(me) nbr_states in
-    Flat_state.set_int cur 0 me s;
-    h
-  in
-  let st, stats = run_flat ?max_rounds ?domains ?metrics net ~state ~step:stepf in
-  (Flat_state.int_column st 0, stats)
 
 (* Gather the (node, state) pairs within radius [k] of every node by
    flooding for [k] rounds — the canonical LOCAL primitive: any
@@ -524,7 +213,7 @@ let gather_balls ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics
     ~radius ~(value : int -> 'a) : (int * 'a) list array * stats =
   if radius = 0 then
     ( Array.init (Network.n net) (fun v -> [ (v, value v) ]),
-      { rounds = 0; messages = 0; per_round = [] } )
+      { rounds = 0 } )
   else begin
     let n = Network.n net in
     let state = Flat_state.create ~n ~payload:(fun v -> [ (v, value v) ]) () in

@@ -1,44 +1,24 @@
 (** Synchronous LOCAL-model execution engine with round accounting,
     domain-parallel round execution and optional round-level metrics.
 
+    Rounds are full-information rounds: each step sees the previous-round
+    states of its neighbors, which is equivalent to LOCAL message passing
+    because messages are unbounded. {!run_flat} is the one engine;
+    {!run_full_info} and {!gather_balls} wrap it, and
+    {!run_full_info_boxed} is the reference they are tested against.
     Each round, the non-halted nodes are stepped in parallel across
     [domains] OCaml 5 domains (default {!Par.default_domains}, i.e. the
     recommended domain count of the machine) against an immutable
-    snapshot of the previous round; all order-sensitive effects (message
-    delivery, halt bookkeeping) are committed by a sequential sweep in
-    node order afterwards, so results are identical for every domain
-    count — [~domains:1] is the sequential reference engine. *)
+    snapshot of the previous round; halt bookkeeping is committed by a
+    sequential sweep in node order afterwards, so results are identical
+    for every domain count — [~domains:1] is the sequential reference
+    engine. Per-round records go to the [?metrics] sink. *)
 
 exception Round_limit_exceeded of int
 
-type ('s, 'm) step_result = { state : 's; send : (int * 'm) list; halt : bool }
-
-type stats = {
-  rounds : int;
-  messages : int;
-  per_round : Metrics.round_record list;
-      (** One record per round when a metrics sink was passed; [[]]
-          otherwise. *)
-}
+type stats = { rounds : int }
 
 val default_max_rounds : int
-
-val run :
-  ?max_rounds:int ->
-  ?domains:int ->
-  ?metrics:Metrics.sink ->
-  Network.t ->
-  init:(int -> 's) ->
-  step:(round:int -> me:int -> 's -> (int * 'm) list -> ('s, 'm) step_result) ->
-  's array * stats
-(** Message-passing interface. Each round, every non-halted node consumes
-    the messages addressed to it in the previous round ([(sender, msg)]
-    pairs) and produces a new state, outgoing messages ([(neighbor, msg)]),
-    and a halt flag. Sending to a non-neighbor raises [Invalid_argument]
-    (checked against a precomputed per-node neighbor index); exceeding
-    [max_rounds] raises {!Round_limit_exceeded}. The step function must be
-    safe to call concurrently for distinct nodes (pure up to per-call
-    local state), which every synchronous-round protocol is. *)
 
 val run_flat :
   ?max_rounds:int ->
@@ -77,8 +57,8 @@ val run_full_info :
 (** Full-information rounds: each step sees the previous-round states of
     all neighbors — equivalent to LOCAL because messages are unbounded.
     Compatibility shim over {!run_flat} (payload-column protocol, assoc
-    lists materialised per step) kept for tests and examples; hot
-    protocols use {!run_flat}. *)
+    lists materialised per step) kept for examples, experiments and
+    tests; hot protocols use {!run_flat}. *)
 
 val run_full_info_boxed :
   ?max_rounds:int ->
@@ -89,24 +69,9 @@ val run_full_info_boxed :
   step:(round:int -> me:int -> 's -> (int * 's) list -> 's * bool) ->
   's array * stats
 (** The retired boxed engine behind the historical {!run_full_info}
-    semantics, kept verbatim as an ablation baseline for the bench
-    flat-vs-boxed rows and as the reference the shim is tested
-    against. Do not use in new code. *)
-
-val run_full_info_flat :
-  ?max_rounds:int ->
-  ?domains:int ->
-  ?metrics:Metrics.sink ->
-  Network.t ->
-  init:(int -> int) ->
-  step:(round:int -> me:int -> int -> int array -> int * bool) ->
-  int array * stats
-(** {!run_full_info} specialised to single-integer node states
-    (colorings, floods): states live in an int array and each step sees
-    its neighbors' states as an int array, in ascending neighbor order —
-    no per-round assoc-list allocation. Same semantics and determinism
-    contract as {!run_full_info} restricted to int states. Implemented
-    as a one-int-column wrapper over {!run_flat}. *)
+    semantics, kept as the reference implementation the shim,
+    [Mis.luby] and [Dist_lll] are tested against. Do not use in new
+    code. *)
 
 val gather_balls :
   ?max_rounds:int ->

@@ -34,57 +34,42 @@ let test_shuffled_ids () =
   Alcotest.(check (array int)) "permutation" (sorted (Net.ids net)) (sorted (Net.ids net'))
 
 (* ------------------------------------------------------------------ *)
-(* Runtime: message passing                                             *)
+(* Runtime: halting and the round limit                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* A silent protocol that halts after [k] rounds costs exactly [k]
    rounds. *)
-let test_run_flood_max () =
+let test_halting_rounds () =
   let net = Net.create (Gen.path 6) in
   let states, stats =
-    RT.run net
+    RT.run_full_info net
       ~init:(fun v -> v)
-      ~step:(fun ~round ~me:_ s (_ : (int * unit) list) ->
-        { RT.state = s; send = []; halt = round + 1 >= 5 })
+      ~step:(fun ~round ~me:_ s _ -> (s, round + 1 >= 5))
   in
   Alcotest.(check int) "rounds" 5 stats.RT.rounds;
   Alcotest.(check int) "state kept" 0 states.(0)
 
-let test_run_messages () =
+let test_max_flood () =
   let g = Gen.path 4 in
   let net = Net.create g in
-  (* each node repeatedly forwards the max value it has seen *)
+  (* each node repeatedly adopts the max value its neighbors hold *)
   let states, stats =
-    RT.run net
+    RT.run_full_info net
       ~init:(fun v -> v)
-      ~step:(fun ~round ~me s inbox ->
-        let s = List.fold_left (fun acc (_, m) -> max acc m) s inbox in
-        {
-          RT.state = s;
-          send = List.map (fun u -> (u, s)) (Net.neighbors net me);
-          halt = round + 1 >= 4;
-        })
+      ~step:(fun ~round ~me:_ s nbrs ->
+        (List.fold_left (fun acc (_, x) -> max acc x) s nbrs, round + 1 >= 4))
   in
-  (* value 3 needs three forwarding hops to reach node 0 *)
+  (* value 3 needs three hops to reach node 0 *)
   Alcotest.(check (array int)) "max flooded" [| 3; 3; 3; 3 |] states;
-  Alcotest.(check bool) "messages counted" true (stats.RT.messages > 0)
-
-let test_run_rejects_non_neighbor () =
-  let net = Net.create (Gen.path 3) in
-  Alcotest.check_raises "non-neighbor" (Invalid_argument "Runtime.run: message to non-neighbor")
-    (fun () ->
-      ignore
-        (RT.run net
-           ~init:(fun _ -> ())
-           ~step:(fun ~round:_ ~me:_ () _ -> { RT.state = (); send = [ (2, ()) ]; halt = true })))
+  Alcotest.(check int) "rounds" 4 stats.RT.rounds
 
 let test_round_limit () =
   let net = Net.create (Gen.path 3) in
   (try
      ignore
-       (RT.run ~max_rounds:5 net
+       (RT.run_full_info ~max_rounds:5 net
           ~init:(fun _ -> ())
-          ~step:(fun ~round:_ ~me:_ () _ -> { RT.state = (); send = []; halt = false }));
+          ~step:(fun ~round:_ ~me:_ () _ -> ((), false)));
      Alcotest.fail "no limit"
    with RT.Round_limit_exceeded 5 -> ())
 
@@ -246,37 +231,6 @@ let test_is_mis_rejects () =
   Alcotest.(check bool) "not maximal" false (MIS.is_mis g [| false; false; false |]);
   Alcotest.(check bool) "valid" true (MIS.is_mis g [| true; false; true |])
 
-module Prim = Lll_local.Primitives
-
-let test_leader_election () =
-  let g = Gen.random_regular ~seed:7 30 3 in
-  let net = Net.with_shuffled_ids ~seed:5 (Net.create g) in
-  let leaders, rounds = Prim.elect_leader net in
-  let expected = Array.fold_left min max_int (Net.ids net) in
-  Array.iter (fun l -> Alcotest.(check int) "agrees" expected l) leaders;
-  Alcotest.(check bool) "rounds bounded" true (rounds <= 30)
-
-let test_bfs_tree () =
-  List.iter
-    (fun (g, name) ->
-      let net = Net.create g in
-      let parents, dists, _ = Prim.bfs_tree net ~root:0 in
-      Alcotest.(check bool) (name ^ " valid") true (Prim.is_bfs_tree g ~root:0 parents dists))
-    [
-      (Gen.path 10, "path");
-      (Gen.cycle 9, "cycle");
-      (Gen.grid 5 4, "grid");
-      (Gen.random_tree ~seed:3 15, "tree");
-      (Lll_graph.Graph.create ~n:4 [ (0, 1) ], "disconnected");
-    ]
-
-let test_bfs_tree_unreachable () =
-  let g = Lll_graph.Graph.create ~n:3 [ (0, 1) ] in
-  let net = Net.create g in
-  let parents, dists, _ = Prim.bfs_tree net ~root:0 in
-  Alcotest.(check int) "unreachable dist" (-1) dists.(2);
-  Alcotest.(check int) "unreachable parent" (-1) parents.(2)
-
 let () =
   Alcotest.run "lll_local"
     [
@@ -288,9 +242,8 @@ let () =
         ] );
       ( "runtime",
         [
-          Alcotest.test_case "halting rounds" `Quick test_run_flood_max;
-          Alcotest.test_case "message flood" `Quick test_run_messages;
-          Alcotest.test_case "rejects non-neighbor" `Quick test_run_rejects_non_neighbor;
+          Alcotest.test_case "halting rounds" `Quick test_halting_rounds;
+          Alcotest.test_case "message flood" `Quick test_max_flood;
           Alcotest.test_case "round limit" `Quick test_round_limit;
           Alcotest.test_case "full-info snapshot semantics" `Quick test_full_info_snapshot_semantics;
           Alcotest.test_case "gather balls" `Quick test_gather_balls;
@@ -305,12 +258,6 @@ let () =
           Alcotest.test_case "single node" `Quick test_luby_single_node;
           Alcotest.test_case "greedy oracle" `Quick test_greedy_mis;
           Alcotest.test_case "checker rejects" `Quick test_is_mis_rejects;
-        ] );
-      ( "primitives",
-        [
-          Alcotest.test_case "leader election" `Quick test_leader_election;
-          Alcotest.test_case "bfs tree" `Quick test_bfs_tree;
-          Alcotest.test_case "bfs unreachable" `Quick test_bfs_tree_unreachable;
         ] );
       ( "dist-coloring",
         [
