@@ -96,7 +96,7 @@ let at_threshold_arg =
 let file_arg =
   Arg.(value & opt (some string) None
        & info [ "file"; "load-instance" ] ~docv:"PATH"
-           ~doc:"Load the instance from a serialized file (text v1/v2 or binary v3, \
+           ~doc:"Load the instance from a serialized file (text v2 or binary v3, \
                  auto-detected) instead of generating one.")
 
 let store_arg =
@@ -896,8 +896,7 @@ let store_cmd =
   let warm_cmd =
     let run dir families grid seeds =
       let dir = require_dir dir in
-      let sink = Lll_local.Metrics.buffer () in
-      let store = Store.create ~dir ~metrics:sink () in
+      let store = Store.create ~dir () in
       let families =
         match families with
         | None -> Corpus.all
@@ -933,29 +932,31 @@ let store_cmd =
               List.iter
                 (fun seed ->
                   let spec = f.Corpus.spec ~seed n in
+                  let before = (Store.stats store).Store.st_girth in
                   let t0 = Lll_local.Metrics.now_ns () in
                   let _, source = Store.fetch store spec in
                   let ms = float_of_int (Lll_local.Metrics.now_ns () - t0) /. 1e6 in
                   Format.printf "%-18s n=%-6d seed=%d %-5s %7.1f ms  %s@." f.Corpus.name n
                     seed
                     (match source with `Mem -> "mem" | `Disk -> "disk" | `Built -> "built")
-                    ms (Spec.digest spec))
+                    ms (Spec.digest spec);
+                  (* girth-sampler work of this fetch: the store's
+                     running totals before and after *)
+                  let after = (Store.stats store).Store.st_girth in
+                  let delta field = field after - field before in
+                  if delta (fun g -> g.Gen.gs_attempts) > 0 then
+                    Format.printf
+                      "girth-sample: n=%d girth=%d restarts=%d swaps=%d reverts=%d \
+                       rejects=%d@."
+                      (Spec.size spec)
+                      (match spec with Spec.Sinkless { girth; _ } -> girth | _ -> 0)
+                      (delta (fun g -> g.Gen.gs_attempts))
+                      (delta (fun g -> g.Gen.gs_swaps))
+                      (delta (fun g -> g.Gen.gs_reverts))
+                      (delta (fun g -> g.Gen.gs_rejects)))
                 seeds)
             grid)
         families;
-      (* girth-sampler cost per (n, girth), surfaced from the metrics
-         sink the store records generation work into *)
-      List.iter
-        (fun (r : Lll_local.Metrics.round_record) ->
-          if r.Lll_local.Metrics.phase = "girth-sample" then
-            Format.printf
-              "girth-sample: n=%d girth=%d restarts=%d swaps=%d reverts=%d rejects=%d \
-               (%.1f ms)@."
-              r.Lll_local.Metrics.state_words r.Lll_local.Metrics.round
-              r.Lll_local.Metrics.stepped r.Lll_local.Metrics.messages
-              r.Lll_local.Metrics.max_inbox r.Lll_local.Metrics.arena_occupancy
-              (float_of_int r.Lll_local.Metrics.wall_ns /. 1e6))
-        (Lll_local.Metrics.records sink);
       let st = Store.stats store in
       Format.printf "warm: %d built, %d disk hit(s), %d quarantined@." st.Store.st_built
         st.Store.st_disk_hits st.Store.st_quarantined

@@ -120,8 +120,6 @@ let recognize_sinkless inst =
       with Reject | Invalid_argument _ -> None)
     | _ -> None
 
-let sinkless_shape inst = Option.map (fun s -> s.graph) (recognize_sinkless inst)
-
 (* Orient edge [e] toward endpoint [t]: 0 points at the smaller
    endpoint, 1 at the larger (the [Sinkless] value convention). *)
 let orient g a e ~toward =

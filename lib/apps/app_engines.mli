@@ -32,7 +32,3 @@
 
 val ensure_registered : unit -> unit
 (** Register both engines (idempotent). *)
-
-val sinkless_shape : Lll_core.Instance.t -> Lll_graph.Graph.t option
-(** The reconstructed graph of a semantically recognised sinkless
-    instance (binary or ternary), for tests. *)

@@ -1,104 +1,15 @@
-(* Textual graph and hypergraph serialization.
+(* Textual weighted tables and the binary v3 container.
 
-   Graphs use the DIMACS edge-list convention (with 0-based vertices and
-   a "p edge <n> <m>" header); hypergraphs use an analogous "p hyper"
-   header with one "h <k> <v_1> ... <v_k>" line per hyperedge. Comments
-   start with 'c'. Round trips preserve the structures exactly up to
-   edge order (tested). *)
+   The text side is the "p wtable" block the LLL instance format embeds
+   ('c'/'#' comment lines allowed when parsed standalone); the binary
+   side is the checksummed sectioned container every artifact and graph
+   blob travels in, plus the graph codec on top of it. *)
 
 exception Parse_error of { line : int; message : string }
 
 let parse_fail line message = raise (Parse_error { line; message })
 
-(* ---- graphs ---- *)
-
-let graph_to_string g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "p edge %d %d\n" (Graph.n g) (Graph.m g));
-  Graph.iter_edges (fun _ u v -> Buffer.add_string buf (Printf.sprintf "e %d %d\n" u v)) g;
-  Buffer.contents buf
-
 let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let graph_of_string s =
-  let n = ref (-1) in
-  let edges = ref [] in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if line <> "" && line.[0] <> 'c' then begin
-        match tokens line with
-        | [ "p"; "edge"; nn; _m ] -> (
-          match int_of_string_opt nn with
-          | Some v -> n := v
-          | None -> parse_fail lineno "bad node count")
-        | [ "e"; u; v ] -> (
-          match (int_of_string_opt u, int_of_string_opt v) with
-          | Some u, Some v -> edges := (u, v) :: !edges
-          | _ -> parse_fail lineno "bad edge")
-        | _ -> parse_fail lineno (Printf.sprintf "unrecognised line %S" line)
-      end)
-    (String.split_on_char '\n' s);
-  if !n < 0 then parse_fail 0 "missing 'p edge' header";
-  Graph.create ~n:!n (List.rev !edges)
-
-let save_graph path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (graph_to_string g))
-
-let load_graph path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> graph_of_string (In_channel.input_all ic))
-
-(* ---- hypergraphs ---- *)
-
-let hypergraph_to_string h =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "p hyper %d %d\n" (Hypergraph.n h) (Hypergraph.m h));
-  Array.iter
-    (fun members ->
-      Buffer.add_string buf (Printf.sprintf "h %d" (Array.length members));
-      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %d" v)) members;
-      Buffer.add_char buf '\n')
-    (Hypergraph.edges h);
-  Buffer.contents buf
-
-let hypergraph_of_string s =
-  let n = ref (-1) in
-  let edges = ref [] in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if line <> "" && line.[0] <> 'c' then begin
-        match tokens line with
-        | [ "p"; "hyper"; nn; _m ] -> (
-          match int_of_string_opt nn with
-          | Some v -> n := v
-          | None -> parse_fail lineno "bad node count")
-        | "h" :: k :: members -> (
-          match int_of_string_opt k with
-          | Some k when List.length members = k ->
-            let members =
-              List.map
-                (fun t ->
-                  match int_of_string_opt t with
-                  | Some v -> v
-                  | None -> parse_fail lineno "bad member")
-                members
-            in
-            edges := members :: !edges
-          | _ -> parse_fail lineno "bad hyperedge arity")
-        | _ -> parse_fail lineno (Printf.sprintf "unrecognised line %S" line)
-      end)
-    (String.split_on_char '\n' s);
-  if !n < 0 then parse_fail 0 "missing 'p hyper' header";
-  Hypergraph.create ~n:!n (List.rev !edges)
 
 (* ---- weighted tables ----
 
@@ -232,54 +143,74 @@ module Bin = struct
 
   (* ---- byte sources ----
 
-     A reader decodes from a [source]: either an in-heap string (the
-     classic read path) or a window into an mmap-ed file
-     (Unix.map_file + Bigarray — the blob's bytes stay OS page cache
-     shared across every process mapping the same file, instead of a
-     per-process copy of the whole container). Windows carry an offset
-     and length so nested blobs (the DEPG graph container inside an
-     instance container) slice without copying in either
-     representation. *)
+     A reader decodes from a [source]: a window into a bigstring, which
+     is either an mmap-ed file (Unix.map_file + Bigarray — the blob's
+     bytes stay OS page cache shared across every process mapping the
+     same file, instead of a per-process copy of the whole container)
+     or a one-off copy of an in-heap blob. Windows carry an offset and
+     length so nested blobs (the DEPG graph container inside an
+     instance container) slice without copying. *)
 
   type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
   type big32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  (* [w32], when present, is a second mapping of the same file with
-     int32 elements: the checksum and the wide column decoders assemble
-     64-bit words from two 32-bit loads instead of eight byte loads. An
-     int32 view rather than int64 because [Int32.to_int] of a bigarray
-     load compiles to an unboxed native-int chain — an int64 rolling
-     loop would box a value per iteration. The view covers the largest
-     whole-u32 prefix of the file; reads near the tail fall back to the
-     byte path. *)
-  (* [wlim] is the largest file-absolute byte offset at which an 8-byte
+  (* [w32] is the same bytes viewed with int32 elements: the checksum
+     and the wide column decoders assemble 64-bit words from two 32-bit
+     loads instead of eight byte loads. An int32 view rather than int64
+     because [Int32.to_int] of a bigarray load compiles to an unboxed
+     native-int chain — an int64 rolling loop would box a value per
+     iteration. The view covers the largest whole-u32 prefix of the
+     bytes; reads near the tail fall back to the byte path. *)
+  (* [wlim] is the largest absolute byte offset at which an 8-byte
      word-view load is safe ([word_at]'s misaligned case peeks one slot
-     past the window, hence the 12-byte slack); -1 when there is no
-     view. Precomputed so the per-read guard is one compare, not a
-     bigarray-dim load. *)
-  type source =
-    | Str of { s : string; off : int; len : int }
-    | Map of { buf : bigstring; w32 : big32 option; wlim : int; off : int; len : int }
+     past the window, hence the 12-byte slack); negative when the bytes
+     hold fewer than three slots. Precomputed so the per-read guard is
+     one compare, not a bigarray-dim load. *)
+  type source = { buf : bigstring; w32 : big32; wlim : int; off : int; len : int }
 
-  let source_of_string s = Str { s; off = 0; len = String.length s }
+  (* The u32 view is the same bigstring reinterpreted, not a second
+     mapping: a second mapping would be charged as another file-sized
+     block of custom out-of-heap memory and measurably accelerate major
+     GC during instance construction. The reinterpret is safe for
+     [unsafe_get], which compiles the element size from the static type
+     and never consults the header — but the header's [dim] still
+     counts BYTES, so every bounds guard on this view must derive the
+     slot count from [wlim], never from [Array1.dim]. *)
+  let of_bigstring (buf : bigstring) =
+    let len = Bigarray.Array1.dim buf in
+    { buf; w32 = (Obj.magic buf : big32); wlim = ((len lsr 2) lsl 2) - 12; off = 0; len }
 
-  let source_of_map buf =
-    Map { buf; w32 = None; wlim = -1; off = 0; len = Bigarray.Array1.dim buf }
+  let map_file path : bigstring =
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |]))
 
-  let src_length = function Str { len; _ } | Map { len; _ } -> len
+  let source_of_path path = of_bigstring (map_file path)
+
+  (* one copy into a fresh bigstring, four bytes per store through the
+     u32 view while whole slots remain *)
+  let source_of_string s =
+    let len = String.length s in
+    let src = of_bigstring (Bigarray.Array1.create Bigarray.char Bigarray.c_layout len) in
+    for j = 0 to (len lsr 2) - 1 do
+      Bigarray.Array1.unsafe_set src.w32 j (String.get_int32_ne s (j lsl 2))
+    done;
+    for i = (len lsr 2) lsl 2 to len - 1 do
+      Bigarray.Array1.unsafe_set src.buf i (String.unsafe_get s i)
+    done;
+    src
 
   (* all accessors are offset-relative to the window; the reader
      bounds-checks against its section limit before every call *)
-  let src_byte src i =
-    match src with
-    | Str { s; off; _ } -> Char.code (String.unsafe_get s (off + i))
-    | Map { buf; off; _ } -> Char.code (Bigarray.Array1.unsafe_get buf (off + i))
-
+  let src_byte src i = Char.code (Bigarray.Array1.unsafe_get src.buf (src.off + i))
   let src_char src i = Char.chr (src_byte src i)
 
-  (* the Map decoders assemble words from unsafe byte loads in native
-     int arithmetic — no boxed Int32/Int64 on the per-word hot path of
-     the checksum and the column decoders *)
+  (* the byte-path decoders assemble words from unsafe byte loads in
+     native int arithmetic — no boxed Int32/Int64 on the ragged tail
+     past [wlim] *)
   let map_u16 buf i =
     Char.code (Bigarray.Array1.unsafe_get buf i)
     lor (Char.code (Bigarray.Array1.unsafe_get buf (i + 1)) lsl 8)
@@ -293,7 +224,7 @@ module Bin = struct
   let u32_of (w : big32) j = Int32.to_int (Bigarray.Array1.unsafe_get w j) land 0xFFFF_FFFF
 
   (* Unaligned little-endian u32 load at byte offset [b]; the caller
-     guarantees the underlying u32 slots exist ([w32_ok]). *)
+     guarantees the underlying u32 slots exist (the [wlim] guard). *)
   let u32_at w b =
     let j = b lsr 2 in
     let a = (b land 3) lsl 3 in
@@ -316,154 +247,89 @@ module Bin = struct
       let hi = (c1 lsr a) lor (c2 lsl na land 0xFFFF_FFFF) in
       lo lor (hi lsl 32)
 
-  let src_u16 src i =
-    match src with
-    | Str { s; off; _ } -> String.get_uint16_le s (off + i)
-    | Map { buf; off; _ } -> map_u16 buf (off + i)
+  let src_u16 src i = map_u16 src.buf (src.off + i)
 
   (* sign-extend bit 31 in 63-bit native arithmetic; [lsl]/[asr] are
      right-associative in OCaml, so the shifts need explicit parens *)
   let sext32 v = (v lsl 31) asr 31
 
-  let src_i32 src i =
-    match src with
-    | Str { s; off; _ } -> Int32.to_int (String.get_int32_le s (off + i))
-    | Map { buf = _; w32 = Some w; wlim; off; _ } when off + i <= wlim ->
-      sext32 (u32_at w (off + i))
-    | Map { buf; off; _ } -> sext32 (map_u32 buf (off + i))
+  let src_i32 { buf; w32; wlim; off; _ } i =
+    if off + i <= wlim then sext32 (u32_at w32 (off + i)) else sext32 (map_u32 buf (off + i))
 
-  let src_i64 src i =
-    match src with
-    | Str { s; off; _ } -> Int64.to_int (String.get_int64_le s (off + i))
-    | Map { buf = _; w32 = Some w; wlim; off; _ } when off + i <= wlim ->
-      word_at w (off + i)
-    | Map { buf; off; _ } ->
+  let src_i64 { buf; w32; wlim; off; _ } i =
+    if off + i <= wlim then word_at w32 (off + i)
+    else
       (* low and high 32-bit halves; the [lsl 32] wraps exactly like
          [Int64.to_int]'s 63-bit truncation *)
       map_i64 buf (off + i)
 
-  let src_sub src pos len =
-    match src with
-    | Str { s; off; _ } -> Str { s; off = off + pos; len }
-    | Map { buf; w32; wlim; off; _ } -> Map { buf; w32; wlim; off = off + pos; len }
+  let src_sub src pos len = { src with off = src.off + pos; len }
 
-  let src_string src pos len =
-    match src with
-    | Str { s; off; _ } -> String.sub s (off + pos) len
-    | Map { buf; w32; wlim; off; _ } ->
-      (* manual loop rather than [String.init]: no closure call per byte;
-         copy in u32 chunks while the view covers the span, byte tail
-         after *)
-      let b = Bytes.create len in
-      let base = off + pos in
-      let i0 =
-        match w32 with
-        | Some w when len >= 4 && base <= wlim ->
-          let nw = min (len lsr 2) (((wlim - base) lsr 2) + 1) in
-          for k = 0 to nw - 1 do
-            let d = k lsl 2 in
-            Bytes.set_int32_le b d (Int32.of_int (u32_at w (base + d)))
-          done;
-          nw lsl 2
-        | _ -> 0
-      in
-      for i = i0 to len - 1 do
-        Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get buf (base + i))
-      done;
-      Bytes.unsafe_to_string b
-
-  let map_file path : bigstring =
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |]))
-
-  (* Map the file twice — byte elements for the tail/odd accessors and
-     int64 elements over the whole-word prefix for the bulk loops. Both
-     mappings share the same page-cache pages. *)
-  let source_of_path path =
-    let buf = map_file path in
-    let len = Bigarray.Array1.dim buf in
-    let slots = len / 4 in
-    (* The u32 view is the same mapping reinterpreted, not a second
-       [map_file]: a second mapping would be charged as another
-       file-sized block of custom out-of-heap memory and measurably
-       accelerate major GC during instance construction. The reinterpret
-       is safe for [unsafe_get], which compiles the element size from
-       the static type and never consults the header — but the header's
-       [dim] still counts BYTES, so every bounds guard on this view must
-       derive the slot count from [wlim], never from [Array1.dim]. *)
-    let w32 : big32 option = if slots = 0 then None else Some (Obj.magic buf : big32) in
-    Map { buf; w32; wlim = (slots lsl 2) - 12; off = 0; len }
+  let src_string { buf; w32; wlim; off; _ } pos len =
+    (* manual loop rather than [String.init]: no closure call per byte;
+       copy in u32 chunks while the view covers the span, byte tail
+       after *)
+    let b = Bytes.create len in
+    let base = off + pos in
+    let i0 =
+      if len >= 4 && base <= wlim then begin
+        let nw = min (len lsr 2) (((wlim - base) lsr 2) + 1) in
+        for k = 0 to nw - 1 do
+          let d = k lsl 2 in
+          Bytes.set_int32_le b d (Int32.of_int (u32_at w32 (base + d)))
+        done;
+        nw lsl 2
+      end
+      else 0
+    in
+    for i = i0 to len - 1 do
+      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get buf (base + i))
+    done;
+    Bytes.unsafe_to_string b
 
   let mix h w = ((h lsl 5) + h) lxor w
 
-  let checksum_tail src pos len h0 =
-    let h = ref h0 in
-    for i = pos to pos + len - 1 do
-      h := mix !h (src_byte src i)
-    done;
-    !h
-
-  let checksum_src src pos len =
+  let checksum_src { buf; w32 = w; wlim; off; _ } pos len =
     let words = len / 8 in
     let h = ref 0x1505 in
-    (match src with
-    | Str { s; off; _ } ->
-      let base = off + pos in
-      for i = 0 to words - 1 do
-        h := mix !h (Int64.to_int (String.get_int64_le s (base + (8 * i))))
+    let base = off + pos in
+    (* as many whole 64-bit words as the u32 view can serve (the run
+       may stop short when the region ends inside the ragged tail); the
+       rest byte-assembles below with the same mixing schedule. Slot
+       count comes from [wlim]: the view is a reinterpreted byte
+       bigstring whose [dim] counts bytes. *)
+    let slots = (wlim + 12) lsr 2 in
+    let j0 = base lsr 2 in
+    let avail = slots - j0 - (if base land 3 = 0 then 0 else 1) in
+    let fast = max 0 (min words (avail / 2)) in
+    if base land 3 = 0 then
+      for k = 0 to fast - 1 do
+        let j = j0 + (2 * k) in
+        h := mix !h (u32_of w j lor (u32_of w (j + 1) lsl 32))
       done
-    | Map { buf; w32; wlim; off; _ } ->
-      let base = off + pos in
-      (* as many whole 64-bit words as the u32 view can serve (the run
-         may stop short when the region ends inside the file's ragged
-         tail); the rest byte-assembles below so the mixing schedule —
-         and hence the hash — matches the Str path exactly. Slot count
-         comes from [wlim]: the view may be a reinterpreted byte
-         mapping whose [dim] counts bytes. *)
-      let fast =
-        match w32 with
-        | None -> 0
-        | Some _ ->
-          let slots = (wlim + 12) lsr 2 in
-          let j0 = base lsr 2 in
-          let avail = slots - j0 - (if base land 3 = 0 then 0 else 1) in
-          max 0 (min words (avail / 2))
-      in
-      (match w32 with
-      | Some w when fast > 0 ->
-        let j0 = base lsr 2 in
-        if base land 3 = 0 then
-          for k = 0 to fast - 1 do
-            let j = j0 + (2 * k) in
-            h := mix !h (u32_of w j lor (u32_of w (j + 1) lsl 32))
-          done
-        else begin
-          (* misaligned: roll a window of adjacent u32 slots so each
-             iteration costs two loads — all native-int arithmetic *)
-          let a = (base land 3) lsl 3 in
-          let na = 32 - a in
-          let prev = ref (u32_of w j0) in
-          for k = 0 to fast - 1 do
-            let j = j0 + (2 * k) in
-            let c1 = u32_of w (j + 1) in
-            let c2 = u32_of w (j + 2) in
-            let lo = (!prev lsr a) lor (c1 lsl na land 0xFFFF_FFFF) in
-            let hi = (c1 lsr a) lor (c2 lsl na land 0xFFFF_FFFF) in
-            h := mix !h (lo lor (hi lsl 32));
-            prev := c2
-          done
-        end
-      | _ -> ());
-      for i = fast to words - 1 do
-        h := mix !h (map_i64 buf (base + (8 * i)))
-      done);
-    checksum_tail src (pos + (8 * words)) (len - (8 * words)) !h land max_int
-
-  let checksum data pos len = checksum_src (source_of_string data) pos len
+    else if fast > 0 then begin
+      (* misaligned: roll a window of adjacent u32 slots so each
+         iteration costs two loads — all native-int arithmetic *)
+      let a = (base land 3) lsl 3 in
+      let na = 32 - a in
+      let prev = ref (u32_of w j0) in
+      for k = 0 to fast - 1 do
+        let j = j0 + (2 * k) in
+        let c1 = u32_of w (j + 1) in
+        let c2 = u32_of w (j + 2) in
+        let lo = (!prev lsr a) lor (c1 lsl na land 0xFFFF_FFFF) in
+        let hi = (c1 lsr a) lor (c2 lsl na land 0xFFFF_FFFF) in
+        h := mix !h (lo lor (hi lsl 32));
+        prev := c2
+      done
+    end;
+    for i = fast to words - 1 do
+      h := mix !h (map_i64 buf (base + (8 * i)))
+    done;
+    for i = base + (8 * words) to base + len - 1 do
+      h := mix !h (Char.code (Bigarray.Array1.unsafe_get buf i))
+    done;
+    !h land max_int
 
   (* -- writer -- *)
 
@@ -580,7 +446,7 @@ module Bin = struct
     buf_i64 h format_version;
     buf_i64 h (String.length w.w_kind);
     Buffer.add_string h w.w_kind;
-    buf_i64 h (checksum payload 0 (String.length payload));
+    buf_i64 h (checksum_src (source_of_string payload) 0 (String.length payload));
     Buffer.add_string h payload;
     Buffer.contents h
 
@@ -595,21 +461,8 @@ module Bin = struct
     mutable r_rat : (int * int * Lll_num.Rat.t) option; (* last small rational *)
   }
 
-  let kind_of_string data =
-    let len = String.length data in
-    if len < 4 || String.sub data 0 4 <> magic then None
-    else begin
-      let pos = 4 in
-      if pos + 16 > len then None
-      else begin
-        let klen = Int64.to_int (String.get_int64_le data (pos + 8)) in
-        if klen < 0 || pos + 16 + klen > len then None
-        else Some (String.sub data (pos + 16) klen)
-      end
-    end
-
-  let open_reader_src ~kind src =
-    let len = src_length src in
+  let open_reader ~kind src =
+    let len = src.len in
     if len < 4 || src_string src 0 4 <> magic then corrupt "bad magic";
     let pos = ref 4 in
     let rd_i64 what =
@@ -654,14 +507,6 @@ module Bin = struct
       r_next = List.rev !sections;
       r_rat = None;
     }
-
-  let open_reader ~kind data = open_reader_src ~kind (source_of_string data)
-
-  (* Map the container at [path] and open a reader over the mapping:
-     the checksum pass touches each page once, but the bytes stay in the
-     OS page cache — no per-process copy of the whole file, and repeat
-     loads of a warm file skip the read(2) traffic entirely. *)
-  let load_mmap ~kind path = open_reader_src ~kind (source_of_path path)
 
   (* A cheap identity for a container file without decoding (or even
      reading) its payload: kind, stored checksum, and byte length pulled
@@ -722,22 +567,22 @@ module Bin = struct
       corrupt "section %s: truncated array" r.r_cur_tag;
     let base = r.r_pos in
     let data = r.r_data in
-    (* hoist the representation dispatch out of the per-element closure;
-       wide columns on a mapped file decode with one or two word loads
-       per element instead of four or eight byte loads *)
-    (* elements whose u32-view loads stay inside the file's whole-slot
-       prefix; the handful at the ragged tail (if any) take the byte
-       path. [word_at]'s misaligned case peeks one slot past the 8-byte
+    let { w32 = w; wlim; off; _ } = data in
+    (* wide columns decode with one or two word loads per element
+       instead of four or eight byte loads *)
+    (* elements whose u32-view loads stay inside the whole-slot prefix;
+       the handful at the ragged tail (if any) take the byte path.
+       [word_at]'s misaligned case peeks one slot past the 8-byte
        window, hence the 12-byte slack already folded into [wlim]. *)
     let n_fast wlim b0 stride need =
       let limit = wlim + 12 - need - b0 in
       if limit < 0 then 0 else min n ((limit / stride) + 1)
     in
     let a =
-      match (width, data) with
-      | 1, _ -> Array.init n (fun i -> src_byte data (base + i))
-      | 2, _ -> Array.init n (fun i -> src_u16 data (base + (2 * i)))
-      | 4, Map { buf = _; w32 = Some w; wlim; off; _ } ->
+      match width with
+      | 1 -> Array.init n (fun i -> src_byte data (base + i))
+      | 2 -> Array.init n (fun i -> src_u16 data (base + (2 * i)))
+      | 4 ->
         (* stride 4 walks consecutive u32 slots: one load per element
            when aligned, a rolled two-slot window (still one fresh load
            per element) when not *)
@@ -765,13 +610,11 @@ module Bin = struct
           arr.(i) <- src_i32 data (base + (4 * i))
         done;
         if n = 0 then [||] else arr
-      | 4, _ -> Array.init n (fun i -> src_i32 data (base + (4 * i)))
-      | _, Map { buf = _; w32 = Some w; wlim; off; _ } ->
+      | _ ->
         let b0 = off + base in
         let nf = n_fast wlim b0 8 12 in
         Array.init n (fun i ->
             if i < nf then word_at w (b0 + (8 * i)) else src_i64 data (base + (8 * i)))
-      | _, _ -> Array.init n (fun i -> src_i64 data (base + (8 * i)))
     in
     r.r_pos <- base + (n * width);
     a
@@ -826,9 +669,8 @@ module Bin = struct
     let filled = ref 0 in
     (* Probability columns are long sequences of fixed-size 25-byte
        small-rational run records (run i64, tag '\000', num i64, den
-       i64). Decode those with the representation dispatch hoisted out
-       of the loop — the same treatment wide columns get in
-       [read_int_array] — and fall back to the generic reader for
+       i64). Decode those straight off the u32 view — the same
+       treatment wide columns get in [read_int_array] — and fall back to the generic reader for
        big-integer entries, truncated tails and foreign tags, which all
        raise the same [Corrupt] they always did. *)
     let store run nv dv =
@@ -854,43 +696,26 @@ module Bin = struct
       Array.fill a !filled run q;
       filled := !filled + run
     in
-    (match r.r_data with
-    | Str { s; off; _ } ->
-      while !filled < n do
-        let p = off + r.r_pos in
-        if r.r_pos + 25 <= r.r_limit && String.unsafe_get s (p + 8) = '\000' then begin
-          let run = Int64.to_int (String.get_int64_le s p) in
-          let nv = Int64.to_int (String.get_int64_le s (p + 9)) in
-          let dv = Int64.to_int (String.get_int64_le s (p + 17)) in
-          r.r_pos <- r.r_pos + 25;
-          store run nv dv
-        end
-        else generic ()
-      done
-    | Map { buf; w32 = Some w; wlim; off; _ } ->
-      while !filled < n do
-        let p = off + r.r_pos in
-        (* p + 17 <= wlim keeps every [word_at] of the record inside the
-           u32 view (the 12-byte misaligned-peek slack is folded into
-           wlim); the tag byte sits below r_limit so the plain byte load
-           is in range *)
-        if
-          r.r_pos + 25 <= r.r_limit
-          && p + 17 <= wlim
-          && Bigarray.Array1.unsafe_get buf (p + 8) = '\000'
-        then begin
-          let run = word_at w p in
-          let nv = word_at w (p + 9) in
-          let dv = word_at w (p + 17) in
-          r.r_pos <- r.r_pos + 25;
-          store run nv dv
-        end
-        else generic ()
-      done
-    | Map _ ->
-      while !filled < n do
-        generic ()
-      done);
+    let { buf; w32 = w; wlim; off; _ } = r.r_data in
+    while !filled < n do
+      let p = off + r.r_pos in
+      (* p + 17 <= wlim keeps every [word_at] of the record inside the
+         u32 view (the 12-byte misaligned-peek slack is folded into
+         wlim); the tag byte sits below r_limit so the plain byte load
+         is in range *)
+      if
+        r.r_pos + 25 <= r.r_limit
+        && p + 17 <= wlim
+        && Bigarray.Array1.unsafe_get buf (p + 8) = '\000'
+      then begin
+        let run = word_at w p in
+        let nv = word_at w (p + 9) in
+        let dv = word_at w (p + 17) in
+        r.r_pos <- r.r_pos + 25;
+        store run nv dv
+      end
+      else generic ()
+    done;
     a
 
   let close r =
@@ -927,7 +752,7 @@ let graph_to_binary g =
   Bin.contents w
 
 let graph_of_binary_src src =
-  let r = Bin.open_reader_src ~kind:graph_bin_kind src in
+  let r = Bin.open_reader ~kind:graph_bin_kind src in
   Bin.enter r "GRPH";
   let n = Bin.read_int r in
   Bin.enter r "EDGE";
@@ -952,32 +777,3 @@ let graph_of_binary_src src =
         csr_edge_ids = eid;
       }
   with Invalid_argument msg -> raise (Bin.Corrupt msg)
-
-let graph_of_binary s = graph_of_binary_src (Bin.source_of_string s)
-
-let load_graph_mmap path =
-  graph_of_binary_src (Bin.source_of_path path)
-
-let save_graph_binary path g =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (graph_to_binary g))
-
-let load_graph_binary path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> graph_of_binary (In_channel.input_all ic))
-
-let save_hypergraph path h =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (hypergraph_to_string h))
-
-let load_hypergraph path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> hypergraph_of_string (In_channel.input_all ic))

@@ -1,19 +1,7 @@
-(** DIMACS-style textual serialization of graphs and hypergraphs
-    (0-based vertices, 'c' comment lines). *)
+(** Textual weighted tables (the "p wtable" block of the LLL instance
+    format) and the binary v3 container with its graph codec. *)
 
 exception Parse_error of { line : int; message : string }
-
-val graph_to_string : Graph.t -> string
-val graph_of_string : string -> Graph.t
-(** @raise Parse_error on malformed input. *)
-
-val save_graph : string -> Graph.t -> unit
-val load_graph : string -> Graph.t
-
-val hypergraph_to_string : Hypergraph.t -> string
-val hypergraph_of_string : string -> Hypergraph.t
-val save_hypergraph : string -> Hypergraph.t -> unit
-val load_hypergraph : string -> Hypergraph.t
 
 type weighted_table = {
   arities : int array;
@@ -49,8 +37,6 @@ module Bin : sig
       kind mismatch, truncated section, checksum mismatch, or a decoder
       running past its section. *)
 
-  val format_version : int
-
   type writer
 
   val make_writer : kind:string -> writer
@@ -74,54 +60,33 @@ module Bin : sig
   val contents : writer -> string
   (** Assemble header + checksum + sections into the final blob. *)
 
-  type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
   type source
-  (** Bytes a reader decodes from: an in-heap string or a window into an
-      mmap-ed file. Windows slice without copying, so nested containers
-      decode zero-copy in both representations. *)
-
-  val source_of_string : string -> source
-  val source_of_map : bigstring -> source
+  (** Bytes a reader decodes from: a window into a bigstring carrying a
+      u32 word view over its whole-slot prefix, so the checksum and the
+      wide column decoders read unboxed words instead of assembling
+      bytes. Windows slice without copying, so nested containers decode
+      zero-copy. *)
 
   val source_of_path : string -> source
-  (** Map the file read-only and return it as a source. The single
-      mapping also carries a u32 word view over its whole-slot prefix,
-      so the checksum and the wide column decoders read unboxed words
-      instead of assembling bytes; prefer this over
-      [source_of_map (map_file path)], which only gets byte loads.
+  (** Map the file read-only: the checksum pass touches each page once,
+      but the bytes stay in the OS page cache, shared with every process
+      mapping the same file — no per-process copy of the container.
       @raise Unix.Unix_error on an unreadable path. *)
 
-  val map_file : string -> bigstring
-  (** Map a file read-only ([Unix.map_file], private mapping). The
-      descriptor is closed before returning; the mapping lives until the
-      bigarray is collected. *)
+  val source_of_string : string -> source
+  (** Copy an in-heap blob (a frame body, a freshly written container)
+      once into a fresh bigstring. *)
 
   type reader
 
-  val open_reader : kind:string -> string -> reader
+  val open_reader : kind:string -> source -> reader
   (** Validate magic, version, kind, section bounds and checksum.
       @raise Corrupt on any violation. *)
-
-  val open_reader_src : kind:string -> source -> reader
-  (** {!open_reader} over any byte source. *)
-
-  val load_mmap : kind:string -> string -> reader
-  (** Map the container file at the path and open a reader over the
-      mapping: the checksum is still verified (touching each page once),
-      but the bytes are shared with the OS page cache rather than copied
-      into a per-process string.
-      @raise Corrupt on a malformed container, [Unix.Unix_error] on an
-      unreadable path. *)
 
   val fingerprint_file : string -> string option
   (** Cheap identity of a container file — kind, stored checksum and
       byte length from the fixed-layout header, no payload read. [None]
       when the file is missing or not a v3 container. *)
-
-  val kind_of_string : string -> string option
-  (** Peek at a blob's kind without validating the payload; [None] if
-      the data is not a v3 container. *)
 
   val enter : reader -> string -> unit
   (** Advance to the next section, which must carry the given tag and
@@ -145,17 +110,7 @@ end
 val graph_to_binary : Graph.t -> string
 (** v3 binary graph: raw CSR columns in a {!Bin} container. *)
 
-val graph_of_binary : string -> Graph.t
-(** Decode and structurally re-validate (via [Graph.of_csr]).
-    @raise Bin.Corrupt on malformed input. *)
-
 val graph_of_binary_src : Bin.source -> Graph.t
-(** {!graph_of_binary} over any byte source (e.g. a {!Bin.read_blob}
-    window or an mmap-ed file). *)
-
-val save_graph_binary : string -> Graph.t -> unit
-val load_graph_binary : string -> Graph.t
-
-val load_graph_mmap : string -> Graph.t
-(** Decode straight off a read-only mapping of the file — same
-    validation as {!load_graph_binary}, no in-heap copy of the blob. *)
+(** Decode and structurally re-validate (via [Graph.of_csr]) from any
+    byte source (e.g. a {!Bin.read_blob} window or a mapped file).
+    @raise Bin.Corrupt on malformed input. *)

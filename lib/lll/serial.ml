@@ -6,34 +6,24 @@
    exploding tables). Distributions are written as exact rationals
    ("n" or "n/d").
 
-   Two versions are understood (line oriented, '#' comments and blank
-   lines allowed):
-
-     lll-instance v1
-     vars <count>
-     var <id> <name> <arity> <p_0> <p_1> ... <p_{arity-1}>
-     events <count>
-     event <id> <name> <scope size> <v_1> ... <v_k> <bad count>
-     bad <x_1> ... <x_k>          (one line per bad tuple, scope order)
-
-   v2 replaces the bad-tuple list by the compiled weighted table of the
-   event (the "p wtable" block of {!Lll_graph.Serialize}): satisfying
-   tuples WITH their exact joint probabilities, emitted straight from the
-   space's table cache when available. The loader re-derives each weight
-   from the variable distributions and rejects any mismatch, so a v2
-   file is self-checking.
+   Each event is written as its compiled weighted table (the "p wtable"
+   block of {!Lll_graph.Serialize}): satisfying tuples WITH their exact
+   joint probabilities, emitted straight from the space's table cache
+   when available. The loader re-derives each weight from the variable
+   distributions and rejects any mismatch, so a file is self-checking.
+   Line oriented, '#' comments and blank lines allowed:
 
      lll-instance v2
-     ... var lines as in v1 ...
+     vars <count>
+     var <id> <name> <arity> <p_0> <p_1> ... <p_{arity-1}>
      events <count>
      event <id> <name> <scope size> <v_1> ... <v_k>
      p wtable <scope size> <row count>
      a <arity_1> ... <arity_k>
      w <x_1> ... <x_k> <weight>   (one line per satisfying tuple)
 
-   Emission writes v2; both versions load. Round trips exactly:
-   probabilities, scopes and satisfying sets are preserved verbatim
-   (tested). *)
+   Round trips exactly: probabilities, scopes and satisfying sets are
+   preserved verbatim (tested). *)
 
 module Rat = Lll_num.Rat
 module Var = Lll_prob.Var
@@ -139,11 +129,9 @@ let to_string instance =
   emit (Buffer.add_string buf) instance;
   Buffer.contents buf
 
-let write_instance oc instance = emit (output_string oc) instance
-
 let save path instance =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_instance oc instance)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> emit (output_string oc) instance)
 
 (* ---- parsing ---- *)
 
@@ -170,12 +158,9 @@ let parse_lines lines =
     | Some i -> i
     | None -> parse_fail !lineno (Printf.sprintf "expected integer, got %S" tok)
   in
-  let version =
-    match next_line () with
-    | "lll-instance v1" -> 1
-    | "lll-instance v2" -> 2
-    | l -> parse_fail !lineno (Printf.sprintf "bad header %S" l)
-  in
+  (match next_line () with
+  | "lll-instance v2" -> ()
+  | l -> parse_fail !lineno (Printf.sprintf "bad header %S" l));
   let nvars =
     match tokens_of_line (next_line ()) with
     | [ "vars"; n ] -> expect_int n
@@ -189,8 +174,12 @@ let parse_lines lines =
           if id <> i then parse_fail !lineno "variable ids must be consecutive";
           let arity = expect_int arity in
           if List.length probs <> arity then parse_fail !lineno "wrong number of probabilities";
-          let probs = Array.of_list (List.map Rat.of_string probs) in
-          Var.make ~id ~name probs
+          let prob tok =
+            try Rat.of_string tok
+            with Invalid_argument _ -> parse_fail !lineno (Printf.sprintf "bad probability %S" tok)
+          in
+          let probs = Array.of_list (List.map prob probs) in
+          (try Var.make ~id ~name probs with Invalid_argument msg -> parse_fail !lineno msg)
         | _ -> parse_fail !lineno "expected 'var ...'")
   in
   let nevents =
@@ -205,64 +194,40 @@ let parse_lines lines =
           let id = expect_int id in
           if id <> i then parse_fail !lineno "event ids must be consecutive";
           let k = expect_int k in
-          if version = 1 then begin
-            if List.length rest <> k + 1 then parse_fail !lineno "bad event line";
-            let scope =
-              Array.of_list (List.map expect_int (List.filteri (fun j _ -> j < k) rest))
-            in
-            let nbad = expect_int (List.nth rest k) in
-            let bad =
-              List.init nbad (fun _ ->
-                  match tokens_of_line (next_line ()) with
-                  | "bad" :: xs ->
-                    if List.length xs <> k then parse_fail !lineno "bad tuple arity";
-                    List.map expect_int xs
-                  | _ -> parse_fail !lineno "expected 'bad ...'")
-            in
-            Event.of_bad_set ~id ~name ~scope bad
-          end
-          else begin
-            if List.length rest <> k then parse_fail !lineno "bad event line";
-            let scope = Array.of_list (List.map expect_int rest) in
-            Array.iter
-              (fun v -> if v < 0 || v >= nvars then parse_fail !lineno "scope outside space")
-              scope;
-            let wt =
-              Serialize.weighted_table_of_lines ~next_line ~fail:(fun message ->
-                  Parse_error { line = !lineno; message })
-            in
-            if Array.length wt.Serialize.arities <> k then
-              parse_fail !lineno "wtable scope size mismatch";
-            Array.iteri
-              (fun j a ->
-                if a <> Var.arity vars.(scope.(j)) then
-                  parse_fail !lineno "wtable arity disagrees with variable")
-              wt.Serialize.arities;
-            (* weights are redundant given the distributions — re-derive
-               and reject any disagreement, making the file self-checking *)
-            List.iter
-              (fun (xs, w) ->
-                let expected = ref Rat.one in
-                Array.iteri
-                  (fun j x -> expected := Rat.mul !expected (Var.prob vars.(scope.(j)) x))
-                  xs;
-                if not (Rat.equal w !expected) then
-                  parse_fail !lineno "wtable weight disagrees with distributions")
-              wt.Serialize.rows;
-            Event.of_bad_set ~id ~name ~scope
-              (List.map (fun (xs, _) -> Array.to_list xs) wt.Serialize.rows)
-          end
+          if List.length rest <> k then parse_fail !lineno "bad event line";
+          let scope = Array.of_list (List.map expect_int rest) in
+          Array.iter
+            (fun v -> if v < 0 || v >= nvars then parse_fail !lineno "scope outside space")
+            scope;
+          let wt =
+            Serialize.weighted_table_of_lines ~next_line ~fail:(fun message ->
+                Parse_error { line = !lineno; message })
+          in
+          if Array.length wt.Serialize.arities <> k then
+            parse_fail !lineno "wtable scope size mismatch";
+          Array.iteri
+            (fun j a ->
+              if a <> Var.arity vars.(scope.(j)) then
+                parse_fail !lineno "wtable arity disagrees with variable")
+            wt.Serialize.arities;
+          (* weights are redundant given the distributions — re-derive
+             and reject any disagreement, making the file self-checking *)
+          List.iter
+            (fun (xs, w) ->
+              let expected = ref Rat.one in
+              Array.iteri
+                (fun j x -> expected := Rat.mul !expected (Var.prob vars.(scope.(j)) x))
+                xs;
+              if not (Rat.equal w !expected) then
+                parse_fail !lineno "wtable weight disagrees with distributions")
+            wt.Serialize.rows;
+          Event.of_bad_set ~id ~name ~scope
+            (List.map (fun (xs, _) -> Array.to_list xs) wt.Serialize.rows)
         | _ -> parse_fail !lineno "expected 'event ...'")
   in
   Instance.create (Space.create vars) events
 
 let of_string s = parse_lines (String.split_on_char '\n' s)
-
-let read_instance ic = of_string (In_channel.input_all ic)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_instance ic)
 
 (* ---- v3 binary format ----
 
@@ -274,7 +239,7 @@ let load path =
            encoded)
      DEPG  the dependency graph as a nested binary graph blob
 
-   Loading is the fast path the text formats cannot take: variables and
+   Loading is the fast path the text format cannot take: variables and
    events are rebuilt directly from the stored columns
    ([Event.of_table] re-derives strides and the sat bitmap and installs
    the bitmap as the event's predicate — the same closure replacement
@@ -337,7 +302,7 @@ let to_binary_string instance =
 let of_binary_source src =
   let corrupt msg = raise (Bin.Corrupt msg) in
   let guard f = try f () with Invalid_argument msg -> corrupt msg in
-  let r = Bin.open_reader_src ~kind:binary_kind src in
+  let r = Bin.open_reader ~kind:binary_kind src in
   Bin.enter r "VARS";
   let nvars = Bin.read_int r in
   if nvars < 0 then corrupt "negative variable count";
@@ -386,17 +351,15 @@ let save_binary path instance =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_binary_string instance))
 
-let load_binary path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_binary_string (In_channel.input_all ic))
-
 let is_binary s = String.length s >= 4 && String.sub s 0 4 = "LLL3"
 let of_any_string s = if is_binary s then of_binary_string s else of_string s
 
+(* binary containers are mapped, never read into the heap; only text
+   files are slurped *)
 let load_any path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_any_string (In_channel.input_all ic))
+  let text =
+    In_channel.with_open_bin path (fun ic ->
+        let head = really_input_string ic (min 4 (in_channel_length ic)) in
+        if is_binary head then None else Some (head ^ In_channel.input_all ic))
+  in
+  match text with None -> load_binary_mmap path | Some s -> of_string s

@@ -13,9 +13,6 @@ val of_string : string -> Instance.t
 (** @raise Parse_error on malformed input. *)
 
 val save : string -> Instance.t -> unit
-val load : string -> Instance.t
-val write_instance : out_channel -> Instance.t -> unit
-val read_instance : in_channel -> Instance.t
 
 val bad_tuples : Lll_prob.Space.t -> Lll_prob.Event.t -> int list list
 (** The value tuples (in scope order) on which the event occurs —
@@ -37,17 +34,16 @@ val to_binary_string : Instance.t -> string
 val of_binary_string : string -> Instance.t
 
 val of_binary_source : Lll_graph.Serialize.Bin.source -> Instance.t
-(** Decode from any byte source (string window or mmap). The nested
-    dependency-graph container decodes zero-copy out of the parent. *)
+(** Decode from any byte source (a copied blob or a mapped file). The
+    nested dependency-graph container decodes zero-copy out of the
+    parent. *)
 
 val save_binary : string -> Instance.t -> unit
-val load_binary : string -> Instance.t
 
 val load_binary_mmap : string -> Instance.t
-(** Load a [.lllbin] container straight off a read-only file mapping:
-    same checksum verification and structural validation as
-    {!load_binary}, without copying the container into a heap string —
-    the serving layer's cold-load path. *)
+(** Load a [.lllbin] container straight off a read-only file mapping,
+    without copying the container into a heap string — the store's
+    disk-tier path. *)
 
 val binary_fingerprint : string -> string option
 (** Cheap identity of a binary container file (kind, stored checksum,
@@ -59,7 +55,9 @@ val is_binary : string -> bool
 (** Does the blob (or a file's first bytes) carry the binary magic? *)
 
 val of_any_string : string -> Instance.t
-(** Dispatch on the magic: binary v3 or text v1/v2. *)
+(** Dispatch on the magic: binary v3 or text v2. *)
 
 val load_any : string -> Instance.t
-(** Load a file in either format (the CLI's default loader). *)
+(** Load a file in either format (the CLI's default loader): a binary
+    container through {!load_binary_mmap}, a text file through
+    {!of_string}. *)

@@ -35,8 +35,6 @@ let int_fields t = Array.length t.ints
 
 let float_fields t = Array.length t.floats
 
-let has_payload t = Array.length t.payload > 0
-
 let get_int t f v = t.ints.(f).(v)
 
 let set_int t f v x = t.ints.(f).(v) <- x
@@ -44,8 +42,6 @@ let set_int t f v x = t.ints.(f).(v) <- x
 let get_float t f v = t.floats.(f).(v)
 
 let set_float t f v x = t.floats.(f).(v) <- x
-
-let get_payload t v = t.payload.(v)
 
 let set_payload t v x = t.payload.(v) <- x
 

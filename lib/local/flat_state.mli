@@ -20,8 +20,6 @@ val int_fields : 'p t -> int
 
 val float_fields : 'p t -> int
 
-val has_payload : 'p t -> bool
-
 val get_int : 'p t -> int -> int -> int
 (** [get_int t field v] — row [v] of int column [field]. *)
 
@@ -30,8 +28,6 @@ val set_int : 'p t -> int -> int -> int -> unit
 val get_float : 'p t -> int -> int -> float
 
 val set_float : 'p t -> int -> int -> float -> unit
-
-val get_payload : 'p t -> int -> 'p
 
 val set_payload : 'p t -> int -> 'p -> unit
 

@@ -12,12 +12,9 @@ type round_record = {
   round : int;  (* round index within its runtime invocation *)
   phase : string;  (* caller-set label, e.g. "coloring" / "sweep" *)
   wall_ns : int;  (* wall-clock nanoseconds spent on the round *)
-  messages : int;  (* messages sent this round (0 for full-info rounds) *)
   stepped : int;  (* nodes that executed their step function *)
   halted_fraction : float;  (* fraction of nodes halted after the round *)
   state_words : int;  (* heap words of a sampled node state (size proxy) *)
-  max_inbox : int;  (* largest inbox consumed this round (0 for full-info) *)
-  arena_occupancy : int;  (* message-arena capacity in slots (0 when unused) *)
   par_width : int;  (* domains driving the round / sweep (0 = sequential unit) *)
 }
 
@@ -55,14 +52,11 @@ let step_record ~phase ~round ~total ~wall_ns ~state =
     round;
     phase;
     wall_ns;
-    messages = 0;
     stepped = 1;
     halted_fraction = (if total = 0 then 1. else float_of_int (round + 1) /. float_of_int total);
     state_words =
       (let r = Obj.repr state in
        if Obj.is_int r then 0 else Obj.reachable_words r);
-    max_inbox = 0;
-    arena_occupancy = 0;
     par_width = 0;
   }
 
@@ -81,12 +75,9 @@ let sweep_record ~phase ~round ~total ~wall_ns ~width ~domains =
     round;
     phase;
     wall_ns;
-    messages = 0;
     stepped = width;
     halted_fraction = (if total = 0 then 1. else float_of_int (round + 1) /. float_of_int total);
     state_words = 0;
-    max_inbox = 0;
-    arena_occupancy = 0;
     par_width = domains;
   }
 
@@ -126,9 +117,8 @@ let escape s =
 
 let record_to_json r =
   Printf.sprintf
-    "{\"round\":%d,\"phase\":\"%s\",\"wall_ns\":%d,\"messages\":%d,\"stepped\":%d,\"halted_fraction\":%.6f,\"state_words\":%d,\"max_inbox\":%d,\"arena_occupancy\":%d,\"par_width\":%d}"
-    r.round (escape r.phase) r.wall_ns r.messages r.stepped r.halted_fraction r.state_words
-    r.max_inbox r.arena_occupancy r.par_width
+    "{\"round\":%d,\"phase\":\"%s\",\"wall_ns\":%d,\"stepped\":%d,\"halted_fraction\":%.6f,\"state_words\":%d,\"par_width\":%d}"
+    r.round (escape r.phase) r.wall_ns r.stepped r.halted_fraction r.state_words r.par_width
 
 let to_json recs =
   let b = Stdlib.Buffer.create 4096 in
@@ -151,12 +141,11 @@ let write_json path recs =
 let total_wall_ns recs = List.fold_left (fun acc r -> acc + r.wall_ns) 0 recs
 
 let pp fmt recs =
-  Format.fprintf fmt "%-6s %-14s %10s %10s %10s %8s %12s %9s %9s %5s@." "round" "phase" "wall_us"
-    "messages" "stepped" "halted" "state_words" "max_inbox" "arena" "par";
+  Format.fprintf fmt "%-6s %-14s %10s %10s %8s %12s %5s@." "round" "phase" "wall_us" "stepped"
+    "halted" "state_words" "par";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-6d %-14s %10.1f %10d %10d %8.3f %12d %9d %9d %5d@." r.round r.phase
+      Format.fprintf fmt "%-6d %-14s %10.1f %10d %8.3f %12d %5d@." r.round r.phase
         (float_of_int r.wall_ns /. 1e3)
-        r.messages r.stepped r.halted_fraction r.state_words r.max_inbox r.arena_occupancy
-        r.par_width)
+        r.stepped r.halted_fraction r.state_words r.par_width)
     recs

@@ -5,12 +5,9 @@ type round_record = {
   round : int;  (** round index within its runtime invocation *)
   phase : string;  (** caller-set label, e.g. ["coloring"] / ["sweep"] *)
   wall_ns : int;  (** wall-clock nanoseconds spent on the round *)
-  messages : int;  (** messages sent this round (0 for full-info rounds) *)
   stepped : int;  (** nodes that executed their step function *)
   halted_fraction : float;  (** fraction of nodes halted after the round *)
   state_words : int;  (** heap words of a sampled node state (size proxy) *)
-  max_inbox : int;  (** largest inbox consumed this round (0 for full-info) *)
-  arena_occupancy : int;  (** message-arena capacity in slots (0 when unused) *)
   par_width : int;
       (** domains driving the round or sweep; [0] for sequential units
           recorded via {!record_step} *)
@@ -39,7 +36,7 @@ val record : sink -> round_record -> unit
 val record_step : sink -> round:int -> total:int -> wall_ns:int -> state:'a -> unit
 (** Record one *sequential* unit of work (a fixing step, say) in the same
     shape as a runtime round, so serial and distributed runs dump
-    comparable JSON: one node stepped, no messages, halted fraction
+    comparable JSON: one node stepped, halted fraction
     [round+1 / total], phase taken from the sink. No-op when disabled. *)
 
 val record_sweep :

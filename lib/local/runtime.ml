@@ -46,8 +46,7 @@ let neighbor_index net =
 let effective_domains ?domains n =
   min (match domains with Some d -> max 1 d | None -> Par.default_domains ()) (max 1 n)
 
-(* One metrics record per round. Full-information rounds send no
-   messages, so the message fields of the record read 0. *)
+(* One metrics record per round. *)
 let emit metrics ~round ~t0 ~stepped ~halted_count ~n ~sample ~par_width =
   if Metrics.enabled metrics then
     Metrics.record metrics
@@ -55,12 +54,9 @@ let emit metrics ~round ~t0 ~stepped ~halted_count ~n ~sample ~par_width =
         Metrics.round;
         phase = Metrics.phase metrics;
         wall_ns = Metrics.now_ns () - t0;
-        messages = 0;
         stepped;
         halted_fraction = (if n = 0 then 1.0 else float_of_int halted_count /. float_of_int n);
         state_words = Metrics.state_words sample;
-        max_inbox = 0;
-        arena_occupancy = 0;
         par_width;
       }
 

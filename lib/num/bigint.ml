@@ -302,9 +302,10 @@ let of_string s =
   if len = 0 then invalid_arg "Bigint.of_string: empty";
   let sign, start = match s.[0] with '-' -> (-1, 1) | '+' -> (1, 1) | _ -> (1, 0) in
   if start >= len then invalid_arg "Bigint.of_string: no digits";
-  String.iter
-    (fun c -> if not (c >= '0' && c <= '9' || c = '-' || c = '+') then invalid_arg "Bigint.of_string: bad char")
-    s;
+  (* a sign is accepted only in the first position *)
+  for i = start to len - 1 do
+    if not (s.[i] >= '0' && s.[i] <= '9') then invalid_arg "Bigint.of_string: bad char"
+  done;
   (* parse 9 digits at a time from the right *)
   let ndigits = len - start in
   let nlimbs = (ndigits + base_digits - 1) / base_digits in

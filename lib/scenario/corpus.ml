@@ -104,9 +104,3 @@ let find name = List.find_opt (fun f -> f.name = name) all
    the grid costs seconds, not minutes. *)
 let default_grid = [ 24; 48; 96; 480; 960 ]
 let default_seeds = [ 1; 2 ]
-
-(* Offline growth grid (experiment t16, BENCH_pr10): same families, one
-   decade further. Sinkless/ring sustain 96000 in seconds from a warm
-   store; the synthetic hypergraph families stop at 9600 because the
-   exact-table compile, not the store, dominates beyond that. *)
-let deep_grid = [ 24; 48; 96; 480; 960; 9600 ]

@@ -43,7 +43,3 @@ val default_grid : int list
     {!Run.heavy_cutoff}. *)
 
 val default_seeds : int list
-
-val deep_grid : int list
-(** The offline growth grid (experiment t16 and the PR 10 bench
-    report); a full decade beyond {!default_grid}'s top. *)

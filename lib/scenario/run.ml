@@ -29,12 +29,6 @@ type growth = Constant | Log_log | Log
 
 let growth_to_string = function Constant -> "O(1)" | Log_log -> "loglog" | Log -> "log"
 
-let growth_of_string = function
-  | "O(1)" -> Some Constant
-  | "loglog" -> Some Log_log
-  | "log" -> Some Log
-  | _ -> None
-
 type fit = {
   f_family : string;
   f_engine : string;

@@ -28,7 +28,6 @@ type growth = Constant | Log_log | Log
     threshold. *)
 
 val growth_to_string : growth -> string
-val growth_of_string : string -> growth option
 
 type fit = {
   f_family : string;

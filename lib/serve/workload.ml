@@ -2,7 +2,7 @@
 
    A request names an instance by generator spec (family + parameters —
    the same families the CLI generates), by uploading a serialized blob
-   (text v1/v2 or binary v3) in the frame body, or by a server-local
+   (text v2 or binary v3) in the frame body, or by a server-local
    [file=PATH] header. This module only maps frames onto store
    descriptions: canonicalisation, content keys, build and load logic
    all live in [Lll_store] (one codec, one acquisition path), so a

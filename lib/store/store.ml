@@ -27,7 +27,6 @@
 
 module Serial = Lll_core.Serial
 module Instance = Lll_core.Instance
-module Metrics = Lll_local.Metrics
 module Bin = Lll_graph.Serialize.Bin
 module Gen = Lll_graph.Generators
 
@@ -41,7 +40,6 @@ type descr =
 type t = {
   dir : string option;
   mem : Instance.t Memcache.t;
-  metrics : Metrics.sink;
   lock : Mutex.t; (* counters + girth totals *)
   girth : Gen.girth_stats; (* accumulated across every generation *)
   mutable built : int;
@@ -60,12 +58,11 @@ type stats = {
 
 type entry = { e_digest : string; e_spec : string option; e_bytes : int }
 
-let create ?dir ?(capacity = 32) ?(metrics = Metrics.disabled) () =
+let create ?dir ?(capacity = 32) () =
   Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
   {
     dir;
     mem = Memcache.create ~capacity;
-    metrics;
     lock = Mutex.create ();
     girth = Gen.fresh_girth_stats ();
     built = 0;
@@ -112,36 +109,20 @@ let quarantine t path =
   (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
   locked t (fun () -> t.quarantined <- t.quarantined + 1)
 
-(* Surface girth-sampler work through the metrics sink in round-record
-   shape (field mapping documented in store.mli): corpus-growth runs see
-   sampler cost per (n, girth) instead of it vanishing into wall-clock. *)
-let note_generation t spec gs wall_ns =
+(* girth-sampler work accumulates into [t.girth]; callers read it back
+   through [stats] *)
+let note_generation t (gs : Gen.girth_stats) =
   locked t (fun () ->
       t.built <- t.built + 1;
       t.girth.Gen.gs_attempts <- t.girth.Gen.gs_attempts + gs.Gen.gs_attempts;
       t.girth.Gen.gs_swaps <- t.girth.Gen.gs_swaps + gs.Gen.gs_swaps;
       t.girth.Gen.gs_reverts <- t.girth.Gen.gs_reverts + gs.Gen.gs_reverts;
-      t.girth.Gen.gs_rejects <- t.girth.Gen.gs_rejects + gs.Gen.gs_rejects);
-  if Metrics.enabled t.metrics && gs.Gen.gs_attempts > 0 then
-    Metrics.record t.metrics
-      {
-        Metrics.round = (match spec with Spec.Sinkless { girth; _ } -> girth | _ -> 0);
-        phase = "girth-sample";
-        wall_ns;
-        messages = gs.Gen.gs_swaps;
-        stepped = gs.Gen.gs_attempts;
-        halted_fraction = 0.;
-        state_words = Spec.size spec;
-        max_inbox = gs.Gen.gs_reverts;
-        arena_occupancy = gs.Gen.gs_rejects;
-        par_width = 0;
-      }
+      t.girth.Gen.gs_rejects <- t.girth.Gen.gs_rejects + gs.Gen.gs_rejects)
 
 let generate t spec =
   let gs = Gen.fresh_girth_stats () in
-  let t0 = Metrics.now_ns () in
   let inst = Spec.build ~gen_stats:gs spec in
-  note_generation t spec gs (Metrics.now_ns () - t0);
+  note_generation t gs;
   inst
 
 (* Tier 2 + 3 for a spec-described instance; runs inside the memcache's
@@ -196,44 +177,36 @@ let spec_of_artifact path =
   end
   else None
 
+let file_key path =
+  match Serial.binary_fingerprint path with
+  | Some fp -> "file-v3:" ^ fp
+  | None -> "file:" ^ Digest.to_hex (Digest.file path)
+
 let descr_key (_ : t) = function
   | Of_spec spec -> Spec.key spec
   | Of_blob blob -> Memcache.content_key blob
   | Of_file path -> (
-    match spec_of_artifact path with
-    | Some spec -> Spec.key spec
-    | None -> (
-      match Serial.binary_fingerprint path with
-      | Some fp -> "file-v3:" ^ fp
-      | None -> "file:" ^ Digest.to_hex (Digest.file path)))
+    match spec_of_artifact path with Some spec -> Spec.key spec | None -> file_key path)
+
+(* Blobs and non-artifact files use the memory tier only. *)
+let build_in_memory t ~key build =
+  let source = ref `Mem in
+  let inst, _ =
+    Memcache.find_or_build t.mem ~key ~build:(fun () ->
+        source := `Built;
+        build ())
+  in
+  (inst, !source)
 
 let fetch_descr t descr =
   match descr with
   | Of_spec spec -> fetch t spec
   | Of_blob blob ->
-    let source = ref `Mem in
-    let inst, _ =
-      Memcache.find_or_build t.mem ~key:(Memcache.content_key blob) ~build:(fun () ->
-          source := `Built;
-          Serial.of_any_string blob)
-    in
-    (inst, !source)
+    build_in_memory t ~key:(Memcache.content_key blob) (fun () -> Serial.of_any_string blob)
   | Of_file path -> (
     match spec_of_artifact path with
     | Some spec -> fetch t spec
-    | None ->
-      let source = ref `Mem in
-      let key, build =
-        match Serial.binary_fingerprint path with
-        | Some fp -> ("file-v3:" ^ fp, fun () -> Serial.load_binary_mmap path)
-        | None -> ("file:" ^ Digest.to_hex (Digest.file path), fun () -> Serial.load_any path)
-      in
-      let inst, _ =
-        Memcache.find_or_build t.mem ~key ~build:(fun () ->
-            source := `Built;
-            build ())
-      in
-      (inst, !source))
+    | None -> build_in_memory t ~key:(file_key path) (fun () -> Serial.load_any path))
 
 let require_dir t what =
   match t.dir with

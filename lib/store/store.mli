@@ -42,14 +42,11 @@ type entry = { e_digest : string; e_spec : string option; e_bytes : int }
 
 type gc_result = { gc_removed : int; gc_bytes : int; gc_kept : int }
 
-val create : ?dir:string -> ?capacity:int -> ?metrics:Lll_local.Metrics.sink -> unit -> t
+val create : ?dir:string -> ?capacity:int -> unit -> t
 (** [dir] is the artifact directory (created if missing); without it the
     store is memory-only (generation still runs build-once, nothing
-    persists). [capacity] bounds the memory tier. Generations that run
-    the girth sampler emit one [phase = "girth-sample"] record to
-    [metrics]: [round] = girth, [stepped] = restarts, [messages] =
-    accepted swaps, [max_inbox] = reverts, [arena_occupancy] = rejected
-    offers, [state_words] = n, [wall_ns] = generation time. *)
+    persists). [capacity] bounds the memory tier. Girth-sampler work
+    of every generation accumulates into {!stats}' [st_girth]. *)
 
 val dir : t -> string option
 

@@ -1178,7 +1178,7 @@ let test_serial_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Ser.save path inst;
-      let inst' = Ser.load path in
+      let inst' = Ser.load_any path in
       Alcotest.(check bool) "file roundtrip" true (instances_agree inst inst'))
 
 let test_serial_ignores_comments () =
@@ -1193,9 +1193,20 @@ let test_serial_rejects_garbage () =
      Alcotest.fail "accepted garbage"
    with Ser.Parse_error _ -> ());
   (try
-     ignore (Ser.of_string "lll-instance v1\nvars x\n");
+     ignore (Ser.of_string "lll-instance v2\nvars x\n");
      Alcotest.fail "accepted bad count"
-   with Ser.Parse_error _ -> ())
+   with Ser.Parse_error _ -> ());
+  (* regression: a sign inside a probability's digits ("--2" parsed to
+     a negative limb whose gcd never terminated) is a clean parse error *)
+  List.iter
+    (fun p ->
+      try
+        ignore
+          (Ser.of_any_string
+             (Printf.sprintf "lll-instance v2\nvars 1\nvar 0 x 2 %s 1/2\nevents 0\n" p));
+        Alcotest.fail ("accepted probability " ^ p)
+      with Ser.Parse_error _ -> ())
+    [ "1/--2"; "1-2"; "1/2-" ]
 
 let test_serial_v2_error_paths () =
   (* take an honest v2 rendering and corrupt it in each of the ways a
@@ -1292,7 +1303,8 @@ let test_serial_binary_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Ser.save_binary path inst;
-      Alcotest.(check bool) "load_binary" true (instances_agree inst (Ser.load_binary path));
+      Alcotest.(check bool) "load_binary_mmap" true
+        (instances_agree inst (Ser.load_binary_mmap path));
       Alcotest.(check bool) "load_any" true (instances_agree inst (Ser.load_any path)))
 
 let test_serial_binary_error_paths () =
@@ -1334,8 +1346,8 @@ let test_serial_binary_error_paths () =
     (Lll_graph.Serialize.graph_to_binary (Gen.cycle 6))
 
 let test_serial_binary_mmap () =
-  (* the mapped read path must decode the same instance as the slurp
-     path, report the same fingerprint, and reject damage just as
+  (* the mapped read path must decode the same instance as a copied
+     blob, report the same fingerprint, and reject damage just as
      loudly *)
   let inst = Syn.random ~seed:7 ~n:12 ~rank:3 ~delta:2 ~arity:4 () in
   let path = Filename.temp_file "lll_test" ".lllb" in
@@ -1344,7 +1356,9 @@ let test_serial_binary_mmap () =
     (fun () ->
       Ser.save_binary path inst;
       Alcotest.(check bool) "mmap agrees with read" true
-        (instances_agree (Ser.load_binary path) (Ser.load_binary_mmap path));
+        (instances_agree
+           (Ser.of_binary_string (In_channel.with_open_bin path In_channel.input_all))
+           (Ser.load_binary_mmap path));
       (match Ser.binary_fingerprint path with
       | None -> Alcotest.fail "no fingerprint for a binary file"
       | Some fp ->
@@ -1357,7 +1371,7 @@ let test_serial_binary_mmap () =
             Alcotest.(check (option string)) "copy fingerprints equal" (Some fp)
               (Ser.binary_fingerprint copy)));
       (* flip a payload byte on disk: the mapped load must raise the
-         same checksum Corrupt as the slurp load *)
+         same checksum Corrupt as a copied blob *)
       let blob = In_channel.with_open_bin path In_channel.input_all in
       let dmg = Bytes.of_string blob in
       let last = Bytes.length dmg - 1 in
@@ -1448,10 +1462,195 @@ let test_bin_mmap_negative_values () =
         Alcotest.(check bool) "rational" true (Lll_num.Rat.equal q (Bin.read_rat r));
         Bin.close r
       in
-      check_reader (Bin.load_mmap ~kind:"negs" path);
+      check_reader (Bin.open_reader ~kind:"negs" (Bin.source_of_path path));
       check_reader
         (Bin.open_reader ~kind:"negs"
-           (In_channel.with_open_bin path In_channel.input_all)))
+           (Bin.source_of_string (In_channel.with_open_bin path In_channel.input_all))))
+
+(* The container checksum, computed independently of [Bin]: djb2-xor
+   over the payload's 8-byte little-endian words, then its tail bytes. *)
+let reference_checksum payload =
+  let mix h w = ((h lsl 5) + h) lxor w in
+  let len = String.length payload in
+  let h = ref 0x1505 in
+  for i = 0 to (len / 8) - 1 do
+    h := mix !h (Int64.to_int (String.get_int64_le payload (8 * i)))
+  done;
+  for i = 8 * (len / 8) to len - 1 do
+    h := mix !h (Char.code payload.[i])
+  done;
+  !h land max_int
+
+(* A one-section container holding a single '\001' (decimal-string)
+   rational record, assembled byte by byte. *)
+let decimal_rat_container ns ds =
+  let i64 b v = Buffer.add_int64_le b (Int64.of_int v) in
+  let str b x =
+    i64 b (String.length x);
+    Buffer.add_string b x
+  in
+  let body = Buffer.create 32 in
+  Buffer.add_char body '\001';
+  str body ns;
+  str body ds;
+  let payload = Buffer.create 64 in
+  i64 payload 1;
+  str payload "QRAT";
+  str payload (Buffer.contents body);
+  let payload = Buffer.contents payload in
+  let b = Buffer.create 128 in
+  Buffer.add_string b "LLL3";
+  i64 b 3;
+  str b "rat";
+  i64 b (reference_checksum payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let test_bin_signed_digit_rational () =
+  let read ns ds =
+    let r = Bin.open_reader ~kind:"rat" (Bin.source_of_string (decimal_rat_container ns ds)) in
+    Bin.enter r "QRAT";
+    let q = Bin.read_rat r in
+    Bin.close r;
+    q
+  in
+  Alcotest.(check bool) "well-formed record decodes" true
+    (Lll_num.Rat.equal (Lll_num.Rat.of_ints (-2) 3) (read "-2" "3"));
+  List.iter
+    (fun (ns, ds) ->
+      try
+        ignore (read ns ds);
+        Alcotest.fail (Printf.sprintf "%s/%s accepted" ns ds)
+      with Bin.Corrupt _ -> ())
+    [ ("--2", "1"); ("1", "--2"); ("1-2", "3"); ("+-5", "1") ]
+
+(* One container case for the alignment property: a leading string that
+   shifts every later value, int columns of every packed width, and a
+   run-length rational column. Whichever of the two column sections
+   comes last ends the file, so its final values sit in the ragged tail
+   the u32 view does not cover. *)
+type bin_case = {
+  lead : string;
+  cols : int array list;
+  rats : Lll_num.Rat.t array;
+  rats_last : bool;
+}
+
+let write_bin_case c =
+  let w = Bin.make_writer ~kind:"align" in
+  Bin.section w "LEAD";
+  Bin.add_string w c.lead;
+  let cols () =
+    Bin.section w "COLS";
+    Bin.add_int w (List.length c.cols);
+    List.iter (Bin.add_int_array w) c.cols
+  in
+  let rats () =
+    Bin.section w "RATS";
+    Bin.add_rat_array w c.rats
+  in
+  if c.rats_last then (cols (); rats ()) else (rats (); cols ());
+  Bin.contents w
+
+let read_bin_case ~rats_last src =
+  let r = Bin.open_reader ~kind:"align" src in
+  Bin.enter r "LEAD";
+  let lead = Bin.read_string r in
+  let cols () =
+    Bin.enter r "COLS";
+    List.init (Bin.read_int r) (fun _ -> Bin.read_int_array r)
+  in
+  let rats () =
+    Bin.enter r "RATS";
+    Bin.read_rat_array r
+  in
+  let cols, rats =
+    if rats_last then
+      let c = cols () in
+      (c, rats ())
+    else
+      let q = rats () in
+      (cols (), q)
+  in
+  Bin.close r;
+  { lead; cols; rats; rats_last }
+
+let bin_case_equal a b =
+  a.lead = b.lead && a.cols = b.cols
+  && Array.length a.rats = Array.length b.rats
+  && Array.for_all2 Lll_num.Rat.equal a.rats b.rats
+
+let gen_bin_case =
+  let open QCheck.Gen in
+  let m32 = Int32.to_int Int32.min_int and x32 = Int32.to_int Int32.max_int in
+  (* each wider generator pins its column to one packed width: the
+     forced element is what needs that width *)
+  let column elt forced =
+    let* xs = array_size (int_range 1 25) elt in
+    let* f = forced in
+    let* at = int_range 0 (Array.length xs - 1) in
+    xs.(at) <- f;
+    return xs
+  in
+  let width1 = array_size (int_range 1 25) (int_range 0 255) in
+  let width2 = column (int_range 0 0xFFFF) (int_range 0x100 0xFFFF) in
+  let width4 =
+    column (int_range m32 x32) (oneofl [ m32; x32; -1; -70000; 0x1_0000 ])
+  in
+  let width8 =
+    column (oneof [ int; int_range m32 x32 ]) (oneofl [ min_int; max_int; x32 + 1; m32 - 1 ])
+  in
+  let big = Lll_num.Rat.of_string "123456789012345678901234567/7" in
+  let rat =
+    oneof
+      [
+        map2 (fun n d -> Lll_num.Rat.of_ints n d) (int_range (-50) 50) (int_range 1 9);
+        oneofl [ big; Lll_num.Rat.neg big; Lll_num.Rat.of_ints min_int 3 ];
+      ]
+  in
+  let* lead_len = int_range 0 13 in
+  let* lead = string_size ~gen:printable (return lead_len) in
+  let* cols = list_size (int_range 0 6) (oneof [ width1; width2; width4; width8; return [||] ]) in
+  let* runs = list_size (int_range 0 6) (pair (int_range 1 4) rat) in
+  let rats = Array.concat (List.map (fun (k, q) -> Array.make k q) runs) in
+  let* rats_last = bool in
+  return { lead; cols; rats; rats_last }
+
+(* Every case is written once and read three ways — from a copied
+   blob, from a mapped file, and as a nested window behind a random
+   pad (the window ends its outer container, so it ends in the same
+   ragged tail) — so values land at every offset modulo 4 and, with
+   random total lengths, past the u32 view's safe limit. *)
+let bin_alignment_law (pad, c) =
+  let blob = write_bin_case c in
+  let read_bin_case = read_bin_case ~rats_last:c.rats_last in
+  let path = Filename.temp_file "lll_align" ".bin" in
+  let mapped =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc blob);
+        read_bin_case (Bin.source_of_path path))
+  in
+  let outer =
+    let w = Bin.make_writer ~kind:"outer" in
+    Bin.section w "PAD";
+    Bin.add_string w pad;
+    Bin.section w "INNR";
+    Bin.add_string w blob;
+    Bin.contents w
+  in
+  let nested =
+    let r = Bin.open_reader ~kind:"outer" (Bin.source_of_string outer) in
+    Bin.enter r "PAD";
+    ignore (Bin.read_string r);
+    Bin.enter r "INNR";
+    let window = Bin.read_blob r in
+    Bin.close r;
+    read_bin_case window
+  in
+  bin_case_equal c (read_bin_case (Bin.source_of_string blob))
+  && bin_case_equal c mapped && bin_case_equal c nested
 
 let suite_binary_qcheck =
   [
@@ -1463,6 +1662,15 @@ let suite_binary_qcheck =
         let via_bin = Ser.of_binary_string (Ser.to_binary_string inst) in
         let a, _ = F3.solve via_text and a', _ = F3.solve via_bin in
         instances_agree via_text via_bin && a = a');
+    prop "one reader at every alignment: copied, mapped, nested" 200
+      (QCheck.make
+         ~print:(fun (pad, c) ->
+           Printf.sprintf "pad=%d lead=%d cols=[%s] rats=%d" (String.length pad)
+             (String.length c.lead)
+             (String.concat ";" (List.map (fun a -> string_of_int (Array.length a)) c.cols))
+             (Array.length c.rats))
+         QCheck.Gen.(pair (string_size ~gen:printable (int_range 0 7)) gen_bin_case))
+      bin_alignment_law;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1725,6 +1933,8 @@ let () =
             test_store_artifact_error_paths;
           Alcotest.test_case "mmap load" `Quick test_serial_binary_mmap;
           Alcotest.test_case "mmap negative values" `Quick test_bin_mmap_negative_values;
+          Alcotest.test_case "signed-digit rational record" `Quick
+            test_bin_signed_digit_rational;
         ]
         @ suite_binary_qcheck );
       ( "dist-lll-protocol",

@@ -450,38 +450,7 @@ module Ser = Lll_graph.Serialize
 
 let graphs_equal a b = G.n a = G.n b && G.edges a = G.edges b
 
-let test_graph_serialization () =
-  List.iter
-    (fun g ->
-      let g' = Ser.graph_of_string (Ser.graph_to_string g) in
-      Alcotest.(check bool) "roundtrip" true (graphs_equal g g'))
-    [ Gen.cycle 7; Gen.random_regular ~seed:1 20 3; G.create ~n:5 []; Gen.grid 3 4 ]
-
-let test_graph_serialization_comments () =
-  let s = "c a comment
-" ^ Ser.graph_to_string (Gen.cycle 5) ^ "
-c trailing
-" in
-  Alcotest.(check bool) "comments ok" true (graphs_equal (Gen.cycle 5) (Ser.graph_of_string s))
-
-let test_graph_serialization_rejects () =
-  (try
-     ignore (Ser.graph_of_string "e 0 1
-");
-     Alcotest.fail "missing header accepted"
-   with Ser.Parse_error _ -> ());
-  (try
-     ignore (Ser.graph_of_string "p edge 3 1
-e 0 x
-");
-     Alcotest.fail "bad edge accepted"
-   with Ser.Parse_error _ -> ())
-
-let test_hypergraph_serialization () =
-  let h = Gen.random_regular_hypergraph ~seed:2 12 3 2 in
-  let h' = Ser.hypergraph_of_string (Ser.hypergraph_to_string h) in
-  Alcotest.(check int) "n" (H.n h) (H.n h');
-  Alcotest.(check bool) "edges" true (H.edges h = H.edges h')
+let graph_of_blob blob = Ser.graph_of_binary_src (Ser.Bin.source_of_string blob)
 
 let test_wtable_roundtrip () =
   let wt =
@@ -515,19 +484,10 @@ let test_wtable_error_paths () =
   reject "negative weight" "p wtable 1 1\na 2\nw 0 -1/2\n";
   reject "garbage weight" "p wtable 1 1\na 2\nw 0 bogus\n"
 
-let test_serialization_files () =
-  let g = Gen.torus 4 4 in
-  let path = Filename.temp_file "lll_graph" ".col" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Ser.save_graph path g;
-      Alcotest.(check bool) "file roundtrip" true (graphs_equal g (Ser.load_graph path)))
-
 let test_graph_binary_roundtrip () =
   List.iter
     (fun g ->
-      let g' = Ser.graph_of_binary (Ser.graph_to_binary g) in
+      let g' = graph_of_blob (Ser.graph_to_binary g) in
       Alcotest.(check bool) "binary roundtrip" true (graphs_equal g g'))
     [ Gen.cycle 7; Gen.random_regular ~seed:1 20 3; G.create ~n:5 []; Gen.grid 3 4 ]
 
@@ -537,15 +497,16 @@ let test_graph_binary_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Ser.save_graph_binary path g;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Ser.graph_to_binary g));
       Alcotest.(check bool) "binary file roundtrip" true
-        (graphs_equal g (Ser.load_graph_binary path)))
+        (graphs_equal g (Ser.graph_of_binary_src (Ser.Bin.source_of_path path))))
 
 let test_graph_binary_error_paths () =
   let blob = Ser.graph_to_binary (Gen.cycle 9) in
   let reject name s =
     try
-      ignore (Ser.graph_of_binary s);
+      ignore (graph_of_blob s);
       Alcotest.fail (name ^ " accepted")
     with Ser.Bin.Corrupt _ -> ()
   in
@@ -729,7 +690,7 @@ let girth_sampler_props =
     prop "girth sampler round-trips through serialization" 200 arb_girth_params
       (fun (seed, d, girth, n) ->
         let g = Gen.random_regular_girth ~seed ~girth n d in
-        graphs_equal g (Ser.graph_of_string (Ser.graph_to_string g)));
+        graphs_equal g (graph_of_blob (Ser.graph_to_binary g)));
   ]
 
 (* Every simple graph has girth >= 3, so the girth-3 repair loop is a
@@ -974,13 +935,8 @@ let () =
         ] );
       ( "serialization",
         [
-          Alcotest.test_case "graph roundtrip" `Quick test_graph_serialization;
-          Alcotest.test_case "comments" `Quick test_graph_serialization_comments;
-          Alcotest.test_case "rejects garbage" `Quick test_graph_serialization_rejects;
-          Alcotest.test_case "hypergraph roundtrip" `Quick test_hypergraph_serialization;
           Alcotest.test_case "wtable roundtrip" `Quick test_wtable_roundtrip;
           Alcotest.test_case "wtable error paths" `Quick test_wtable_error_paths;
-          Alcotest.test_case "file roundtrip" `Quick test_serialization_files;
           Alcotest.test_case "binary roundtrip" `Quick test_graph_binary_roundtrip;
           Alcotest.test_case "binary file roundtrip" `Quick test_graph_binary_file_roundtrip;
           Alcotest.test_case "binary error paths" `Quick test_graph_binary_error_paths;

@@ -31,7 +31,15 @@ let test_of_string_rejects () =
   (try
      ignore (B.of_string "12x4");
      Alcotest.fail "accepted garbage"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  (* a sign is accepted only in the first position *)
+  List.iter
+    (fun s ->
+      try
+        ignore (B.of_string s);
+        Alcotest.fail (Printf.sprintf "accepted %S" s)
+      with Invalid_argument _ -> ())
+    [ "1-2"; "--3"; "5-"; "+-5" ]
 
 let test_add_carry () =
   Alcotest.check bigint "carry chain"

@@ -7,8 +7,9 @@
 # not regenerate, decode containers, or digest spec strings themselves:
 #   - no generator calls (the girth sampler, the configuration model,
 #     the synthetic/application instance builders);
-#   - no direct container loads (Serial.load_binary*, load_any,
-#     of_binary_string, of_any_string);
+#   - no direct container loads (Serial.load_binary_mmap, load_any,
+#     of_binary_string, of_any_string) and no byte sources or readers
+#     of their own (Bin.open_reader, source_of_path, source_of_string);
 #   - no home-grown content digests (Digest.*) — keys come from
 #     Spec.key / Store.descr_key / Memcache.content_key.
 # Anything matching below in lib/scenario or lib/serve is a regression
@@ -29,7 +30,7 @@ ban() {
 }
 
 ban "generator call" 'random_regular_girth|Generators\.|Synthetic\.(ring|random)|Sinkless\.|Hyper_orientation\.|Weak_splitting\.'
-ban "direct container load" 'load_binary|load_any|of_binary_string|of_any_string'
+ban "direct container load" 'load_binary|load_any|of_binary_string|of_any_string|Bin\.open_reader|source_of_path|source_of_string'
 ban "spec-digest logic" 'Digest\.'
 
 if [ "$fail" -eq 0 ]; then
