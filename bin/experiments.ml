@@ -564,6 +564,7 @@ let t14 () =
   let module RT = Lll_local.Runtime in
   let module Par = Lll_local.Par in
   let module M = Lll_local.Metrics in
+  let module FS = Lll_local.Flat_state in
   Format.printf "machine: %d recommended domain(s); runtime default %d@.@." (Par.recommended ())
     (Par.default_domains ());
   (* per-round metrics of a full message-passing rank-3 solve *)
@@ -598,10 +599,15 @@ let t14 () =
   let net = Net.create (Gen.random_regular ~seed:7 n 4) in
   let flood domains =
     let t0 = M.now_ns () in
+    let state = FS.create ~n ~int_fields:1 () in
+    for v = 0 to n - 1 do
+      FS.set_int state 0 v v
+    done;
     let _, stats =
-      RT.run_full_info ~domains net ~init:(fun v -> v)
-        ~step:(fun ~round ~me:_ s nbrs ->
-          (List.fold_left (fun acc (_, x) -> max acc x) s nbrs, round + 1 >= 4))
+      RT.run_flat ~domains net ~state ~step:(fun ~round ~me ~prev ~cur ~nbrs ->
+          let xs = FS.int_column prev 0 in
+          FS.set_int cur 0 me (Array.fold_left (fun acc u -> max acc xs.(u)) xs.(me) nbrs);
+          round + 1 >= 4)
     in
     (stats.RT.rounds, float_of_int (M.now_ns () - t0) /. 1e6)
   in

@@ -108,7 +108,7 @@ let store_arg =
 let get_instance ?store_dir file family ~n ~degree ~seed ~at_threshold =
   let store = make_store store_dir in
   match file with
-  | Some path -> fst (Store.fetch_descr store (Store.Of_file path))
+  | Some path -> fst (Store.fetch_descr store (Store.keyed (Store.Of_file path)))
   | None -> fst (Store.fetch store (spec_of_family family ~n ~degree ~seed ~at_threshold))
 
 (* ---- gen ---- *)

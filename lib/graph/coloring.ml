@@ -1,6 +1,6 @@
-(* Proper vertex colorings: checking, greedy construction, and the standard
-   one-color-class-per-round reduction to [max_degree + 1] colors that we
-   use after Linial's algorithm. *)
+(* Proper vertex colorings: checking, and exact colorability for the
+   small shift graphs of the lower-bound experiments. The distributed
+   colorings the solvers run live in [Lll_local.Dist_coloring]. *)
 
 type t = int array (* node -> color, colors are >= 0 *)
 
@@ -9,103 +9,6 @@ let is_proper g (c : t) =
   && Graph.fold_edges (fun ok _ u v -> ok && c.(u) <> c.(v)) true g
 
 let num_colors (c : t) = Array.fold_left (fun acc x -> max acc (x + 1)) 0 c
-
-(* Smallest color not used by the neighbors of [v]. The answer is at most
-   [degree v], so a [deg+1]-slot table plus one scan replaces the old
-   sort_uniq over the neighbor colors. *)
-let smallest_free g (c : t) v =
-  let deg = Graph.degree g v in
-  let used = Array.make (deg + 1) false in
-  Graph.iter_adj g v (fun u _ ->
-      let cu = c.(u) in
-      if cu >= 0 && cu <= deg then used.(cu) <- true);
-  let rec go k = if used.(k) then go (k + 1) else k in
-  go 0
-
-let greedy ?order g =
-  let n = Graph.n g in
-  let order = match order with Some o -> o | None -> Array.init n (fun i -> i) in
-  if Array.length order <> n then invalid_arg "Coloring.greedy: order must list all nodes";
-  let c = Array.make n (-1) in
-  Array.iter (fun v -> c.(v) <- smallest_free g c v) order;
-  c
-
-(* Reduce a proper coloring to at most [max_degree g + 1] colors. Classes
-   [>= dmax+1] are eliminated one at a time, highest first; the nodes of a
-   class are pairwise non-adjacent, so each class costs one communication
-   round in the LOCAL model. Returns the new coloring and the number of
-   rounds spent. *)
-let reduce g (c : t) =
-  if not (is_proper g c) then invalid_arg "Coloring.reduce: input not proper";
-  let c = Array.copy c in
-  let dmax = Graph.max_degree g in
-  let target = dmax + 1 in
-  let top = num_colors c in
-  for cls = top - 1 downto target do
-    (* all nodes of class [cls] recolor simultaneously; they are an
-       independent set, so using the pre-round colors of neighbors is
-       exactly what a LOCAL round sees *)
-    let updates = ref [] in
-    Array.iteri
-      (fun v col ->
-        if col = cls then begin
-          (* some free color < target exists: at most dmax neighbors *)
-          updates := (v, smallest_free g c v) :: !updates
-        end)
-      c;
-    List.iter (fun (v, col) -> c.(v) <- col) !updates
-  done;
-  (c, max 0 (top - target))
-
-(* Kuhn–Wattenhofer style parallel color reduction: partition the color
-   space into blocks of [2*(dmax+1)] colors; within every block, the
-   [dmax+1] "high" colors are eliminated one offset per round (all blocks
-   in parallel — recolored nodes pick a free color inside their own
-   block's low window, and windows of distinct blocks are disjoint), then
-   colors are compacted block-by-block, halving the palette every
-   [dmax+1] rounds. Reaches [dmax+1] colors in O(dmax * log m) rounds
-   instead of the O(m) of {!reduce}. *)
-let kw_reduce g (c : t) =
-  if not (is_proper g c) then invalid_arg "Coloring.kw_reduce: input not proper";
-  let c = Array.copy c in
-  let dmax = Graph.max_degree g in
-  let w = dmax + 1 in
-  let rounds = ref 0 in
-  let m = ref (num_colors c) in
-  while !m > w do
-    let block_size = 2 * w in
-    (* eliminate high offsets j = 0 .. w-1, one round each *)
-    for j = 0 to w - 1 do
-      incr rounds;
-      let updates = ref [] in
-      Array.iteri
-        (fun v col ->
-          let base = col / block_size * block_size in
-          if col - base = w + j then begin
-            (* smallest free color in [base, base + w): at most dmax
-               neighbors mark < w slots, so one is always free *)
-            let used = Array.make w false in
-            Graph.iter_adj g v (fun u _ ->
-                let cu = c.(u) in
-                if cu >= base && cu < base + w then used.(cu - base) <- true);
-            let rec free k = if used.(k) then free (k + 1) else base + k in
-            updates := (v, free 0) :: !updates
-          end)
-        c;
-      List.iter (fun (v, col) -> c.(v) <- col) !updates
-    done;
-    (* compact: block b's low window maps to [b*w, b*w + w) — local
-       renaming, no communication *)
-    Array.iteri
-      (fun v col ->
-        let b = col / block_size in
-        c.(v) <- (b * w) + (col mod block_size))
-      c;
-    let m' = ((!m + block_size - 1) / block_size) * w in
-    assert (num_colors c <= m');
-    m := m'
-  done;
-  (c, !rounds)
 
 (* Exact c-colorability by backtracking with forward checking, visiting
    nodes in descending-degree order; [budget] caps the number of search
@@ -167,9 +70,3 @@ let chromatic_number ?budget g =
       | None -> None
   in
   if Graph.n g = 0 then Some 0 else go 1
-
-let classes (c : t) =
-  let k = num_colors c in
-  let buckets = Array.make k [] in
-  Array.iteri (fun v col -> buckets.(col) <- v :: buckets.(col)) c;
-  Array.map List.rev buckets

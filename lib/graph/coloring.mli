@@ -1,4 +1,4 @@
-(** Proper vertex colorings and color-count reduction. *)
+(** Proper vertex colorings: checking and exact colorability. *)
 
 type t = int array
 (** Node index to color ([>= 0]). *)
@@ -8,25 +8,6 @@ val is_proper : Graph.t -> t -> bool
 val num_colors : t -> int
 (** One plus the largest color used. *)
 
-val smallest_free : Graph.t -> t -> int -> int
-(** Smallest color not used by any (already colored, i.e. [>= 0])
-    neighbor. *)
-
-val greedy : ?order:int array -> Graph.t -> t
-(** Sequential greedy coloring in the given node order (identity by
-    default); uses at most [max_degree + 1] colors. *)
-
-val reduce : Graph.t -> t -> t * int
-(** [reduce g c] turns a proper coloring into one with at most
-    [max_degree g + 1] colors by recoloring one color class per round,
-    highest class first. Returns the coloring and the number of LOCAL
-    rounds this costs. *)
-
-val kw_reduce : Graph.t -> t -> t * int
-(** Kuhn–Wattenhofer parallel block reduction: halves the palette every
-    [max_degree + 1] rounds, reaching [max_degree + 1] colors in
-    [O(max_degree * log colors)] rounds. Same contract as {!reduce}. *)
-
 val colorable : ?budget:int -> Graph.t -> int -> bool option
 (** Exact [c]-colorability by bounded backtracking: [Some true/false] if
     decided within the budget of search nodes, [None] otherwise. *)
@@ -34,6 +15,3 @@ val colorable : ?budget:int -> Graph.t -> int -> bool option
 val chromatic_number : ?budget:int -> Graph.t -> int option
 (** Exact chromatic number by iterative deepening on {!colorable};
     [None] when the budget runs out. Exponential — small graphs only. *)
-
-val classes : t -> int list array
-(** Nodes grouped by color. *)

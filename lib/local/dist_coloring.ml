@@ -1,22 +1,54 @@
 (* Distributed coloring programs on the LOCAL runtime.
 
    These are genuine message-passing implementations (full-information
-   rounds) of Linial's color reduction followed by class-by-class
+   rounds) of Linial's color reduction followed by Kuhn-Wattenhofer block
    reduction to [dmax + 1] colors. All nodes know [n] (an upper bound on
    the ids) and [dmax] — the standard LOCAL assumptions — from which every
    node derives the identical parameter schedule without communication, so
-   no global coordination is hidden from the round count. *)
+   no global coordination is hidden from the round count.
+
+   One Linial round maps a proper [m]-coloring to a proper [q^2]-coloring
+   where [q] is a prime with [q > t * dmax] and [q^(t+1) >= m] for some
+   degree bound [t]: each node reads its color as a polynomial of degree
+   at most [t] over F_q (base-[q] digits as coefficients) and picks an
+   evaluation point [a] at which its polynomial differs from those of all
+   neighbors — two distinct degree-[t] polynomials agree on at most [t]
+   points, so at most [t * dmax < q] points are forbidden. The new color
+   is the pair [(a, p(a))]. This replaces the [FHK16]/[PR01] subroutines
+   cited by the paper with the same [O(poly dmax + log* n)] round
+   structure (see DESIGN.md). *)
 
 module Graph = Lll_graph.Graph
-module Coloring = Lll_graph.Coloring
-module Linial = Lll_graph.Linial
 module Primes = Lll_graph.Primes
+
+(* Integer power saturating at [limit] (never overflows). *)
+let pow_sat ~limit b e =
+  let rec go acc e = if e = 0 then acc else if acc > limit / b then limit else go (acc * b) (e - 1) in
+  go 1 e
+
+(* Choose [(q, t)] minimising the resulting color count [q^2], subject to
+   [q] prime, [q > t * dmax], [q^(t+1) >= m]. *)
+let choose_params ~dmax ~m =
+  let dmax = max dmax 1 in
+  let best = ref None in
+  for t = 1 to 60 do
+    (* smallest prime q with q > t*dmax and q^(t+1) >= m *)
+    let rec search q =
+      let q = Primes.next_prime q in
+      if pow_sat ~limit:max_int q (t + 1) >= m then q else search (q + 1)
+    in
+    let q = search ((t * dmax) + 1) in
+    match !best with
+    | Some (q', _) when q' <= q -> ()
+    | _ -> best := Some (q, t)
+  done;
+  match !best with Some r -> r | None -> assert false
 
 (* The deterministic schedule of (q, t, colors-after) Linial steps starting
    from [m] colors, as derived by every node locally. *)
 let schedule ~dmax ~m =
   let rec go m acc =
-    let q, t = Linial.choose_params ~dmax ~m in
+    let q, t = choose_params ~dmax ~m in
     let m' = q * q in
     if m' >= m then List.rev acc else go m' ((q, t, m') :: acc)
   in
@@ -37,14 +69,14 @@ let linial_step ~q ~t my_color (nbr_colors : int array) =
   let a = find 0 in
   (a * q) + Primes.poly_eval q my_poly a
 
-(* The Kuhn-Wattenhofer reduction schedule: starting palette sizes of the
-   successive halving phases (each phase costs [dmax + 1] rounds and maps
-   [m] colors to [ceil(m / (2*(dmax+1))) * (dmax+1)]). Derivable by every
-   node from [m_star] and [dmax] without communication. *)
-let kw_schedule ~dmax ~m =
+(* The number of Kuhn-Wattenhofer halving phases from [m] colors down to
+   [dmax + 1]: each phase costs [dmax + 1] rounds and maps [m] colors to
+   [ceil(m / (2*(dmax+1))) * (dmax+1)]. Derivable by every node from
+   [m_star] and [dmax] without communication. *)
+let kw_phases ~dmax ~m =
   let w = dmax + 1 in
-  let rec go m acc = if m <= w then List.rev acc else go (((m + (2 * w) - 1) / (2 * w)) * w) (m :: acc) in
-  go m []
+  let rec go m k = if m <= w then k else go (((m + (2 * w) - 1) / (2 * w)) * w) (k + 1) in
+  go m 0
 
 (* Distributed (dmax+1)-coloring: Linial phase (schedule length rounds)
    followed by Kuhn-Wattenhofer block reduction ([dmax+1] rounds per
@@ -64,8 +96,7 @@ let color ?(id_bound = max_int) ?domains ?(metrics = Metrics.disabled) net =
     let linial_rounds = Array.length sched_arr in
     let m_star = if linial_rounds = 0 then bound else (fun (_, _, m) -> m) sched_arr.(linial_rounds - 1) in
     let w = dmax + 1 in
-    let kw_phases = Array.of_list (kw_schedule ~dmax ~m:m_star) in
-    let reduction_rounds = w * Array.length kw_phases in
+    let reduction_rounds = w * kw_phases ~dmax ~m:m_star in
     let total = linial_rounds + reduction_rounds in
     (* whole node state is one int column (the color), so the protocol
        runs straight on the flat engine: neighbor colors are read off
@@ -89,10 +120,9 @@ let color ?(id_bound = max_int) ?domains ?(metrics = Metrics.disabled) net =
             linial_step ~q ~t color (Array.map (fun u -> colors.(u)) nbrs)
           end
           else begin
-            (* KW reduction: phase k, offset j *)
+            (* KW reduction: offset j of the current phase *)
             let r = round - linial_rounds in
-            let k = r / w and j = r mod w in
-            ignore kw_phases.(k);
+            let j = r mod w in
             let block_size = 2 * w in
             let base = color / block_size * block_size in
             let color =

@@ -1,6 +1,12 @@
 (** Distributed coloring on the LOCAL runtime: Linial reduction plus
-    class-by-class cleanup, and the derived 2-hop coloring used by the
-    paper's Corollary 1.4. *)
+    Kuhn–Wattenhofer block reduction, and the derived 2-hop coloring used
+    by the paper's Corollary 1.4. This is the repo's stand-in for the
+    [PR01]/[FHK16] coloring subroutines the paper cites (DESIGN.md
+    documents the substitution). *)
+
+val choose_params : dmax:int -> m:int -> int * int
+(** [(q, t)] with [q] prime, [q > t*dmax], [q^(t+1) >= m], minimising
+    [q^2]: the parameters of one Linial round from [m] colors. *)
 
 val schedule : dmax:int -> m:int -> (int * int * int) list
 (** The deterministic [(q, t, colors-after)] Linial parameter schedule

@@ -15,10 +15,10 @@
    semantics by construction. Halt bookkeeping and metrics happen in a
    sequential sweep over nodes 0..n-1 after the parallel phase; with
    [~domains:1] no domain is spawned and the engine IS the sequential
-   reference, which the differential tests exploit. [run_full_info] (the
-   assoc-list API) and [gather_balls] are thin wrappers over it;
-   [run_full_info_boxed] is the retired boxed engine, kept as the
-   reference implementation the wrappers are tested against. *)
+   reference, which the differential tests exploit. [gather_balls] is a
+   thin wrapper over it; [run_full_info_boxed] is the retired boxed
+   engine (assoc-list neighborhoods), kept as the reference
+   implementation [run_flat] is tested against. *)
 
 exception Round_limit_exceeded of int
 
@@ -162,26 +162,6 @@ let run_full_info_boxed ?(max_rounds = default_max_rounds) ?domains
     incr round
   done;
   (states, { rounds = !round })
-
-(* Compatibility shim over [run_flat]: the historical boxed API
-   (assoc-list neighborhoods), now a payload-column protocol on the flat
-   engine. Kept for examples, experiments and tests; hot paths call [run_flat]
-   directly. The per-node assoc list is materialised inside the step
-   wrapper, so callers see exactly the old interface and — because the
-   wrapper reads the same snapshot in the same order — exactly the old
-   results. *)
-let run_full_info ?max_rounds ?domains ?metrics net ~init ~step =
-  let n = Network.n net in
-  let state = Flat_state.create ~n ~payload:init () in
-  let stepf ~round ~me ~prev ~cur ~nbrs =
-    let payload = Flat_state.payload_column prev in
-    let nbr_states = Array.to_list (Array.map (fun u -> (u, payload.(u))) nbrs) in
-    let s, h = step ~round ~me payload.(me) nbr_states in
-    Flat_state.set_payload cur me s;
-    h
-  in
-  let st, stats = run_flat ?max_rounds ?domains ?metrics net ~state ~step:stepf in
-  (Flat_state.payload_column st, stats)
 
 (* Gather the (node, state) pairs within radius [k] of every node by
    flooding for [k] rounds — the canonical LOCAL primitive: any

@@ -3,9 +3,9 @@
 
     Rounds are full-information rounds: each step sees the previous-round
     states of its neighbors, which is equivalent to LOCAL message passing
-    because messages are unbounded. {!run_flat} is the one engine;
-    {!run_full_info} and {!gather_balls} wrap it, and
-    {!run_full_info_boxed} is the reference they are tested against.
+    because messages are unbounded. {!run_flat} is the one engine and
+    {!gather_balls} wraps it; {!run_full_info_boxed} is the reference
+    they are tested against.
     Each round, the non-halted nodes are stepped in parallel across
     [domains] OCaml 5 domains (default {!Par.default_domains}, i.e. the
     recommended domain count of the machine) against an immutable
@@ -46,20 +46,6 @@ val run_flat :
     previous round. Exceeding [max_rounds] raises
     {!Round_limit_exceeded}. *)
 
-val run_full_info :
-  ?max_rounds:int ->
-  ?domains:int ->
-  ?metrics:Metrics.sink ->
-  Network.t ->
-  init:(int -> 's) ->
-  step:(round:int -> me:int -> 's -> (int * 's) list -> 's * bool) ->
-  's array * stats
-(** Full-information rounds: each step sees the previous-round states of
-    all neighbors — equivalent to LOCAL because messages are unbounded.
-    Compatibility shim over {!run_flat} (payload-column protocol, assoc
-    lists materialised per step) kept for examples, experiments and
-    tests; hot protocols use {!run_flat}. *)
-
 val run_full_info_boxed :
   ?max_rounds:int ->
   ?domains:int ->
@@ -68,10 +54,10 @@ val run_full_info_boxed :
   init:(int -> 's) ->
   step:(round:int -> me:int -> 's -> (int * 's) list -> 's * bool) ->
   's array * stats
-(** The retired boxed engine behind the historical {!run_full_info}
-    semantics, kept as the reference implementation the shim,
-    [Mis.luby] and [Dist_lll] are tested against. Do not use in new
-    code. *)
+(** The retired boxed engine: each step sees its neighbors' states as
+    an assoc list in ascending node order. Kept as the reference
+    implementation {!run_flat}, [Mis.luby] and [Dist_lll] are tested
+    against. Do not use in new code. *)
 
 val gather_balls :
   ?max_rounds:int ->

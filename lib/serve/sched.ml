@@ -130,8 +130,8 @@ let cache_field (source : Store.source) =
 
 (* Run the solver now; returns the response minus its cache/memo tags
    (the caller knows whether this run was fresh or replayed). *)
-let solve_now t frame ~key ~descr ~solver ~id ~emit =
-  let inst, source = Store.fetch_descr t.store descr in
+let solve_now t frame ~keyed ~solver ~id ~emit =
+  let inst, source = Store.fetch_descr t.store keyed in
   let sink =
     if Protocol.get_bool frame "stream" then
       Metrics.callback (fun r ->
@@ -143,7 +143,7 @@ let solve_now t frame ~key ~descr ~solver ~id ~emit =
     else Metrics.disabled
   in
   let params = run_params t frame ~sink in
-  let report = Solver.solve_by_name ~params solver inst in
+  let report = Solver.solve ~params solver inst in
   let rounds =
     match report.Solver.outcome.Solver.rounds with
     | Some r -> [ ("rounds", string_of_int r) ]
@@ -152,8 +152,8 @@ let solve_now t frame ~key ~descr ~solver ~id ~emit =
   {
     sv_fields =
       [
-        ("key", key);
-        ("solver", solver);
+        ("key", keyed.Store.key);
+        ("solver", Solver.name solver);
         ("ok", if report.Solver.ok then "1" else "0");
         ("verified", if report.Solver.verify.Verify.ok then "1" else "0");
       ]
@@ -162,15 +162,19 @@ let solve_now t frame ~key ~descr ~solver ~id ~emit =
     sv_built = source;
   }
 
-let handle_solve t frame ~id ~emit =
-  let descr = Workload.of_frame frame in
-  let key = Store.descr_key t.store descr in
-  let solver = Option.value (Protocol.get frame "solver") ~default:"fix3" in
+let handle_solve t frame ~keyed ~id ~emit =
+  (* resolve the engine before any fetch, so a bad name builds nothing *)
+  let name = Option.value (Protocol.get frame "solver") ~default:"fix3" in
+  let solver =
+    match Solver.find name with
+    | Some s -> s
+    | None -> raise (Protocol.Protocol_error (Printf.sprintf "unknown solver %S" name))
+  in
   let memoable =
     (not (Protocol.get_bool frame "stream")) && Protocol.get frame "memo" <> Some "0"
   in
   if not memoable then begin
-    let sv = solve_now t frame ~key ~descr ~solver ~id ~emit in
+    let sv = solve_now t frame ~keyed ~solver ~id ~emit in
     (("op", "solve") :: cache_field sv.sv_built :: sv.sv_fields, sv.sv_body)
   end
   else begin
@@ -178,10 +182,10 @@ let handle_solve t frame ~id ~emit =
        header; everything else in the frame, [domains] included, is
        transport *)
     let seed = Option.value (Protocol.get_int frame "seed") ~default:1 in
-    let mkey = Printf.sprintf "%s|solver=%s|seed=%d" key solver seed in
+    let mkey = Printf.sprintf "%s|solver=%s|seed=%d" keyed.Store.key name seed in
     let sv, memo_status =
       Memcache.find_or_build t.results ~key:mkey ~build:(fun () ->
-          solve_now t frame ~key ~descr ~solver ~id ~emit)
+          solve_now t frame ~keyed ~solver ~id ~emit)
     in
     match memo_status with
     | `Miss -> (("op", "solve") :: cache_field sv.sv_built :: sv.sv_fields, sv.sv_body)
@@ -189,18 +193,14 @@ let handle_solve t frame ~id ~emit =
       (("op", "solve") :: ("cache", "hit") :: ("memo", "1") :: sv.sv_fields, sv.sv_body)
   end
 
-let handle_verify t frame =
-  (* the instance comes from the spec headers; the body carries the
-     assignment CSV (blob-described instances go through solve) *)
-  let descr = Workload.of_frame { frame with Protocol.body = "" } in
-  let key = Store.descr_key t.store descr in
-  let inst, source = Store.fetch_descr t.store descr in
+let handle_verify t frame ~keyed =
+  let inst, source = Store.fetch_descr t.store keyed in
   let a = assignment_of_string (Instance.num_vars inst) frame.Protocol.body in
   let result = Verify.check inst a in
   ( [
       ("op", "verify");
       cache_field source;
-      ("key", key);
+      ("key", keyed.Store.key);
       ("ok", if result.Verify.ok then "1" else "0");
       ("violated", String.concat "," (List.map string_of_int result.Verify.violated));
     ],
@@ -271,47 +271,60 @@ let handle_stats t =
 
 (* ---- batch execution ---- *)
 
-let instance_key t frame =
+(* The keyed description of the instance a solve or verify names —
+   parsed and digested once per request, then shared by the batch
+   grouping, the store fetch and the response's [key] field. A verify
+   takes its instance from the headers alone; its body carries the
+   assignment CSV (blob-described instances go through solve). *)
+let describe frame =
   match Protocol.get frame "op" with
-  | Some "solve" -> Some (Store.descr_key t.store (Workload.of_frame frame))
-  | Some "verify" ->
-    Some (Store.descr_key t.store (Workload.of_frame { frame with Protocol.body = "" }))
+  | Some "solve" -> Some (Store.keyed (Workload.of_frame frame))
+  | Some "verify" -> Some (Store.keyed (Workload.of_frame { frame with Protocol.body = "" }))
   | _ -> None
 
-let handle_one t frame ~id ~emit =
-  match Protocol.get_exn frame "op" with
-  | "solve" -> handle_solve t frame ~id ~emit
-  | "verify" -> handle_verify t frame
-  | "fuzz" -> handle_fuzz frame
-  | "scenario" -> handle_scenario t frame
-  | "stats" -> handle_stats t
-  | "shutdown" -> ([ ("op", "shutdown") ], "")
-  | op -> raise (Protocol.Protocol_error (Printf.sprintf "unknown op %S" op))
+let handle_one t frame ~keyed ~id ~emit =
+  match (Protocol.get_exn frame "op", keyed) with
+  | "solve", Some keyed -> handle_solve t frame ~keyed ~id ~emit
+  | "verify", Some keyed -> handle_verify t frame ~keyed
+  | "fuzz", _ -> handle_fuzz frame
+  | "scenario", _ -> handle_scenario t frame
+  | "stats", _ -> handle_stats t
+  | "shutdown", _ -> ([ ("op", "shutdown") ], "")
+  | op, _ -> raise (Protocol.Protocol_error (Printf.sprintf "unknown op %S" op))
 
 let handle_batch t frames ~emit =
   let frames = Array.of_list frames in
   let n = Array.length frames in
   let results = Array.make n None in
+  (* a request whose description does not parse keeps its exception
+     and fails when it runs *)
+  let described =
+    Array.map (fun frame -> match describe frame with d -> Ok d | exception e -> Error e) frames
+  in
   (* group request ids by instance key, first-occurrence order; keyless
      ops form singleton groups in place *)
   let seen : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
   Array.iteri
-    (fun id frame ->
-      match (try instance_key t frame with _ -> None) with
-      | Some key -> (
+    (fun id described ->
+      match described with
+      | Ok (Some { Store.key; _ }) -> (
         match Hashtbl.find_opt seen key with
         | Some ids -> ids := id :: !ids
         | None ->
           let ids = ref [ id ] in
           Hashtbl.add seen key ids;
           order := `Group ids :: !order)
-      | None -> order := `Single id :: !order)
-    frames;
+      | Ok None | Error _ -> order := `Single id :: !order)
+    described;
   let run id =
     let frame = frames.(id) in
     let result =
-      match handle_one t frame ~id ~emit with
+      match
+        match described.(id) with
+        | Ok keyed -> handle_one t frame ~keyed ~id ~emit
+        | Error e -> raise e
+      with
       | fields, body ->
         {
           Protocol.header =
@@ -326,7 +339,6 @@ let handle_batch t frames ~emit =
             Printf.sprintf "parse error (line %d): %s" line message
           | Lll_graph.Serialize.Bin.Corrupt m -> "corrupt binary: " ^ m
           | Invalid_argument m -> m
-          | Not_found -> "unknown solver"
           | e -> Printexc.to_string e
         in
         {

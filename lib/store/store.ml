@@ -182,11 +182,18 @@ let file_key path =
   | Some fp -> "file-v3:" ^ fp
   | None -> "file:" ^ Digest.to_hex (Digest.file path)
 
-let descr_key (_ : t) = function
-  | Of_spec spec -> Spec.key spec
-  | Of_blob blob -> Memcache.content_key blob
+type keyed = { descr : descr; key : string }
+
+(* An artifact file resolves to its sidecar's spec here, so the sidecar
+   is read once and the fetch takes the spec path. *)
+let keyed descr =
+  match descr with
+  | Of_spec spec -> { descr; key = Spec.key spec }
+  | Of_blob blob -> { descr; key = Memcache.content_key blob }
   | Of_file path -> (
-    match spec_of_artifact path with Some spec -> Spec.key spec | None -> file_key path)
+    match spec_of_artifact path with
+    | Some spec -> { descr = Of_spec spec; key = Spec.key spec }
+    | None -> { descr; key = file_key path })
 
 (* Blobs and non-artifact files use the memory tier only. *)
 let build_in_memory t ~key build =
@@ -198,15 +205,11 @@ let build_in_memory t ~key build =
   in
   (inst, !source)
 
-let fetch_descr t descr =
+let fetch_descr t { descr; key } =
   match descr with
   | Of_spec spec -> fetch t spec
-  | Of_blob blob ->
-    build_in_memory t ~key:(Memcache.content_key blob) (fun () -> Serial.of_any_string blob)
-  | Of_file path -> (
-    match spec_of_artifact path with
-    | Some spec -> fetch t spec
-    | None -> build_in_memory t ~key:(file_key path) (fun () -> Serial.load_any path))
+  | Of_blob blob -> build_in_memory t ~key (fun () -> Serial.of_any_string blob)
+  | Of_file path -> build_in_memory t ~key (fun () -> Serial.load_any path)
 
 let require_dir t what =
   match t.dir with

@@ -55,15 +55,21 @@ val fetch : t -> Spec.t -> Lll_core.Instance.t * source
     generate-and-publish. Thread-safe; concurrent misses on one spec
     build once. *)
 
-val fetch_descr : t -> descr -> Lll_core.Instance.t * source
-(** {!fetch} generalised to the serve layer's three description kinds.
-    Blob and non-artifact file descriptions use the memory tier only;
-    decode errors on files the store does not own propagate unchanged
-    (no quarantine). *)
+type keyed = private { descr : descr; key : string }
+(** A description paired with the content key it resolves to (see the
+    key schema above) — the identity under which results are cached and
+    memoized. Only {!keyed} builds one, so a fetch cannot run under a
+    key computed from another description. A file naming a store
+    artifact is resolved to its sidecar's [Of_spec]. *)
 
-val descr_key : t -> descr -> string
-(** The content key a description resolves to (see the key schema
-    above) — the identity under which results are cached and memoized. *)
+val keyed : descr -> keyed
+(** Resolve and key a description; digests a blob or file once. *)
+
+val fetch_descr : t -> keyed -> Lll_core.Instance.t * source
+(** {!fetch} generalised to the serve layer's three description kinds,
+    under the description's precomputed key. Blob and non-artifact file
+    descriptions use the memory tier only; decode errors on files the
+    store does not own propagate unchanged (no quarantine). *)
 
 val materialize : t -> Spec.t -> string
 (** Ensure the artifact exists on disk and return its path.

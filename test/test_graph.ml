@@ -5,10 +5,10 @@ module G = Lll_graph.Graph
 module H = Lll_graph.Hypergraph
 module Gen = Lll_graph.Generators
 module Col = Lll_graph.Coloring
-module Lin = Lll_graph.Linial
 module CV = Lll_graph.Cole_vishkin
-module EC = Lll_graph.Edge_coloring
 module P = Lll_graph.Primes
+module Net = Lll_local.Network
+module DC = Lll_local.Dist_coloring
 
 (* ------------------------------------------------------------------ *)
 (* Graph basics                                                         *)
@@ -237,35 +237,7 @@ let test_hypergraph_duplicate_members () =
   Alcotest.(check int) "rank" 3 (H.rank h)
 
 (* ------------------------------------------------------------------ *)
-(* Coloring                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_greedy_proper () =
-  let g = Gen.random_regular ~seed:2 60 5 in
-  let c = Col.greedy g in
-  Alcotest.(check bool) "proper" true (Col.is_proper g c);
-  Alcotest.(check bool) "at most d+1" true (Col.num_colors c <= 6)
-
-let test_reduce () =
-  let g = Gen.random_regular ~seed:7 40 4 in
-  let ids = Array.init 40 (fun i -> i) in
-  let c, rounds = Col.reduce g ids in
-  Alcotest.(check bool) "proper" true (Col.is_proper g c);
-  Alcotest.(check bool) "d+1 colors" true (Col.num_colors c <= 5);
-  Alcotest.(check int) "rounds" (40 - 5) rounds
-
-let test_reduce_rejects_improper () =
-  let g = Gen.cycle 4 in
-  Alcotest.check_raises "improper" (Invalid_argument "Coloring.reduce: input not proper")
-    (fun () -> ignore (Col.reduce g (Array.make 4 0)))
-
-let test_classes () =
-  let cls = Col.classes [| 0; 1; 0; 2 |] in
-  Alcotest.(check (list int)) "class 0" [ 0; 2 ] cls.(0);
-  Alcotest.(check (list int)) "class 2" [ 3 ] cls.(2)
-
-(* ------------------------------------------------------------------ *)
-(* Primes and Linial                                                    *)
+(* Primes (Linial's polynomial arithmetic)                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_primes () =
@@ -281,49 +253,6 @@ let test_poly_eval () =
   (* 3 + 2x + x^2 at x=4 over F_7: 3 + 8 + 16 = 27 = 6 mod 7 *)
   Alcotest.(check int) "horner" 6 (P.poly_eval 7 [| 3; 2; 1 |] 4);
   Alcotest.(check (array int)) "digits" [| 2; 4; 1 |] (P.digits ~base:5 ~len:3 47)
-
-let test_choose_params () =
-  let q, t = Lin.choose_params ~dmax:4 ~m:100 in
-  Alcotest.(check bool) "prime" true (P.is_prime q);
-  Alcotest.(check bool) "q > t*d" true (q > t * 4);
-  Alcotest.(check bool) "covers" true (float_of_int q ** float_of_int (t + 1) >= 100.)
-
-let test_linial_one_round () =
-  let g = Gen.random_regular ~seed:4 64 3 in
-  let ids = Array.init 64 (fun i -> i) in
-  let c, bound = Lin.one_round g ~m:64 ids in
-  Alcotest.(check bool) "proper" true (Col.is_proper g c);
-  Alcotest.(check bool) "bounded" true (Array.for_all (fun x -> x >= 0 && x < bound) c)
-
-let test_linial_pipeline () =
-  List.iter
-    (fun (g, name) ->
-      let c, rounds = Lin.color g in
-      Alcotest.(check bool) (name ^ " proper") true (Col.is_proper g c);
-      Alcotest.(check bool)
-        (name ^ " colors <= d+1")
-        true
-        (Col.num_colors c <= G.max_degree g + 1);
-      (* K_{d+1} already has d+1 colors from the ids, costing 0 rounds *)
-      Alcotest.(check bool) (name ^ " rounds >= 0") true (rounds >= 0))
-    [
-      (Gen.cycle 100, "cycle100");
-      (Gen.random_regular ~seed:8 80 4, "rr80");
-      (Gen.grid 8 8, "grid");
-      (Gen.complete 6, "K6");
-    ]
-
-let test_linial_logstar_scaling () =
-  (* Linial-phase round count grows extremely slowly with n *)
-  let rounds_of n =
-    let g = Gen.cycle n in
-    let ids = Array.init n (fun i -> i) in
-    let _, _, r = Lin.reduce_to_fixpoint g ~m:n ids in
-    r
-  in
-  let r1 = rounds_of 64 and r2 = rounds_of 4096 in
-  Alcotest.(check bool) "slow growth" true (r2 - r1 <= 2);
-  Alcotest.(check bool) "nontrivial" true (r1 >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Cole–Vishkin                                                         *)
@@ -361,30 +290,6 @@ let test_cv_logstar () =
 let test_lowest_diff_bit () =
   Alcotest.(check int) "bit 0" 0 (CV.lowest_diff_bit 2 3);
   Alcotest.(check int) "bit 2" 2 (CV.lowest_diff_bit 8 12)
-
-(* ------------------------------------------------------------------ *)
-(* Edge coloring                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_edge_coloring () =
-  List.iter
-    (fun (g, name) ->
-      let c, _rounds = EC.color g in
-      Alcotest.(check bool) (name ^ " proper") true (EC.is_proper g c);
-      Alcotest.(check bool)
-        (name ^ " 2d-1 colors")
-        true
-        (EC.num_colors c <= max 1 ((2 * G.max_degree g) - 1)))
-    [
-      (Gen.cycle 50, "cycle");
-      (Gen.random_regular ~seed:13 40 4, "rr40");
-      (Gen.star 8, "star");
-      (Gen.grid 5 5, "grid");
-    ]
-
-let test_edge_coloring_greedy () =
-  let g = Gen.random_regular ~seed:17 30 5 in
-  Alcotest.(check bool) "greedy proper" true (EC.is_proper g (EC.greedy g))
 
 (* ------------------------------------------------------------------ *)
 (* Exact colorability and shift graphs (the log* lower bound)            *)
@@ -582,12 +487,18 @@ let graph_props =
     prop "degree sum = 2m" 200 arb_graph (fun g ->
         let sum = List.fold_left (fun acc v -> acc + G.degree g v) 0 (List.init (G.n g) Fun.id) in
         sum = 2 * G.m g);
-    prop "greedy proper, <= d+1 colors" 200 arb_graph (fun g ->
-        let c = Col.greedy g in
-        Col.is_proper g c && Col.num_colors c <= G.max_degree g + 1);
     prop "linial pipeline proper" 50 arb_graph (fun g ->
-        let c, _ = Lin.color g in
-        Col.is_proper g c && Col.num_colors c <= G.max_degree g + 1);
+        let c, rounds = DC.color (Net.create g) in
+        (* every node derives the schedule from n and dmax: |schedule|
+           Linial rounds, then dmax + 1 rounds per KW halving phase *)
+        let dmax = G.max_degree g in
+        let sched = DC.schedule ~dmax ~m:(G.n g) in
+        let m_star = List.fold_left (fun _ (_, _, m) -> m) (G.n g) sched in
+        let w = dmax + 1 in
+        let rec phases m = if m <= w then 0 else 1 + phases ((m + (2 * w) - 1) / (2 * w) * w) in
+        Col.is_proper g c
+        && Col.num_colors c <= dmax + 1
+        && rounds = List.length sched + (w * phases m_star));
     prop "square contains graph" 100 arb_graph (fun g ->
         G.fold_edges (fun ok _ u v -> ok && G.mem_edge (G.square g) u v) true g);
     prop "square edges are dist <= 2" 50 arb_graph (fun g ->
@@ -599,25 +510,20 @@ let graph_props =
         G.fold_edges
           (fun ok e u v -> ok && G.degree lg e = G.degree g u + G.degree g v - 2)
           true g);
-    prop "kw_reduce proper and small" 100 arb_graph (fun g ->
-        QCheck.assume (G.n g > 0);
-        let ids = Array.init (G.n g) (fun i -> i) in
-        let c, rounds = Col.kw_reduce g ids in
-        Col.is_proper g c
-        && Col.num_colors c <= G.max_degree g + 1
-        && rounds <= (G.max_degree g + 1) * (1 + int_of_float (ceil (log (float_of_int (max 2 (G.n g))) /. log 2.))));
-    prop "kw_reduce matches reduce colors" 50 arb_graph (fun g ->
-        QCheck.assume (G.n g > 0);
-        let ids = Array.init (G.n g) (fun i -> i) in
-        let c1, _ = Col.kw_reduce g ids in
-        let c2, _ = Col.reduce g ids in
-        Col.is_proper g c1 && Col.is_proper g c2
-        && Col.num_colors c1 <= G.max_degree g + 1
-        && Col.num_colors c2 <= G.max_degree g + 1);
     prop "edge coloring proper" 50 arb_graph (fun g ->
-        QCheck.assume (G.m g > 0);
-        let c, _ = EC.color g in
-        EC.is_proper g c);
+        let c, _ = DC.color (Net.create (G.line_graph g)) in
+        (* line-graph node e is edge e: the edges at every node differ *)
+        let proper_at v =
+          let cols = G.fold_adj g v ~init:[] ~f:(fun acc _ e -> c.(e) :: acc) in
+          List.length (List.sort_uniq compare cols) = List.length cols
+        in
+        Array.length c = G.m g
+        && List.for_all proper_at (List.init (G.n g) Fun.id)
+        && Col.num_colors c <= max 1 ((2 * G.max_degree g) - 1));
+    prop "two-hop coloring proper on square" 50 arb_graph (fun g ->
+        let c, rounds = DC.two_hop_color (Net.create g) in
+        let sq = G.square g in
+        Col.is_proper sq c && Col.num_colors c <= G.max_degree sq + 1 && rounds mod 2 = 0);
     prop "bfs triangle inequality" 50 arb_graph (fun g ->
         G.fold_edges
           (fun ok _ u v ->
@@ -895,21 +801,10 @@ let () =
           Alcotest.test_case "biregular bipartite" `Quick test_biregular;
           Alcotest.test_case "regular hypergraph" `Quick test_regular_hypergraph;
         ] );
-      ( "coloring",
-        [
-          Alcotest.test_case "greedy proper" `Quick test_greedy_proper;
-          Alcotest.test_case "reduce" `Quick test_reduce;
-          Alcotest.test_case "reduce rejects improper" `Quick test_reduce_rejects_improper;
-          Alcotest.test_case "classes" `Quick test_classes;
-        ] );
       ( "linial",
         [
           Alcotest.test_case "primes" `Quick test_primes;
           Alcotest.test_case "poly eval" `Quick test_poly_eval;
-          Alcotest.test_case "choose params" `Quick test_choose_params;
-          Alcotest.test_case "one round" `Quick test_linial_one_round;
-          Alcotest.test_case "pipeline" `Quick test_linial_pipeline;
-          Alcotest.test_case "log* scaling" `Quick test_linial_logstar_scaling;
         ] );
       ( "cole-vishkin",
         [
@@ -918,11 +813,6 @@ let () =
           Alcotest.test_case "three colors" `Quick test_cv_three_colors;
           Alcotest.test_case "log* rounds" `Quick test_cv_logstar;
           Alcotest.test_case "lowest diff bit" `Quick test_lowest_diff_bit;
-        ] );
-      ( "edge-coloring",
-        [
-          Alcotest.test_case "linial pipeline" `Quick test_edge_coloring;
-          Alcotest.test_case "greedy" `Quick test_edge_coloring_greedy;
         ] );
       ( "shift-graphs",
         [

@@ -6,6 +6,7 @@ module Gen = Lll_graph.Generators
 module Col = Lll_graph.Coloring
 module Net = Lll_local.Network
 module RT = Lll_local.Runtime
+module FS = Lll_local.Flat_state
 module DC = Lll_local.Dist_coloring
 
 (* ------------------------------------------------------------------ *)
@@ -37,39 +38,45 @@ let test_shuffled_ids () =
 (* Runtime: halting and the round limit                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One int column, row [v] initialised to [init v]. *)
+let int_state n init =
+  let st = FS.create ~n ~int_fields:1 () in
+  for v = 0 to n - 1 do
+    FS.set_int st 0 v (init v)
+  done;
+  st
+
+(* Each node adopts the max of its closed neighborhood's previous-round
+   values and halts after [rounds] rounds. *)
+let max_step ~rounds ~round ~me ~prev ~cur ~nbrs =
+  let xs = FS.int_column prev 0 in
+  FS.set_int cur 0 me (Array.fold_left (fun acc u -> max acc xs.(u)) xs.(me) nbrs);
+  round + 1 >= rounds
+
 (* A silent protocol that halts after [k] rounds costs exactly [k]
    rounds. *)
 let test_halting_rounds () =
   let net = Net.create (Gen.path 6) in
-  let states, stats =
-    RT.run_full_info net
-      ~init:(fun v -> v)
-      ~step:(fun ~round ~me:_ s _ -> (s, round + 1 >= 5))
+  let st, stats =
+    RT.run_flat net ~state:(int_state 6 Fun.id)
+      ~step:(fun ~round ~me:_ ~prev:_ ~cur:_ ~nbrs:_ -> round + 1 >= 5)
   in
   Alcotest.(check int) "rounds" 5 stats.RT.rounds;
-  Alcotest.(check int) "state kept" 0 states.(0)
+  Alcotest.(check (array int)) "state kept" (Array.init 6 Fun.id) (FS.int_column st 0)
 
 let test_max_flood () =
-  let g = Gen.path 4 in
-  let net = Net.create g in
-  (* each node repeatedly adopts the max value its neighbors hold *)
-  let states, stats =
-    RT.run_full_info net
-      ~init:(fun v -> v)
-      ~step:(fun ~round ~me:_ s nbrs ->
-        (List.fold_left (fun acc (_, x) -> max acc x) s nbrs, round + 1 >= 4))
-  in
+  let net = Net.create (Gen.path 4) in
+  let st, stats = RT.run_flat net ~state:(int_state 4 Fun.id) ~step:(max_step ~rounds:4) in
   (* value 3 needs three hops to reach node 0 *)
-  Alcotest.(check (array int)) "max flooded" [| 3; 3; 3; 3 |] states;
+  Alcotest.(check (array int)) "max flooded" [| 3; 3; 3; 3 |] (FS.int_column st 0);
   Alcotest.(check int) "rounds" 4 stats.RT.rounds
 
 let test_round_limit () =
   let net = Net.create (Gen.path 3) in
   (try
      ignore
-       (RT.run_full_info ~max_rounds:5 net
-          ~init:(fun _ -> ())
-          ~step:(fun ~round:_ ~me:_ () _ -> ((), false)));
+       (RT.run_flat ~max_rounds:5 net ~state:(FS.create ~n:3 ())
+          ~step:(fun ~round:_ ~me:_ ~prev:_ ~cur:_ ~nbrs:_ -> false));
      Alcotest.fail "no limit"
    with RT.Round_limit_exceeded 5 -> ())
 
@@ -81,18 +88,15 @@ let test_full_info_snapshot_semantics () =
   (* all nodes simultaneously adopt max(self, neighbors); on a path the
      max value spreads one hop per round — this checks that updates use
      the previous-round snapshot, not in-round values *)
-  let g = Gen.path 5 in
-  let net = Net.create g in
-  let states, _ =
-    RT.run_full_info net
-      ~init:(fun v -> if v = 0 then 100 else v)
-      ~step:(fun ~round ~me:_ s nbrs ->
-        let s = List.fold_left (fun acc (_, x) -> max acc x) s nbrs in
-        (s, round + 1 >= 1))
+  let net = Net.create (Gen.path 5) in
+  let st, _ =
+    RT.run_flat net
+      ~state:(int_state 5 (fun v -> if v = 0 then 100 else v))
+      ~step:(max_step ~rounds:1)
   in
   (* after ONE synchronous round each node holds the max of its closed
      1-ball w.r.t. the initial values — nothing propagates further *)
-  Alcotest.(check (array int)) "one hop only" [| 100; 100; 3; 4; 4 |] states
+  Alcotest.(check (array int)) "one hop only" [| 100; 100; 3; 4; 4 |] (FS.int_column st 0)
 
 let test_gather_balls () =
   let g = Gen.cycle 6 in
@@ -134,14 +138,6 @@ let test_dist_coloring_shuffled_ids () =
   let c, _ = DC.color net in
   Alcotest.(check bool) "proper under adversarial ids" true (Col.is_proper g c)
 
-let test_dist_matches_pure_structure () =
-  (* distributed and pure pipelines both end with <= dmax+1 colors *)
-  let g = Gen.random_regular ~seed:31 50 4 in
-  let c_pure, _ = Lll_graph.Linial.color g in
-  let c_dist, _ = DC.color (Net.create g) in
-  Alcotest.(check bool) "both proper" true (Col.is_proper g c_pure && Col.is_proper g c_dist);
-  Alcotest.(check bool) "both small" true (Col.num_colors c_pure <= 5 && Col.num_colors c_dist <= 5)
-
 let test_two_hop_coloring () =
   let g = Gen.random_regular ~seed:37 48 3 in
   let net = Net.create g in
@@ -171,6 +167,12 @@ let test_schedule_consistency () =
      in
      desc 10_000 sched)
 
+let test_choose_params () =
+  let q, t = DC.choose_params ~dmax:4 ~m:100 in
+  Alcotest.(check bool) "prime" true (Lll_graph.Primes.is_prime q);
+  Alcotest.(check bool) "q > t*d" true (q > t * 4);
+  Alcotest.(check bool) "covers" true (float_of_int q ** float_of_int (t + 1) >= 100.)
+
 let test_gather_beyond_diameter () =
   let g = Gen.path 4 in
   let net = Net.create g in
@@ -181,11 +183,14 @@ let test_gather_beyond_diameter () =
 
 let test_single_node_network () =
   let net = Net.create (Lll_graph.Graph.create ~n:1 []) in
-  let states, stats =
-    RT.run_full_info net ~init:(fun _ -> 42) ~step:(fun ~round:_ ~me:_ s _ -> (s + 1, true))
+  let st, stats =
+    RT.run_flat net ~state:(int_state 1 (fun _ -> 42))
+      ~step:(fun ~round:_ ~me ~prev ~cur ~nbrs:_ ->
+        FS.set_int cur 0 me (FS.get_int prev 0 me + 1);
+        true)
   in
   Alcotest.(check int) "one round" 1 stats.RT.rounds;
-  Alcotest.(check (array int)) "stepped" [| 43 |] states
+  Alcotest.(check (array int)) "stepped" [| 43 |] (FS.int_column st 0)
 
 module MIS = Lll_local.Mis
 
@@ -263,9 +268,9 @@ let () =
         [
           Alcotest.test_case "proper" `Quick test_dist_coloring_proper;
           Alcotest.test_case "adversarial ids" `Quick test_dist_coloring_shuffled_ids;
-          Alcotest.test_case "matches pure pipeline" `Quick test_dist_matches_pure_structure;
           Alcotest.test_case "two-hop" `Quick test_two_hop_coloring;
           Alcotest.test_case "log* scaling" `Slow test_dist_coloring_logstar_scaling;
           Alcotest.test_case "schedule descends" `Quick test_schedule_consistency;
+          Alcotest.test_case "choose params" `Quick test_choose_params;
         ] );
     ]

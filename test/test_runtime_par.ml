@@ -1,8 +1,9 @@
 (* Differential tests for the domain-parallel LOCAL runtime: for every
-   runner ([run_full_info], [gather_balls], both over [run_flat]) the
-   parallel engine ([~domains:4]) must produce byte-identical results —
-   final states, round counts, raised exceptions — to the sequential
-   reference engine ([~domains:1], which never spawns a domain).
+   runner ([run_flat] and [gather_balls] over it) the parallel engine
+   ([~domains:4]) must produce byte-identical results — final states,
+   round counts, raised exceptions — to the sequential reference engine
+   ([~domains:1], which never spawns a domain), and [run_flat] must also
+   agree with the retired boxed engine [run_full_info_boxed].
 
    The protocols below are deterministic pseudo-random functions of
    (node, round, state), so any divergence in scheduling, snapshotting
@@ -13,6 +14,7 @@ module Net = Lll_local.Network
 module RT = Lll_local.Runtime
 module Par = Lll_local.Par
 module Metrics = Lll_local.Metrics
+module FS = Lll_local.Flat_state
 module Gen = Lll_graph.Generators
 
 let prop name count arb law =
@@ -40,14 +42,34 @@ let mix a b = ((a * 1_000_003) + b + 0x9E37) land 0x3FFFFFFF
 (* protocols                                                        *)
 (* ---------------------------------------------------------------- *)
 
-(* fold the neighbor list order-sensitively (subtraction and mixing do
-   not commute) into the state, halt at a per-node round *)
-let flood_step ~round ~me s nbrs =
-  let s = List.fold_left (fun acc (u, x) -> mix acc (mix u x) - u) (mix s round) nbrs in
+(* fold the neighbors order-sensitively (subtraction and mixing do not
+   commute) into the state, halt at a per-node round; [fold] walks the
+   (neighbor, state) pairs in the order the engine presents them *)
+let flood_next ~round ~me s fold =
+  let s = fold (fun acc u x -> mix acc (mix u x) - u) (mix s round) in
   (s, round + 1 >= 1 + ((me + s) mod 5))
 
-let full_info_with net domains =
-  RT.run_full_info ~domains net ~init:(fun v -> mix v 23) ~step:flood_step
+let flood_boxed ~round ~me s nbrs =
+  flood_next ~round ~me s (fun f init -> List.fold_left (fun acc (u, x) -> f acc u x) init nbrs)
+
+let flood_flat ~round ~me ~prev ~cur ~nbrs =
+  let xs = FS.int_column prev 0 in
+  let s, halt =
+    flood_next ~round ~me xs.(me) (fun f init -> Array.fold_left (fun acc u -> f acc u xs.(u)) init nbrs)
+  in
+  FS.set_int cur 0 me s;
+  halt
+
+let flood_init v = mix v 23
+
+let flood_with ?metrics net domains =
+  let n = Net.n net in
+  let state = FS.create ~n ~int_fields:1 () in
+  for v = 0 to n - 1 do
+    FS.set_int state 0 v (flood_init v)
+  done;
+  let st, stats = RT.run_flat ~domains ?metrics net ~state ~step:flood_flat in
+  (FS.int_column st 0, stats)
 
 let same_stats (s1 : RT.stats) (s2 : RT.stats) = s1.rounds = s2.rounds
 
@@ -57,13 +79,11 @@ let same_stats (s1 : RT.stats) (s2 : RT.stats) = s1.rounds = s2.rounds
 
 let diff_props =
   [
-    prop "run_full_info: domains:4 == domains:1 == boxed engine" 200 arb_net_params
+    prop "run_flat: domains:4 == domains:1 == boxed engine" 200 arb_net_params
       (fun p ->
         let net = net_of p in
-        let st1, s1 = full_info_with net 1 and st4, s4 = full_info_with net 4 in
-        let stb, sb =
-          RT.run_full_info_boxed ~domains:1 net ~init:(fun v -> mix v 23) ~step:flood_step
-        in
+        let st1, s1 = flood_with net 1 and st4, s4 = flood_with net 4 in
+        let stb, sb = RT.run_full_info_boxed ~domains:1 net ~init:flood_init ~step:flood_boxed in
         st1 = st4 && st1 = stb && same_stats s1 s4 && same_stats s1 sb);
     prop "gather_balls: domains:4 == domains:1 for radius 0..4" 200 arb_net_params
       (fun ((seed, _, _) as p) ->
@@ -73,15 +93,17 @@ let diff_props =
         let b1, s1 = RT.gather_balls ~domains:1 net ~radius ~value
         and b4, s4 = RT.gather_balls ~domains:4 net ~radius ~value in
         b1 = b4 && same_stats s1 s4);
-    prop "run_full_info: Round_limit_exceeded raised identically" 200 arb_net_params
+    prop "run_flat: Round_limit_exceeded raised identically" 200 arb_net_params
       (fun p ->
         let net = net_of p in
         (* never halts: both engines must hit the limit with equal payload *)
         let attempt domains =
           match
-            RT.run_full_info ~max_rounds:5 ~domains net
-              ~init:(fun v -> v)
-              ~step:(fun ~round ~me:_ s _ -> (mix s round, false))
+            RT.run_flat ~max_rounds:5 ~domains net
+              ~state:(FS.create ~n:(Net.n net) ~int_fields:1 ())
+              ~step:(fun ~round ~me ~prev ~cur ~nbrs:_ ->
+                FS.set_int cur 0 me (mix (FS.get_int prev 0 me) round);
+                false)
           with
           | _ -> None
           | exception RT.Round_limit_exceeded k -> Some k
@@ -179,10 +201,7 @@ let metrics_props =
       (fun p ->
         let net = net_of p in
         let sink = Metrics.buffer () in
-        let _, stats =
-          RT.run_full_info ~domains:4 ~metrics:sink net ~init:(fun v -> mix v 23)
-            ~step:flood_step
-        in
+        let _, stats = flood_with ~metrics:sink net 4 in
         let recs = Metrics.records sink in
         List.length recs = stats.RT.rounds
         && List.map (fun r -> r.Metrics.round) recs = List.init stats.RT.rounds Fun.id
@@ -194,7 +213,7 @@ let metrics_props =
 
 let test_metrics_disabled_empty () =
   let net = Net.create (Gen.cycle 5) in
-  ignore (RT.run_full_info ~domains:4 ~metrics:Metrics.disabled net ~init:Fun.id ~step:flood_step);
+  ignore (flood_with ~metrics:Metrics.disabled net 4);
   Alcotest.(check (list int)) "no records without a sink" []
     (List.map (fun r -> r.Metrics.round) (Metrics.records Metrics.disabled))
 

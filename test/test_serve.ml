@@ -258,11 +258,10 @@ let test_protocol_accessors () =
 (* ------------------------------------------------------------------ *)
 
 let test_workload_spec_keys () =
-  let store = Store.create () in
   let frame n =
     { Protocol.header = [ ("op", "solve"); ("family", "ring"); ("n", string_of_int n) ]; body = "" }
   in
-  let key n = Store.descr_key store (Workload.of_frame (frame n)) in
+  let key n = (Store.keyed (Workload.of_frame (frame n))).Store.key in
   let k1 = key 30 in
   let k2 = key 30 in
   let k3 = key 31 in
@@ -278,8 +277,8 @@ let test_workload_blob_key () =
   let frame = { Protocol.header = [ ("op", "solve") ]; body = blob } in
   let descr = Workload.of_frame frame in
   Alcotest.(check string) "digest key" (Memcache.content_key blob)
-    (Store.descr_key store descr);
-  let built, _ = Store.fetch_descr store descr in
+    (Store.keyed descr).Store.key;
+  let built, _ = Store.fetch_descr store (Store.keyed descr) in
   Alcotest.(check int) "builds the blob" (Lll_core.Instance.num_events inst)
     (Lll_core.Instance.num_events built)
 
@@ -355,10 +354,16 @@ let test_sched_error_isolation () =
 let test_sched_unknown_solver_errors () =
   let sched = Sched.create ~capacity:4 () in
   let _, results = run_batch sched [ solve_frame ~solver:"no-such-engine" 20 ] in
-  match results with
+  (match results with
   | [ r ] ->
-    Alcotest.(check (option string)) "status" (Some "error") (Protocol.get r "status")
-  | _ -> Alcotest.fail "expected one result"
+    Alcotest.(check (option string)) "status" (Some "error") (Protocol.get r "status");
+    Alcotest.(check (option string)) "names the solver" (Some "unknown solver \"no-such-engine\"")
+      (Protocol.get r "error")
+  | _ -> Alcotest.fail "expected one result");
+  (* the name is rejected before the instance is fetched or built *)
+  let ss = Sched.store_stats sched in
+  Alcotest.(check int) "nothing built" 0 ss.Store.st_built;
+  Alcotest.(check int) "no memory-tier miss" 0 ss.Store.st_mem.Memcache.s_misses
 
 let test_sched_metrics_stream () =
   let sched = Sched.create ~capacity:4 () in

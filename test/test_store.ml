@@ -326,8 +326,8 @@ let test_blob_descr () =
   let inst = Spec.build ring_spec in
   let blob = Serial.to_binary_string inst in
   let d = Store.Of_blob blob in
-  Alcotest.(check string) "blob key schema" (Memcache.content_key blob) (Store.descr_key st d);
-  let got, src = Store.fetch_descr st d in
+  Alcotest.(check string) "blob key schema" (Memcache.content_key blob) (Store.keyed d).Store.key;
+  let got, src = Store.fetch_descr st (Store.keyed d) in
   Alcotest.(check bool) "decoded" true (src = `Built);
   Alcotest.(check int) "payload" (Instance.num_events inst) (Instance.num_events got)
 
@@ -338,9 +338,9 @@ let test_file_descr_converges_on_spec_key () =
       (* a file= request naming a store artifact resolves to the spec
          key, so it shares the cache entry of the spec= request *)
       Alcotest.(check string) "file converges on spec key" (Spec.key ring_spec)
-        (Store.descr_key st (Store.Of_file path));
-      ignore (Store.fetch_descr st (Store.Of_file path));
-      let _, src = Store.fetch_descr st (Store.Of_spec ring_spec) in
+        (Store.keyed (Store.Of_file path)).Store.key;
+      ignore (Store.fetch_descr st (Store.keyed (Store.Of_file path)));
+      let _, src = Store.fetch_descr st (Store.keyed (Store.Of_spec ring_spec)) in
       Alcotest.(check bool) "shared cache entry" true (src = `Mem))
 
 let test_put_blob_artifact () =
@@ -355,10 +355,10 @@ let test_put_blob_artifact () =
       Alcotest.(check string) "idempotent" digest (Store.put_blob st inst);
       (* loadable through the file path, keyed by container identity
          (not a spec key — there is no sidecar) *)
-      let k = Store.descr_key st (Store.Of_file path) in
+      let k = (Store.keyed (Store.Of_file path)).Store.key in
       Alcotest.(check bool) "not a spec key" false
         (String.length k >= 5 && String.sub k 0 5 = "spec:");
-      let got, _ = Store.fetch_descr st (Store.Of_file path) in
+      let got, _ = Store.fetch_descr st (Store.keyed (Store.Of_file path)) in
       Alcotest.(check int) "round trip" (Instance.num_events inst) (Instance.num_events got))
 
 (* ------------------------------------------------------------------ *)
