@@ -13,14 +13,14 @@
      client    — talk to a running server (or spawn one) over the frame protocol
 
    Every engine lives behind the Solver registry: `--solver NAME` picks
-   one, `--list-solvers` enumerates them, and every run goes through the
+   one, `solvers` enumerates them, and every run goes through the
    shared post-condition (exact Verify.check plus the engine's P* claim).
 
    Examples:
      lll_cli criteria --family sinkless --n 30 --degree 3
      lll_cli solve --family weak-splitting --n 16 --solver fix3
      lll_cli solve --family ring --n 64 --solver dist2 --seed 7
-     lll_cli --list-solvers
+     lll_cli solvers
      lll_cli surface --steps 64 > surface.tsv
      lll_cli triple 0.25 1.5 0.1                                   *)
 
@@ -209,16 +209,6 @@ let criteria_cmd =
 
 (* ---- solve: one registry-driven loop for every engine ---- *)
 
-let print_solver_list () =
-  Format.printf "%-14s %-32s %s@." "name" "capabilities" "description";
-  Format.printf "%s@." (String.make 78 '-');
-  List.iter
-    (fun s ->
-      Format.printf "%-14s %-32s %s@." (Solver.name s)
-        (Format.asprintf "%a" Solver.pp_caps (Solver.caps s))
-        (Solver.doc s))
-    (Solver.all ())
-
 let solver_conv =
   let parse s =
     match Solver.find s with
@@ -233,11 +223,7 @@ let solver_conv =
 
 let solver_arg =
   Arg.(value & opt solver_conv "fix3" & info [ "solver"; "algo"; "a" ] ~docv:"NAME"
-         ~doc:"Registered solver engine (see --list-solvers).")
-
-let list_solvers_arg =
-  Arg.(value & flag & info [ "list-solvers" ]
-         ~doc:"List every registered solver with its capability envelope and exit.")
+         ~doc:"Registered solver engine (see $(b,lll_cli solvers)).")
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the uniform fixing trace (engines that record one).")
@@ -254,72 +240,59 @@ let metrics_arg =
            ~doc:"Write per-round runtime metrics (wall time, nodes stepped, halted fraction, \
                  state-size proxy) as JSON to PATH. Distributed algorithms only.")
 
-let dump_instance_arg =
-  Arg.(value & opt (some string) None
-       & info [ "dump-instance" ] ~docv:"PATH"
-           ~doc:"Serialize the instance (v2 weighted-table format) to PATH before solving.")
-
 let solve_cmd =
-  let run family n degree seed at_threshold file store_dir list_solvers solver_name trace
-      domains metrics_path dump_instance =
-    if list_solvers then print_solver_list ()
-    else begin
-      let inst = get_instance ?store_dir file family ~n ~degree ~seed ~at_threshold in
-      (match dump_instance with
-      | None -> ()
-      | Some path ->
-        Lll_core.Serial.save path inst;
-        Format.printf "dumped %a to %s@." I.pp inst path);
-      let solver = Solver.find_exn solver_name in
-      if not (Solver.applicable solver inst) then begin
-        Format.eprintf "solver %s does not accept %a (capabilities: %a)@." solver_name I.pp
-          inst Solver.pp_caps (Solver.caps solver);
-        exit 2
-      end;
-      let metrics =
-        match metrics_path with
-        | Some _ -> Lll_local.Metrics.buffer ()
-        | None -> Lll_local.Metrics.disabled
-      in
-      let params = { Solver.default_params with seed; domains; metrics } in
-      Format.printf "%a@." I.pp inst;
-      if not (Solver.guarantees solver inst) then
-        Format.printf "note: %s's criterion does not hold here; run is best-effort@."
-          solver_name;
-      let report = Solver.solve ~params solver inst in
-      if trace then begin
-        let sp = I.space inst in
-        match report.Solver.outcome.Solver.trace with
-        | [] -> Format.printf "  (no step trace recorded by %s)@." solver_name
-        | steps ->
-          List.iter
-            (fun (s : Solver.step) ->
-              Format.printf "  fix %s := %d%s%s@."
-                (Lll_prob.Var.name (Lll_prob.Space.var sp s.Solver.var))
-                s.Solver.value
-                (match s.Solver.srep_violation with
-                | Some v -> Printf.sprintf "  (S_rep violation %.2e)" v
-                | None -> "")
-                (match s.Solver.incs with
-                | [] -> ""
-                | incs ->
-                  "  [" ^ String.concat ", "
-                    (List.map (fun (e, r) -> Printf.sprintf "Inc(%d)=%s" e (Rat.to_string r)) incs)
-                  ^ "]"))
-            steps
-      end;
-      (match metrics_path with
-      | None -> ()
-      | Some path ->
-        let recs = Lll_local.Metrics.records metrics in
-        Lll_local.Metrics.write_json path recs;
-        Format.printf "metrics: %d round records (%.2f ms) -> %s@."
-          (List.length recs)
-          (float_of_int (Lll_local.Metrics.total_wall_ns recs) /. 1e6)
-          path);
-      Format.printf "%a@." Solver.pp_report report;
-      if not report.Solver.ok then exit 1
-    end
+  let run family n degree seed at_threshold file store_dir solver_name trace domains
+      metrics_path =
+    let inst = get_instance ?store_dir file family ~n ~degree ~seed ~at_threshold in
+    let solver = Solver.find_exn solver_name in
+    if not (Solver.applicable solver inst) then begin
+      Format.eprintf "solver %s does not accept %a (capabilities: %a)@." solver_name I.pp
+        inst Solver.pp_caps (Solver.caps solver);
+      exit 2
+    end;
+    let metrics =
+      match metrics_path with
+      | Some _ -> Lll_local.Metrics.buffer ()
+      | None -> Lll_local.Metrics.disabled
+    in
+    let params = { Solver.default_params with seed; domains; metrics } in
+    Format.printf "%a@." I.pp inst;
+    if not (Solver.guarantees solver inst) then
+      Format.printf "note: %s's criterion does not hold here; run is best-effort@."
+        solver_name;
+    let report = Solver.solve ~params solver inst in
+    if trace then begin
+      let sp = I.space inst in
+      match report.Solver.outcome.Solver.trace with
+      | [] -> Format.printf "  (no step trace recorded by %s)@." solver_name
+      | steps ->
+        List.iter
+          (fun (s : Solver.step) ->
+            Format.printf "  fix %s := %d%s%s@."
+              (Lll_prob.Var.name (Lll_prob.Space.var sp s.Solver.var))
+              s.Solver.value
+              (match s.Solver.srep_violation with
+              | Some v -> Printf.sprintf "  (S_rep violation %.2e)" v
+              | None -> "")
+              (match s.Solver.incs with
+              | [] -> ""
+              | incs ->
+                "  [" ^ String.concat ", "
+                  (List.map (fun (e, r) -> Printf.sprintf "Inc(%d)=%s" e (Rat.to_string r)) incs)
+                ^ "]"))
+          steps
+    end;
+    (match metrics_path with
+    | None -> ()
+    | Some path ->
+      let recs = Lll_local.Metrics.records metrics in
+      Lll_local.Metrics.write_json path recs;
+      Format.printf "metrics: %d round records (%.2f ms) -> %s@."
+        (List.length recs)
+        (float_of_int (Lll_local.Metrics.total_wall_ns recs) /. 1e6)
+        path);
+    Format.printf "%a@." Solver.pp_report report;
+    if not report.Solver.ok then exit 1
   in
   Cmd.v
     (Cmd.info "solve"
@@ -327,8 +300,7 @@ let solve_cmd =
              post-condition (exact verification plus the engine's P* claim).")
     Term.(
       const run $ family_arg $ n_arg $ degree_arg $ seed_arg $ at_threshold_arg $ file_arg
-      $ store_arg $ list_solvers_arg $ solver_arg $ trace_arg $ domains_arg $ metrics_arg
-      $ dump_instance_arg)
+      $ store_arg $ solver_arg $ trace_arg $ domains_arg $ metrics_arg)
 
 (* ---- fuzz ---- *)
 
@@ -479,11 +451,10 @@ let scenario_cmd =
                  Format.eprintf "scenario: bad %s entry %S@." what c;
                  exit 2))
   in
-  let run check record force baselines domains via_serve store_dir grid seeds families =
+  let run check record force baselines domains store_dir grid seeds families =
     (* --domains only overrides the fan-out width; the determinism
        contract keeps every round count identical to the pinned
        [Some 1] default, so checks stay valid at any width. *)
-    let raw_domains = domains in
     let domains = match domains with None -> None | Some k -> Some (Some k) in
     let grid = parse_int_list "--grid" grid in
     let seeds = parse_int_list "--seeds" seeds in
@@ -512,36 +483,7 @@ let scenario_cmd =
       Format.eprintf "--check and --record are mutually exclusive@.";
       exit 2
     end;
-    if via_serve then begin
-      if check || record then begin
-        Format.eprintf "--via-serve only supports the plain measurement report@.";
-        exit 2
-      end;
-      (* the measurement sweep routed through an in-process serve
-         session: same scheduler/cache/protocol stack as a socket
-         server, minus the socket *)
-      let sched = Lll_serve.Sched.create ?domains:raw_domains ?store_dir () in
-      let frame =
-        { Lll_serve.Protocol.header = [ ("op", "scenario") ]; body = "" }
-      in
-      let result = ref None in
-      (match
-         Lll_serve.Sched.handle_batch sched [ frame ] ~emit:(fun f ->
-             if Lll_serve.Protocol.get f "frame" = Some "result" then result := Some f)
-       with
-      | `Continue | `Shutdown -> ());
-      match !result with
-      | Some r when Lll_serve.Protocol.get r "status" = Some "ok" ->
-        print_string r.Lll_serve.Protocol.body
-      | Some r ->
-        Format.eprintf "scenario --via-serve failed: %s@."
-          (Option.value (Lll_serve.Protocol.get r "error") ~default:"unknown error");
-        exit 1
-      | None ->
-        Format.eprintf "scenario --via-serve: no result frame@.";
-        exit 1
-    end
-    else if check then begin
+    if check then begin
       let b =
         try Baseline.load baselines
         with
@@ -627,20 +569,13 @@ let scenario_cmd =
          & info [ "families" ] ~docv:"NAMES"
              ~doc:"Comma-separated corpus family filter for the plain measurement report.")
   in
-  let via_serve_arg =
-    Arg.(value & flag
-         & info [ "via-serve" ]
-             ~doc:"Route the measurement sweep through an in-process solve-service session \
-                   (same scheduler and protocol as $(b,serve)) instead of calling the \
-                   library directly.")
-  in
   Cmd.v
     (Cmd.info "scenario"
        ~doc:"Threshold-sharpness corpus: run every round-accounted engine over the \
              threshold-straddling workload families, fit round counts against log log n / \
              log n envelopes, and check or record the regression baselines.")
     Term.(const run $ check_arg $ record_arg $ force_arg $ baselines_arg $ domains_arg
-          $ via_serve_arg $ store_arg $ grid_arg $ seeds_arg $ families_arg)
+          $ store_arg $ grid_arg $ seeds_arg $ families_arg)
 
 (* ---- serve / client ---- *)
 
@@ -796,7 +731,7 @@ let client_cmd =
   in
   let op =
     Arg.(value & opt string "solve"
-         & info [ "op" ] ~docv:"OP" ~doc:"Request operation: solve, verify, fuzz, scenario, stats.")
+         & info [ "op" ] ~docv:"OP" ~doc:"Request operation: solve, verify, stats.")
   in
   let stream =
     Arg.(value & flag
@@ -986,6 +921,16 @@ let store_cmd =
 
 (* ---- solvers ---- *)
 
+let print_solver_list () =
+  Format.printf "%-14s %-32s %s@." "name" "capabilities" "description";
+  Format.printf "%s@." (String.make 78 '-');
+  List.iter
+    (fun s ->
+      Format.printf "%-14s %-32s %s@." (Solver.name s)
+        (Format.asprintf "%a" Solver.pp_caps (Solver.caps s))
+        (Solver.doc s))
+    (Solver.all ())
+
 let solvers_cmd =
   Cmd.v
     (Cmd.info "solvers" ~doc:"List the solver registry with capability envelopes.")
@@ -1023,17 +968,7 @@ let triple_cmd =
 
 let () =
   let doc = "Distributed Lovász Local Lemma at the sharp threshold (Brandt–Maus–Uitto, PODC'19)" in
-  let default =
-    Term.(
-      ret
-        (const (fun list_solvers ->
-             if list_solvers then begin
-               print_solver_list ();
-               `Ok ()
-             end
-             else `Help (`Pager, None))
-        $ list_solvers_arg))
-  in
+  let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval
        (Cmd.group ~default (Cmd.info "lll_cli" ~doc)

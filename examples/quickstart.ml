@@ -42,7 +42,7 @@ let () =
   Format.printf "engines accepting this instance: %s@.@."
     (String.concat ", " (List.map Solver.name (Solver.applicable_to instance)));
 
-  let report = Solver.solve_by_name "fix3" instance in
+  let report = Solver.solve (Solver.find_exn "fix3") instance in
   Format.printf "== deterministic fixing (Theorem 1.3, via the solver registry) ==@.";
   List.iter
     (fun (s : Solver.step) ->

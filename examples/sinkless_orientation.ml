@@ -26,7 +26,7 @@ let () =
   Format.printf "%a" Criteria.pp_report (Criteria.evaluate at);
   Format.printf "-> the deterministic theorems do not apply; randomized it goes:@.";
   let params = { Solver.default_params with Solver.seed = 7 } in
-  let mt = Solver.solve_by_name ~params "mt-par" at in
+  let mt = Solver.solve ~params (Solver.find_exn "mt-par") at in
   Format.printf "   parallel Moser-Tardos: solved=%b in %d resampling rounds@.@." mt.Solver.ok
     (Option.value mt.Solver.outcome.Solver.rounds ~default:0);
 

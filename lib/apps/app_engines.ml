@@ -28,9 +28,6 @@ module Solver = Lll_core.Solver
 (* Shared plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One-shot driver: all work happens on the first [advance]/[finish]. *)
-let oneshot compute : Solver.impl = fun params inst -> Solver.oneshot (fun () -> compute params inst)
-
 let outcome ?rounds ?(detail = []) assignment =
   {
     Solver.assignment;
@@ -414,7 +411,7 @@ let registered =
              randomized = false;
              claims_pstar = false;
            }
-         ~guarantees:sinkless_guarantee (oneshot sinkless_compute)
+         ~guarantees:sinkless_guarantee sinkless_compute
      in
      let (_ : Solver.t) =
        Solver.register ~name:"weak-split-greedy"
@@ -430,7 +427,7 @@ let registered =
              randomized = false;
              claims_pstar = false;
            }
-         ~guarantees:ws_guarantee (oneshot ws_compute)
+         ~guarantees:ws_guarantee ws_compute
      in
      ())
 

@@ -23,14 +23,13 @@
    minimal reproducer is dumped in the Serialize v2 instance format so
    [lll_cli --load-instance] can replay it.
 
-   The harness self-test (the fuzzer fuzzing itself) registers a
-   fault-injected clone of the rank-3 fixer — Replay.run_mutant with a
-   perturbed phi update — and asserts the harness catches and shrinks
-   it. *)
+   The harness self-test (the fuzzer fuzzing itself) builds an
+   unregistered fault-injected clone of the rank-3 fixer —
+   Replay.run_mutant with a perturbed phi update — and asserts the
+   harness catches and shrinks it. *)
 
 module Rat = Lll_num.Rat
 module Space = Lll_prob.Space
-module Assignment = Lll_prob.Assignment
 module Instance = Lll_core.Instance
 module Solver = Lll_core.Solver
 module Srep = Lll_core.Srep
@@ -116,8 +115,9 @@ let check ?(eps = Srep.default_eps)
 (* Shrinking a finding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let shrink ?eps ?replay violation inst =
-  match Solver.find (violation_engine violation) with
+let shrink ?eps ?replay ~engines violation inst =
+  let name = violation_engine violation in
+  match List.find_opt (fun e -> Solver.name e = name) engines with
   | None -> inst
   | Some engine ->
     let reproduces candidate =
@@ -185,7 +185,7 @@ let run ?eps ?replay ?(engines = Solver.all ()) ?(log = fun _ -> ()) ~seed ~budg
       match check ?eps ?replay ~engines h.Gen.instance with
       | None -> go (i + 1)
       | Some violation ->
-        let shrunk = shrink ?eps ?replay violation h.Gen.instance in
+        let shrunk = shrink ?eps ?replay ~engines violation h.Gen.instance in
         {
           tested = i + 1;
           finding = Some { label = h.Gen.label; instance = h.Gen.instance; violation; shrunk };
@@ -207,62 +207,33 @@ let run ?eps ?replay ?(engines = Solver.all ()) ?(log = fun _ -> ()) ~seed ~budg
 let self_test_mutation = { Replay.phi_gain = 0.0; choose_worst = false }
 
 let mutant_engine =
-  let cached = ref None in
-  fun () ->
-    match !cached with
-    | Some t -> t
-    | None ->
-      let t =
-        Solver.register ~name:mutant_name
-          ~doc:
-            "fault-injected clone of fix3 with a perturbed phi update — exists so the fuzz \
-             harness can prove it catches broken fixers (see DESIGN.md §8); never use for \
-             solving"
-          ~caps:
-            {
-              Solver.max_rank = Some 3;
-              exact = false;
-              distributed = false;
-              randomized = false;
-              claims_pstar = false;
-            }
-          (fun _params inst ->
-            let result = lazy (Replay.run_mutant self_test_mutation inst) in
-            let steps_of tr =
-              List.map
-                (fun (var, value) ->
-                  { Solver.var; value; incs = []; srep_violation = None })
-                tr
-            in
-            {
-              Solver.advance =
-                (fun () ->
-                  ignore (Lazy.force result);
-                  false);
-              peek_assignment =
-                (fun () ->
-                  if Lazy.is_val result then fst (Lazy.force result)
-                  else Assignment.empty (Instance.num_vars inst));
-              peek_trace =
-                (fun () -> if Lazy.is_val result then steps_of (snd (Lazy.force result)) else []);
-              finish =
-                (fun () ->
-                  let assignment, tr = Lazy.force result in
-                  {
-                    Solver.assignment;
-                    trace = steps_of tr;
-                    rounds = None;
-                    pstar = None;
-                    max_violation = None;
-                    detail = [ ("mutation", "phi_gain=0") ];
-                  });
-            })
-      in
-      cached := Some t;
-      t
+  Solver.make ~name:mutant_name
+    ~doc:
+      "fault-injected clone of fix3 with a perturbed phi update — exists so the fuzz \
+       harness can prove it catches broken fixers (see DESIGN.md §8); never use for \
+       solving"
+    ~caps:
+      {
+        Solver.max_rank = Some 3;
+        exact = false;
+        distributed = false;
+        randomized = false;
+        claims_pstar = false;
+      }
+    (fun _params inst ->
+      let assignment, tr = Replay.run_mutant self_test_mutation inst in
+      {
+        Solver.assignment;
+        trace =
+          List.map (fun (var, value) -> { Solver.var; value; incs = []; srep_violation = None }) tr;
+        rounds = None;
+        pstar = None;
+        max_violation = None;
+        detail = [ ("mutation", "phi_gain=0") ];
+      })
 
 let self_test ?eps ?(seed = 7) ?(budget = 50) ?log () =
-  run ?eps ?log ~engines:[ mutant_engine () ] ~seed ~budget ()
+  run ?eps ?log ~engines:[ mutant_engine ] ~seed ~budget ()
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer dump                                                     *)

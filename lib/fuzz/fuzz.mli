@@ -36,9 +36,15 @@ val check :
 (** Run every applicable engine of [engines] on the instance under both
     backends and return the first violation found, if any. *)
 
-val shrink : ?eps:float -> ?replay:(string -> bool) -> violation -> Instance.t -> Instance.t
-(** Greedily minimise the instance while the violating engine keeps
-    tripping the cross-check. *)
+val shrink :
+  ?eps:float ->
+  ?replay:(string -> bool) ->
+  engines:Solver.t list ->
+  violation ->
+  Instance.t ->
+  Instance.t
+(** Greedily minimise the instance while the violating engine (looked
+    up by name in [engines]) keeps tripping the cross-check. *)
 
 (** {1 The geometry oracle} *)
 
@@ -87,14 +93,13 @@ val dump_reproducer_store : Lll_store.Store.t -> finding -> string * string
 (** {1 Harness self-test} *)
 
 val mutant_name : string
-(** ["fix3-mutant-phi"] — the registry name of the fault-injected
-    engine. *)
+(** ["fix3-mutant-phi"] — the name of the fault-injected engine. *)
 
 val self_test_mutation : Replay.mutation
 
-val mutant_engine : unit -> Solver.t
-(** Register (once) and return the fault-injected clone of the rank-3
-    fixer: a perturbed, asymmetric phi write-back
+val mutant_engine : Solver.t
+(** The fault-injected clone of the rank-3 fixer, kept out of the
+    registry: a perturbed, asymmetric phi write-back
     ({!self_test_mutation}). Its runs look deterministic and complete,
     so only the independent cross-checks can expose it. *)
 

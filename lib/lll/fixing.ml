@@ -173,21 +173,22 @@ let fix_class ?domains ~fix ~record (duties : int list array) =
     Array.iter (List.iter record) buf
   end
 
-(* Fix [vid] as step [i] of [total]; into an enabled sink, one per-step
+(* Fix every variable in [order]; into an enabled sink, one per-step
    record in the LOCAL runtime's per-round shape. *)
-let timed_fix ~metrics ~total ~state fix i vid =
-  if Metrics.enabled metrics then begin
-    let t0 = Metrics.now_ns () in
-    fix vid;
-    Metrics.record_step metrics ~round:i ~total ~wall_ns:(Metrics.now_ns () - t0) ~state:(state ())
-  end
-  else fix vid
-
 let run t ~phase ~fix ?order ?(metrics = Metrics.disabled) () =
   let m = Instance.num_vars t.instance in
   let order = match order with Some o -> o | None -> Array.init m Fun.id in
-  if Metrics.enabled metrics then Metrics.set_phase metrics phase;
-  Array.iteri (timed_fix ~metrics ~total:m ~state:(fun () -> assignment t) fix) order
+  if Metrics.enabled metrics then begin
+    Metrics.set_phase metrics phase;
+    Array.iteri
+      (fun i vid ->
+        let t0 = Metrics.now_ns () in
+        fix vid;
+        Metrics.record_step metrics ~round:i ~total:m ~wall_ns:(Metrics.now_ns () - t0)
+          ~state:(assignment t))
+      order
+  end
+  else Array.iter fix order
 
 (* Property P* (Definition 3.1): every edge passes [edge_ok] on its two
    sides, and every event's exact conditional probability is bounded by

@@ -98,13 +98,6 @@ val fix_class :
     of the relevant conflict graph: their events, phi slots and scope
     variables are then pairwise disjoint (DESIGN.md §11). *)
 
-val timed_fix :
-  metrics:Lll_local.Metrics.sink -> total:int -> state:(unit -> Assignment.t) ->
-  (int -> unit) -> int -> int -> unit
-(** [timed_fix ~metrics ~total ~state fix i var]: [fix var] as step [i]
-    of [total]; into an enabled sink, one per-step record in the LOCAL
-    runtime's per-round shape, with [state ()] after the step. *)
-
 val run :
   _ t ->
   phase:string ->
@@ -113,8 +106,10 @@ val run :
   ?metrics:Lll_local.Metrics.sink ->
   unit ->
   unit
-(** {!timed_fix} over every variable in [order] (identity by default),
-    the records tagged [phase]. *)
+(** [fix] every variable in [order] (identity by default), step [i]
+    of [num_vars]; into an enabled sink, one per-step record in the
+    LOCAL runtime's per-round shape, tagged [phase], with the
+    assignment after the step. *)
 
 val pstar_exact : Rat.t t -> edge_ok:(Rat.t -> Rat.t -> bool) -> bool
 (** Property P* (Definition 3.1): every edge's two sides pass

@@ -1,17 +1,16 @@
 (* The unified solver engine (see the .mli).
 
-   Engines are adapted behind two small drivers: [seq_driver] wraps the
-   sequential fixing processes (one variable per step, per-step metrics
-   in the LOCAL runtime's round-record shape) and [oneshot] wraps the
-   engines that only exist as complete runs (Moser-Tardos, the
-   distributed drivers, conditional expectations). The specialized
-   modules keep their full APIs; this module is the single point where
-   selection, tracing, metrics and the verification post-condition
-   live. *)
+   An engine is a plain function from parameters and an instance to an
+   [outcome]. The sequential fixers run through their own [solve] (the
+   one fixing loop, [Fixing.run], emits their per-step metrics) and are
+   summarised here; Moser-Tardos, conditional expectations and the
+   distributed drivers map their results onto the same record. The
+   specialized modules keep their full APIs; this module is the single
+   point where selection, tracing, metrics and the verification
+   post-condition live. *)
 
 module Rat = Lll_num.Rat
 module Assignment = Lll_prob.Assignment
-module Space = Lll_prob.Space
 module Metrics = Lll_local.Metrics
 
 type step = {
@@ -71,14 +70,7 @@ let pp_report fmt r =
       (String.concat ";" (List.map string_of_int r.verify.Verify.violated));
   List.iter (fun (k, v) -> Format.fprintf fmt ", %s=%s" k v) r.outcome.detail
 
-type impl = params -> Instance.t -> driver
-
-and driver = {
-  advance : unit -> bool;
-  peek_assignment : unit -> Assignment.t;
-  peek_trace : unit -> step list;
-  finish : unit -> outcome;
-}
+type impl = params -> Instance.t -> outcome
 
 type t = {
   key : string;
@@ -112,9 +104,12 @@ let shattering inst =
 let registry : (string, t) Hashtbl.t = Hashtbl.create 32
 let order_of_registration : t list ref = ref []
 
-let register ~name ~doc ~caps ?(guarantees = exponential) impl =
+let make ~name ~doc ~caps ?(guarantees = exponential) impl =
+  { key = name; doc; caps; guarantee = guarantees; impl }
+
+let register ~name ~doc ~caps ?guarantees impl =
   if Hashtbl.mem registry name then invalid_arg ("Solver.register: duplicate engine " ^ name);
-  let t = { key = name; doc; caps; guarantee = guarantees; impl } in
+  let t = make ~name ~doc ~caps ?guarantees impl in
   Hashtbl.replace registry name t;
   order_of_registration := t :: !order_of_registration;
   t
@@ -125,200 +120,92 @@ let all () = List.rev !order_of_registration
 let names () = List.map name (all ())
 let applicable_to inst = List.filter (fun t -> applicable t inst) (all ())
 
-(* ---- sessions ---- *)
+(* ---- running ---- *)
 
-type session = {
-  sdriver : driver;
-  sink : Metrics.sink;
-  mutable exhausted : bool;
-  mutable summary : outcome option;
-}
-
-let create ?(params = default_params) t inst =
+let solve ?(params = default_params) t inst =
   if not (applicable t inst) then
     invalid_arg
-      (Printf.sprintf "Solver.create: engine %s supports rank <= %d, instance has rank %d"
+      (Printf.sprintf "Solver.solve: engine %s supports rank <= %d, instance has rank %d"
          t.key
          (Option.value t.caps.max_rank ~default:max_int)
          (Instance.rank inst));
-  { sdriver = t.impl params inst; sink = params.metrics; exhausted = false; summary = None }
-
-let step s =
-  if s.exhausted then false
-  else begin
-    let more = s.sdriver.advance () in
-    if not more then s.exhausted <- true;
-    more
-  end
-
-let finished s = s.exhausted
-let assignment s = s.sdriver.peek_assignment ()
-let trace s = s.sdriver.peek_trace ()
-let metrics s = Metrics.records s.sink
-
-let outcome s =
-  match s.summary with
-  | Some o -> o
-  | None ->
-    let o = s.sdriver.finish () in
-    s.exhausted <- true;
-    s.summary <- Some o;
-    o
-
-let solve ?params t inst =
-  let s = create ?params t inst in
-  let o = outcome s in
+  let o = t.impl params inst in
   let verify = Verify.check inst o.assignment in
   let ok = verify.Verify.ok && match o.pstar with Some false -> false | _ -> true in
   { solver = t.key; outcome = o; verify; ok }
-
-let solve_by_name ?params key inst = solve ?params (find_exn key) inst
 
 (* ------------------------------------------------------------------ *)
 (* Engine adapters                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A sequential fixing process: one variable per [advance], per-step
-   metrics records shaped like the runtime's round records. [summarise]
-   gives the P* verdict, max_violation and detail of the finished run. *)
-let seq_driver ~phase ~(fix : int -> unit) ~(get_assignment : unit -> Assignment.t)
-    ?(get_trace = fun () -> []) ~summarise params inst =
-  let n = Instance.num_vars inst in
-  let order = match params.order with Some o -> o | None -> Array.init n (fun i -> i) in
-  let len = Array.length order in
-  let metrics = params.metrics in
-  if Metrics.enabled metrics then Metrics.set_phase metrics phase;
-  let pos = ref 0 in
-  let advance () =
-    if !pos >= len then false
-    else begin
-      Fixing.timed_fix ~metrics ~total:len ~state:get_assignment fix !pos order.(!pos);
-      incr pos;
-      !pos < len
-    end
-  in
-  {
-    advance;
-    peek_assignment = get_assignment;
-    peek_trace = get_trace;
-    finish =
-      (fun () ->
-        while advance () do
-          ()
-        done;
-        let pstar, max_violation, detail = summarise () in
-        {
-          assignment = get_assignment ();
-          trace = get_trace ();
-          rounds = None;
-          pstar = Some pstar;
-          max_violation;
-          detail;
-        });
-  }
-
-(* An engine that only exists as a complete run: the single [advance]
-   performs it; the outcome is memoised. *)
-let oneshot run_fn =
-  let memo = ref None in
-  let force () =
-    match !memo with
-    | Some o -> o
-    | None ->
-      let o = run_fn () in
-      memo := Some o;
-      o
-  in
-  {
-    advance = (fun () -> ignore (force ()); false);
-    peek_assignment = (fun () -> (force ()).assignment);
-    peek_trace = (fun () -> (force ()).trace);
-    finish = force;
-  }
+(* The outcome of a finished sequential fixer. *)
+let fixed ~assignment ?(trace = []) ~pstar ?max_violation detail =
+  { assignment; trace; rounds = None; pstar = Some pstar; max_violation; detail }
 
 let fix2_impl params inst =
-  let t = Fix_rank2.create inst in
-  seq_driver ~phase:"fix-rank2"
-    ~fix:(Fix_rank2.fix_var t)
-    ~get_assignment:(fun () -> Fix_rank2.assignment t)
-    ~get_trace:(fun () ->
-      List.map
-        (fun (s : Fix_rank2.step) ->
-          { var = s.var; value = s.value; incs = s.incs; srep_violation = None })
-        (Fix_rank2.steps t))
-    ~summarise:(fun () ->
-      (* worst certificate headroom (budget - score) over the run: how
-         close the adversary got to the proof's bound *)
-      let headroom =
-        List.fold_left
-          (fun acc (s : Fix_rank2.step) -> Float.min acc (Rat.to_float (Rat.sub s.budget s.score)))
-          infinity (Fix_rank2.steps t)
-      in
-      ( Fix_rank2.pstar_holds t,
-        None,
-        if headroom = infinity then [] else [ ("worst_headroom", Printf.sprintf "%.6f" headroom) ]
-      ))
-    params inst
+  let assignment, t = Fix_rank2.solve ?order:params.order ~metrics:params.metrics inst in
+  let steps = Fix_rank2.steps t in
+  (* worst certificate headroom (budget - score) over the run: how
+     close the adversary got to the proof's bound *)
+  let headroom =
+    List.fold_left
+      (fun acc (s : Fix_rank2.step) -> Float.min acc (Rat.to_float (Rat.sub s.budget s.score)))
+      infinity steps
+  in
+  fixed ~assignment
+    ~trace:
+      (List.map
+         (fun (s : Fix_rank2.step) ->
+           { var = s.var; value = s.value; incs = s.incs; srep_violation = None })
+         steps)
+    ~pstar:(Fix_rank2.pstar_holds t)
+    (if headroom = infinity then [] else [ ("worst_headroom", Printf.sprintf "%.6f" headroom) ])
 
 let fix3_impl params inst =
-  let t = Fix_rank3.create inst in
-  seq_driver ~phase:"fix-rank3"
-    ~fix:(Fix_rank3.fix_var t)
-    ~get_assignment:(fun () -> Fix_rank3.assignment t)
-    ~get_trace:(fun () ->
-      List.map
-        (fun (s : Fix_rank3.step) ->
-          { var = s.var; value = s.value; incs = s.incs; srep_violation = Some s.violation })
-        (Fix_rank3.steps t))
-    ~summarise:(fun () -> (Fix_rank3.pstar_holds t, Some (Fix_rank3.max_violation t), []))
-    params inst
+  let assignment, t = Fix_rank3.solve ?order:params.order ~metrics:params.metrics inst in
+  fixed ~assignment
+    ~trace:
+      (List.map
+         (fun (s : Fix_rank3.step) ->
+           { var = s.var; value = s.value; incs = s.incs; srep_violation = Some s.violation })
+         (Fix_rank3.steps t))
+    ~pstar:(Fix_rank3.pstar_holds t) ~max_violation:(Fix_rank3.max_violation t) []
 
 let fix3_exact_impl params inst =
-  let t = Fix_rank3_exact.create inst in
-  seq_driver ~phase:"fix-rank3-exact"
-    ~fix:(Fix_rank3_exact.fix_var t)
-    ~get_assignment:(fun () -> Fix_rank3_exact.assignment t)
-    ~summarise:(fun () ->
-      ( Fix_rank3_exact.pstar_holds_exact t,
-        None,
-        [ ("fallbacks", string_of_int (Fix_rank3_exact.fallbacks t)) ] ))
-    params inst
+  let assignment, t = Fix_rank3_exact.solve ?order:params.order ~metrics:params.metrics inst in
+  fixed ~assignment ~pstar:(Fix_rank3_exact.pstar_holds_exact t)
+    [ ("fallbacks", string_of_int (Fix_rank3_exact.fallbacks t)) ]
 
 let fixr_impl params inst =
-  let t = Fix_rankr.create inst in
-  seq_driver ~phase:"fix-rankr"
-    ~fix:(Fix_rankr.fix_var t)
-    ~get_assignment:(fun () -> Fix_rankr.assignment t)
-    ~get_trace:(fun () ->
-      List.map
-        (fun (s : Fix_rankr.step) ->
-          { var = s.var; value = s.value; incs = s.incs; srep_violation = Some (-.s.slack) })
-        (Fix_rankr.steps t))
-    ~summarise:(fun () ->
-      let slack = Fix_rankr.min_slack t in
-      ( Fix_rankr.pstar_holds t,
-        (if slack = infinity then None else Some (-.slack)),
-        [
-          ("min_slack", Printf.sprintf "%.3e" slack);
-          ("infeasible_steps", string_of_int (Fix_rankr.infeasible_steps t));
-        ] ))
-    params inst
+  let assignment, t = Fix_rankr.solve ?order:params.order ~metrics:params.metrics inst in
+  let slack = Fix_rankr.min_slack t in
+  fixed ~assignment
+    ~trace:
+      (List.map
+         (fun (s : Fix_rankr.step) ->
+           { var = s.var; value = s.value; incs = s.incs; srep_violation = Some (-.s.slack) })
+         (Fix_rankr.steps t))
+    ~pstar:(Fix_rankr.pstar_holds t)
+    ?max_violation:(if slack = infinity then None else Some (-.slack))
+    [
+      ("min_slack", Printf.sprintf "%.3e" slack);
+      ("infeasible_steps", string_of_int (Fix_rankr.infeasible_steps t));
+    ]
 
 let union_bound_impl params inst =
-  oneshot (fun () ->
-      let a, phi = Cond_exp.solve ?order:params.order ~metrics:params.metrics inst in
-      {
-        assignment = a;
-        trace = [];
-        rounds = None;
-        pstar = None;
-        max_violation = None;
-        detail =
-          [
-            ("criterion", if Cond_exp.criterion_holds inst then "holds" else "fails");
-            ("final_phi", Rat.to_string phi);
-          ];
-      })
+  let a, phi = Cond_exp.solve ?order:params.order ~metrics:params.metrics inst in
+  {
+    assignment = a;
+    trace = [];
+    rounds = None;
+    pstar = None;
+    max_violation = None;
+    detail =
+      [
+        ("criterion", if Cond_exp.criterion_holds inst then "holds" else "fails");
+        ("final_phi", Rat.to_string phi);
+      ];
+  }
 
 (* On budget exhaustion the engines hand back the carried partial result:
    the (complete but still violating) assignment goes through the shared
@@ -343,34 +230,31 @@ let mt_outcome ~rounds_of run =
   }
 
 let mt_seq_impl params inst =
-  oneshot (fun () ->
-      mt_outcome ~rounds_of:(fun _ -> None) (fun () ->
-          Moser_tardos.solve_sequential ~seed:params.seed inst))
+  mt_outcome ~rounds_of:(fun _ -> None) (fun () ->
+      Moser_tardos.solve_sequential ~seed:params.seed inst)
 
 let mt_par_impl variant params inst =
-  oneshot (fun () ->
-      mt_outcome ~rounds_of:(fun s -> Some s.Moser_tardos.rounds) (fun () ->
-          variant ~seed:params.seed inst))
+  mt_outcome ~rounds_of:(fun s -> Some s.Moser_tardos.rounds) (fun () ->
+      variant ~seed:params.seed inst)
 
 let dist_impl solve_fn params inst =
-  oneshot (fun () ->
-      let (r : Distributed.result) = solve_fn ?domains:params.domains ?metrics:(Some params.metrics) inst in
-      {
-        assignment = r.Distributed.assignment;
-        trace = [];
-        rounds = Some r.Distributed.rounds;
-        pstar = None;
-        max_violation = None;
-        detail =
-          [
-            ("coloring_rounds", string_of_int r.Distributed.coloring_rounds);
-            ("sweep_rounds", string_of_int r.Distributed.sweep_rounds);
-            ("colors", string_of_int r.Distributed.colors);
-          ];
-      })
+  let (r : Distributed.result) = solve_fn ?domains:params.domains ?metrics:(Some params.metrics) inst in
+  {
+    assignment = r.Distributed.assignment;
+    trace = [];
+    rounds = Some r.Distributed.rounds;
+    pstar = None;
+    max_violation = None;
+    detail =
+      [
+        ("coloring_rounds", string_of_int r.Distributed.coloring_rounds);
+        ("sweep_rounds", string_of_int r.Distributed.sweep_rounds);
+        ("colors", string_of_int r.Distributed.colors);
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Built-in registrations (the CLI/--list-solvers order)               *)
+(* Built-in registrations (the `lll_cli solvers` order)               *)
 (* ------------------------------------------------------------------ *)
 
 let seq_caps ~max_rank ~exact =

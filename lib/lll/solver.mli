@@ -6,11 +6,13 @@
     rank-r generalisation), the Moser–Tardos baselines, the
     conditional-expectations union-bound baseline, and the distributed
     drivers of Corollaries 1.2/1.4 (both schedule-accounting and
-    genuinely message-passing) — is registered under a string key
-    together with a {!caps} capability envelope. Consumers (the CLI,
-    the experiment harness, the benchmarks, the examples and the tests)
-    select engines with {!find}/{!all}/{!applicable_to} and run them
-    with {!solve}, never touching engine-specific APIs.
+    genuinely message-passing) — is a plain function from {!params}
+    and an instance to an {!outcome}, one complete run, registered
+    under a string key together with a {!caps} capability envelope.
+    Consumers (the CLI, the experiment harness, the benchmarks, the
+    examples and the tests) select engines with
+    {!find}/{!all}/{!applicable_to} and run them with {!solve}, never
+    touching engine-specific APIs.
 
     Every {!solve} ends in the one shared post-condition: the produced
     assignment goes through exact {!Verify.check}, and engines whose
@@ -20,7 +22,7 @@
     New engines (e.g. the arbitrary-rank generalisation of
     Brandt–Grunau–Rozhoň, or further LLL algorithms à la Davies)
     register themselves with {!register} and instantly appear in
-    [lll_cli --list-solvers], the experiment sweep and the
+    [lll_cli solvers], the experiment sweep and the
     differential test suite. See DESIGN.md §6. *)
 
 module Rat = Lll_num.Rat
@@ -128,60 +130,25 @@ val guarantees : t -> Instance.t -> bool
     engine's theorem promises an [ok] report; otherwise the run is
     best-effort. *)
 
-(** {1 Incremental sessions}
-
-    The step-level interface behind {!solve}. Sequential fixers advance
-    one variable per {!step}; one-shot engines (Moser–Tardos, the
-    distributed drivers) complete in a single {!step}. *)
-
-type session
-
-val create : ?params:params -> t -> Instance.t -> session
-(** @raise Invalid_argument if the engine is not {!applicable}. *)
-
-val step : session -> bool
-(** Perform one unit of work; [false] once no work remains (the unit
-    performed by the returning call included). *)
-
-val finished : session -> bool
-
-val assignment : session -> Assignment.t
-(** Current (possibly partial) assignment. Forces one-shot engines. *)
-
-val trace : session -> step list
-(** Steps taken so far, oldest first. *)
-
-val metrics : session -> Metrics.round_record list
-(** Records accumulated in the session's sink so far. *)
-
-val outcome : session -> outcome
-(** Drives the session to completion if needed, then summarises it. *)
-
 val solve : ?params:params -> t -> Instance.t -> report
-(** Run to completion and apply the shared post-condition.
+(** Run the engine and apply the shared post-condition.
     @raise Invalid_argument if the engine is not {!applicable}. *)
-
-val solve_by_name : ?params:params -> string -> Instance.t -> report
-(** @raise Not_found on an unregistered name. *)
 
 (** {1 The registry} *)
 
-type impl = params -> Instance.t -> driver
-(** An engine implementation: given parameters and an instance, start a
-    run and expose it through a {!driver}. *)
+type impl = params -> Instance.t -> outcome
+(** An engine implementation: one complete run. *)
 
-and driver = {
-  advance : unit -> bool;
-      (** one unit of work; [false] once no work remains *)
-  peek_assignment : unit -> Assignment.t;
-  peek_trace : unit -> step list;
-  finish : unit -> outcome;  (** drain remaining work and summarise *)
-}
-
-val oneshot : (unit -> outcome) -> driver
-(** The driver of an engine that only exists as a complete run: the
-    first [advance], peek or [finish] performs it, and the outcome is
-    memoised. *)
+val make :
+  name:string ->
+  doc:string ->
+  caps:caps ->
+  ?guarantees:(Instance.t -> bool) ->
+  impl ->
+  t
+(** An engine outside the registry (e.g. a fault-injected test clone).
+    [guarantees] defaults to the paper's exponential criterion
+    [p < 2^-d]. *)
 
 val register :
   name:string ->
@@ -190,8 +157,7 @@ val register :
   ?guarantees:(Instance.t -> bool) ->
   impl ->
   t
-(** Register an engine under [name]. [guarantees] defaults to the
-    paper's exponential criterion [p < 2^-d].
+(** {!make} the engine and add it to the registry under [name].
     @raise Invalid_argument on a duplicate name. *)
 
 val find : string -> t option

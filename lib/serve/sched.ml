@@ -42,8 +42,6 @@ module Serial = Lll_core.Serial
 module Instance = Lll_core.Instance
 module Assignment = Lll_prob.Assignment
 module Metrics = Lll_local.Metrics
-module Corpus = Lll_scenario.Corpus
-module Run = Lll_scenario.Run
 module Store = Lll_store.Store
 module Memcache = Lll_store.Memcache
 
@@ -91,21 +89,6 @@ let assignment_of_string nvars s =
         | Some v -> Some v
         | None -> raise (Protocol.Protocol_error (Printf.sprintf "bad assignment cell %S" c)))
     cells
-
-let int_list_field frame key =
-  match Protocol.get frame key with
-  | None -> None
-  | Some s ->
-    Some
-      (String.split_on_char ',' s
-      |> List.filter (fun c -> c <> "")
-      |> List.map (fun c ->
-             match int_of_string_opt c with
-             | Some v -> v
-             | None ->
-               raise
-                 (Protocol.Protocol_error
-                    (Printf.sprintf "field %S: bad integer %S" key c))))
 
 (* ---- per-op handlers; each returns the result frame's extra header
    fields and body ---- *)
@@ -206,47 +189,6 @@ let handle_verify t frame ~keyed =
     ],
     "" )
 
-let handle_fuzz frame =
-  let seed = Option.value (Protocol.get_int frame "seed") ~default:1 in
-  let budget = Option.value (Protocol.get_int frame "budget") ~default:10 in
-  let outcome = Lll_fuzz.Fuzz.run ~seed ~budget () in
-  let found, label, body =
-    match outcome.Lll_fuzz.Fuzz.finding with
-    | None -> ("0", [], "")
-    | Some f ->
-      ("1", [ ("label", f.Lll_fuzz.Fuzz.label) ], Serial.to_string f.Lll_fuzz.Fuzz.shrunk)
-  in
-  ( [ ("op", "fuzz"); ("tested", string_of_int outcome.Lll_fuzz.Fuzz.tested); ("found", found) ]
-    @ label,
-    body )
-
-let handle_scenario t frame =
-  let grid = int_list_field frame "grid" in
-  let seeds = int_list_field frame "seeds" in
-  let families =
-    match Protocol.get frame "families" with
-    | None -> None
-    | Some s ->
-      Some
-        (String.split_on_char ',' s
-        |> List.filter (fun f -> f <> "")
-        |> List.map (fun name ->
-               match Corpus.find name with
-               | Some f -> f
-               | None ->
-                 raise
-                   (Protocol.Protocol_error (Printf.sprintf "unknown scenario family %S" name))))
-  in
-  let domains =
-    match Protocol.get_int frame "domains" with
-    | Some d -> Some (Some d)
-    | None -> (match t.default_domains with None -> None | Some d -> Some (Some d))
-  in
-  let measurements = Run.measure ?grid ?seeds ?families ?domains ~store:t.store () in
-  let fits = Run.fit_growth measurements in
-  ( [ ("op", "scenario"); ("measurements", string_of_int (List.length measurements)) ],
-    Format.asprintf "%a@.%a" Run.pp_measurements measurements Run.pp_fits fits )
-
 let handle_stats t =
   let ss = store_stats t in
   let s = ss.Store.st_mem in
@@ -286,8 +228,6 @@ let handle_one t frame ~keyed ~id ~emit =
   match (Protocol.get_exn frame "op", keyed) with
   | "solve", Some keyed -> handle_solve t frame ~keyed ~id ~emit
   | "verify", Some keyed -> handle_verify t frame ~keyed
-  | "fuzz", _ -> handle_fuzz frame
-  | "scenario", _ -> handle_scenario t frame
   | "stats", _ -> handle_stats t
   | "shutdown", _ -> ([ ("op", "shutdown") ], "")
   | op, _ -> raise (Protocol.Protocol_error (Printf.sprintf "unknown op %S" op))

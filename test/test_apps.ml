@@ -381,14 +381,14 @@ let model_check_props =
           if seed mod 2 = 0 then Gen.cycle (4 + (seed mod 9))
           else Gen.random_regular ~seed (2 * (4 + (seed mod 4))) 3
         in
-        let report = Solver.solve_by_name "sinkless-orient" (Sink.instance g) in
+        let report = Solver.solve (Solver.find_exn "sinkless-orient") (Sink.instance g) in
         report.Solver.ok
         && V.avoids_all (Sink.instance g) report.Solver.outcome.Solver.assignment
         && Sink.is_sinkless g report.Solver.outcome.Solver.assignment);
     prop "weak splitting: greedy engine 2-colors every view" 200 seed_arb (fun seed ->
         let nv = 6 + (seed mod 7) in
         let adj = Gen.random_biregular_bipartite ~seed ~nv ~nu:nv ~deg_u:3 ~deg_v:3 in
-        let report = Solver.solve_by_name "weak-split-greedy" (WS.instance ~nv adj) in
+        let report = Solver.solve (Solver.find_exn "weak-split-greedy") (WS.instance ~nv adj) in
         report.Solver.ok && WS.is_valid ~nv adj report.Solver.outcome.Solver.assignment);
     prop "frugal coloring: fixer output respects the load cap" 200 seed_arb (fun seed ->
         let n = [| 9; 12; 15 |].(seed mod 3) in

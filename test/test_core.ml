@@ -1130,7 +1130,7 @@ let test_distributed_rankr () =
 let test_distributed_mt () =
   let inst = Syn.ring ~seed:7 ~n:30 ~arity:4 () in
   let params = { Lll_core.Solver.default_params with Lll_core.Solver.seed = 3 } in
-  let r = Lll_core.Solver.solve_by_name ~params "mt-par" inst in
+  let r = Lll_core.Solver.solve ~params (Lll_core.Solver.find_exn "mt-par") inst in
   Alcotest.(check bool) "ok" true r.Lll_core.Solver.ok
 
 let test_distributed_round_scaling () =

@@ -19,7 +19,12 @@ let engines names = List.map Solver.find_exn names
 (* ------------------------------------------------------------------ *)
 
 let test_self_test_catches_mutant () =
+  let registered = Solver.names () in
   let outcome = Fuzz.self_test () in
+  (* the mutant exists for the self-test only: the global registry
+     (which later sweeps run in full) must come out unchanged *)
+  Alcotest.(check bool) "mutant not registered" true (Solver.find Fuzz.mutant_name = None);
+  Alcotest.(check (list string)) "registry unchanged" registered (Solver.names ());
   match outcome.Fuzz.finding with
   | None -> Alcotest.fail "harness did not catch the injected phi mutation"
   | Some f ->
@@ -30,12 +35,12 @@ let test_self_test_catches_mutant () =
     if shrunk_events > 4 then
       Alcotest.failf "reproducer not minimal: %d events (want <= 4)" shrunk_events;
     (* the shrunk reproducer must still trip the same engine *)
-    (match Fuzz.check ~engines:[ Fuzz.mutant_engine () ] f.Fuzz.shrunk with
+    (match Fuzz.check ~engines:[ Fuzz.mutant_engine ] f.Fuzz.shrunk with
     | Some _ -> ()
     | None -> Alcotest.fail "shrunk reproducer no longer reproduces the violation");
     (* ... and must survive a Serialize v2 round trip still violating *)
     let reloaded = Serial.of_string (Serial.to_string f.Fuzz.shrunk) in
-    (match Fuzz.check ~engines:[ Fuzz.mutant_engine () ] reloaded with
+    (match Fuzz.check ~engines:[ Fuzz.mutant_engine ] reloaded with
     | Some _ -> ()
     | None -> Alcotest.fail "serialized reproducer no longer reproduces the violation")
 
@@ -66,7 +71,7 @@ let test_geometry_oracle_clean () =
 
 let test_replay_accepts_honest_trace () =
   let inst = Syn.random ~seed:5 ~n:12 ~rank:3 ~delta:2 ~arity:4 () in
-  let report = Solver.solve_by_name "fix3" inst in
+  let report = Solver.solve (Solver.find_exn "fix3") inst in
   let steps =
     List.map
       (fun (s : Solver.step) -> (s.Solver.var, s.Solver.value))
@@ -133,7 +138,7 @@ let test_sinkless_sweep_clean () =
 let test_replay_on_sinkless_trace () =
   let g = Lll_graph.Generators.cycle 8 in
   let inst = Lll_apps.Sinkless.instance g in
-  let report = Solver.solve_by_name "fix2" inst in
+  let report = Solver.solve (Solver.find_exn "fix2") inst in
   let steps =
     List.map
       (fun (s : Solver.step) -> (s.Solver.var, s.Solver.value))

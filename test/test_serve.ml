@@ -339,17 +339,23 @@ let test_sched_batch_grouping () =
   Alcotest.(check string) "group output identical" (List.nth results 0).Protocol.body
     (List.nth results 2).Protocol.body
 
+(* unknown ops, including the fuzz and scenario sweeps the serve tier
+   does not run, fail their own request only *)
 let test_sched_error_isolation () =
-  let sched = Sched.create ~capacity:4 () in
-  let bad = { Protocol.header = [ ("op", "transmogrify") ]; body = "" } in
-  let _, results = run_batch sched [ bad; solve_frame 20 ] in
-  match results with
-  | [ e; ok ] ->
-    Alcotest.(check (option string)) "bad op errors" (Some "error") (Protocol.get e "status");
-    Alcotest.(check bool) "has reason" true (Protocol.get e "error" <> None);
-    Alcotest.(check (option string)) "good request unaffected" (Some "ok")
-      (Protocol.get ok "status")
-  | _ -> Alcotest.fail "expected two results"
+  List.iter
+    (fun op ->
+      let sched = Sched.create ~capacity:4 () in
+      let bad = { Protocol.header = [ ("op", op) ]; body = "" } in
+      let _, results = run_batch sched [ bad; solve_frame 20 ] in
+      match results with
+      | [ e; ok ] ->
+        Alcotest.(check (option string)) (op ^ " errors") (Some "error") (Protocol.get e "status");
+        Alcotest.(check (option string))
+          (op ^ " reason") (Some (Printf.sprintf "unknown op %S" op)) (Protocol.get e "error");
+        Alcotest.(check (option string)) "good request unaffected" (Some "ok")
+          (Protocol.get ok "status")
+      | _ -> Alcotest.fail "expected two results")
+    [ "transmogrify"; "fuzz"; "scenario" ]
 
 let test_sched_unknown_solver_errors () =
   let sched = Sched.create ~capacity:4 () in

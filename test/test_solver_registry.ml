@@ -123,7 +123,7 @@ let test_registry_rejects_duplicates () =
       claims_pstar = false;
     }
   in
-  let impl _ _ : Solver.driver = failwith "never run" in
+  let impl _ _ : Solver.outcome = failwith "never run" in
   let _ = Solver.register ~name:"test-dup" ~doc:"test stub" ~caps impl in
   Alcotest.check_raises "duplicate name rejected"
     (Invalid_argument "Solver.register: duplicate engine test-dup") (fun () ->
@@ -133,55 +133,43 @@ let test_inapplicable_rejected () =
   let inst = Syn.random ~seed:1 ~n:9 ~rank:3 ~delta:2 ~arity:8 () in
   let fix2 = Solver.find_exn "fix2" in
   Alcotest.(check bool) "fix2 not applicable to rank 3" false (Solver.applicable fix2 inst);
-  (try
-     ignore (Solver.solve fix2 inst);
-     Alcotest.fail "solve on inapplicable engine must raise"
-   with Invalid_argument _ -> ());
   try
-    ignore (Solver.create fix2 inst);
-    Alcotest.fail "create on inapplicable engine must raise"
+    ignore (Solver.solve fix2 inst);
+    Alcotest.fail "solve on inapplicable engine must raise"
   with Invalid_argument _ -> ()
 
-let test_session_stepping () =
-  let inst = Syn.ring ~seed:7 ~n:12 ~arity:4 () in
-  let session = Solver.create (Solver.find_exn "fix2") inst in
-  let steps = ref 0 in
-  while Solver.step session do
-    incr steps
-  done;
-  Alcotest.(check bool) "finished" true (Solver.finished session);
-  Alcotest.(check int) "one step per variable" (I.num_vars inst) (List.length (Solver.trace session));
-  let outcome = Solver.outcome session in
-  Alcotest.(check bool) "stepped assignment verifies" true
-    (V.avoids_all inst outcome.Solver.assignment);
-  (* the incremental run must land on the one-shot run's assignment *)
-  let oneshot = Solver.solve_by_name "fix2" inst in
-  for v = 0 to I.num_vars inst - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "var %d agrees with one-shot" v)
-      (Lll_prob.Assignment.value_exn oneshot.Solver.outcome.Solver.assignment v)
-      (Lll_prob.Assignment.value_exn outcome.Solver.assignment v)
-  done
-
+(* Every sequential fixer streams one record per variable through the
+   fixing loop: tagged with its phase, numbered in fixing order, and
+   [halted_fraction] counting fixed variables out of all of them. *)
 let test_metrics_threaded () =
   let inst = Syn.ring ~seed:3 ~n:10 ~arity:4 () in
-  let sink = Metrics.buffer () in
-  let params = { Solver.default_params with Solver.metrics = sink } in
-  let report = Solver.solve ~params (Solver.find_exn "fix3") inst in
-  Alcotest.(check bool) "solved" true report.Solver.ok;
-  let recs = Metrics.records sink in
-  Alcotest.(check int) "one record per fixing step" (I.num_vars inst) (List.length recs);
+  let n = I.num_vars inst in
+  let order = Array.init n (fun i -> n - 1 - i) in
   List.iter
-    (fun r ->
-      Alcotest.(check string) "phase tagged" "fix-rank3" r.Metrics.phase;
-      Alcotest.(check int) "sequential steps touch one variable" 1 r.Metrics.stepped)
-    recs
+    (fun (name, phase) ->
+      let sink = Metrics.buffer () in
+      let params = { Solver.default_params with Solver.order = Some order; metrics = sink } in
+      let report = Solver.solve ~params (Solver.find_exn name) inst in
+      Alcotest.(check bool) (name ^ " solved") true report.Solver.ok;
+      let recs = Metrics.records sink in
+      Alcotest.(check int) (name ^ ": one record per variable") n (List.length recs);
+      List.iteri
+        (fun i r ->
+          Alcotest.(check string) (name ^ ": phase tagged") phase r.Metrics.phase;
+          Alcotest.(check int) (name ^ ": step index") i r.Metrics.round;
+          Alcotest.(check int) (name ^ ": one variable per step") 1 r.Metrics.stepped;
+          Alcotest.(check (float 0.))
+            (name ^ ": fixed out of total")
+            (float_of_int (i + 1) /. float_of_int n)
+            r.Metrics.halted_fraction)
+        recs)
+    [ ("fix2", "fix-rank2"); ("fix3", "fix-rank3"); ("fix3-exact", "fix-rank3-exact"); ("fixr", "fix-rankr") ]
 
 let test_trace_incs_exact () =
   (* the uniform trace must carry the exact Inc ratios: on a strictly
      below-threshold ring every chosen value has Inc <= 2 per event *)
   let inst = Syn.ring ~seed:5 ~n:10 ~arity:4 () in
-  let report = Solver.solve_by_name "fix2" inst in
+  let report = Solver.solve (Solver.find_exn "fix2") inst in
   let two = Rat.of_ints 2 1 in
   List.iter
     (fun (s : Solver.step) ->
@@ -433,7 +421,6 @@ let () =
           Alcotest.test_case "enumerates engines" `Quick test_registry_enumerates;
           Alcotest.test_case "rejects duplicates" `Quick test_registry_rejects_duplicates;
           Alcotest.test_case "rejects inapplicable instances" `Quick test_inapplicable_rejected;
-          Alcotest.test_case "session stepping" `Quick test_session_stepping;
           Alcotest.test_case "metrics threaded through sequential fixers" `Quick
             test_metrics_threaded;
           Alcotest.test_case "trace carries exact Inc ratios" `Quick test_trace_incs_exact;
