@@ -138,6 +138,32 @@ let test_inapplicable_rejected () =
     Alcotest.fail "solve on inapplicable engine must raise"
   with Invalid_argument _ -> ()
 
+(* [Solver.make] builds an engine outside the registry: it runs through
+   the shared post-condition like any registered one, but [names],
+   [find] and [applicable_to] never see it. *)
+let test_make_unregistered () =
+  let inst = Syn.ring ~seed:7 ~n:12 ~arity:4 () in
+  let fix2 = Solver.find_exn "fix2" in
+  let before = Solver.names () in
+  let clone =
+    Solver.make ~name:"test-unregistered" ~doc:"fix2 behind a fresh name" ~caps:(Solver.caps fix2)
+      (fun params inst -> (Solver.solve ~params fix2 inst).Solver.outcome)
+  in
+  Alcotest.(check (list string)) "registry unchanged" before (Solver.names ());
+  Alcotest.(check bool) "find misses it" true (Solver.find "test-unregistered" = None);
+  Alcotest.(check bool) "not offered for the instance" false
+    (List.exists (fun s -> Solver.name s = "test-unregistered") (Solver.applicable_to inst));
+  let report = Solver.solve clone inst in
+  Alcotest.(check string) "report names the made engine" "test-unregistered" report.Solver.solver;
+  Alcotest.(check bool) "verified" true report.Solver.ok;
+  let direct = Solver.solve fix2 inst in
+  for v = 0 to I.num_vars inst - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "var %d agrees with fix2" v)
+      (Lll_prob.Assignment.value_exn direct.Solver.outcome.Solver.assignment v)
+      (Lll_prob.Assignment.value_exn report.Solver.outcome.Solver.assignment v)
+  done
+
 (* Every sequential fixer streams one record per variable through the
    fixing loop: tagged with its phase, numbered in fixing order, and
    [halted_fraction] counting fixed variables out of all of them. *)
@@ -421,6 +447,7 @@ let () =
           Alcotest.test_case "enumerates engines" `Quick test_registry_enumerates;
           Alcotest.test_case "rejects duplicates" `Quick test_registry_rejects_duplicates;
           Alcotest.test_case "rejects inapplicable instances" `Quick test_inapplicable_rejected;
+          Alcotest.test_case "make leaves the registry alone" `Quick test_make_unregistered;
           Alcotest.test_case "metrics threaded through sequential fixers" `Quick
             test_metrics_threaded;
           Alcotest.test_case "trace carries exact Inc ratios" `Quick test_trace_incs_exact;
