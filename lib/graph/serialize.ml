@@ -29,7 +29,8 @@ type weighted_table = {
   rows : (int array * Lll_num.Rat.t) list; (* (scope-order values, weight) *)
 }
 
-let weighted_table_to_buffer buf (wt : weighted_table) =
+let weighted_table_to_string (wt : weighted_table) =
+  let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "p wtable %d %d\n" (Array.length wt.arities) (List.length wt.rows));
   Buffer.add_string buf "a";
@@ -42,11 +43,7 @@ let weighted_table_to_buffer buf (wt : weighted_table) =
       Buffer.add_char buf ' ';
       Buffer.add_string buf (Lll_num.Rat.to_string w);
       Buffer.add_char buf '\n')
-    wt.rows
-
-let weighted_table_to_string wt =
-  let buf = Buffer.create 256 in
-  weighted_table_to_buffer buf wt;
+    wt.rows;
   Buffer.contents buf
 
 (* Parse one block out of a line stream. [next_line] yields the next
@@ -152,33 +149,20 @@ module Bin = struct
      instance container) slice without copying. *)
 
   type bigstring = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-  type big32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type source = { buf : bigstring; off : int; len : int }
 
-  (* [w32] is the same bytes viewed with int32 elements: the checksum
-     and the wide column decoders assemble 64-bit words from two 32-bit
-     loads instead of eight byte loads. An int32 view rather than int64
-     because [Int32.to_int] of a bigarray load compiles to an unboxed
-     native-int chain — an int64 rolling loop would box a value per
-     iteration. The view covers the largest whole-u32 prefix of the
-     bytes; reads near the tail fall back to the byte path. *)
-  (* [wlim] is the largest absolute byte offset at which an 8-byte
-     word-view load is safe ([word_at]'s misaligned case peeks one slot
-     past the window, hence the 12-byte slack); negative when the bytes
-     hold fewer than three slots. Precomputed so the per-read guard is
-     one compare, not a bigarray-dim load. *)
-  type source = { buf : bigstring; w32 : big32; wlim : int; off : int; len : int }
+  (* Unchecked loads and stores at any byte offset, one machine access
+     each; the boxed int32/int64 results unbox straight into the
+     [Int32.to_int]/[Int64.to_int] around every use. They read in host
+     byte order, and the container is little-endian: this code assumes
+     a little-endian host. Every call sits behind a bounds check the
+     caller makes against its section or window. *)
+  external get16u : bigstring -> int -> int = "%caml_bigstring_get16u"
+  external get32u : bigstring -> int -> int32 = "%caml_bigstring_get32u"
+  external get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+  external set64u : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
 
-  (* The u32 view is the same bigstring reinterpreted, not a second
-     mapping: a second mapping would be charged as another file-sized
-     block of custom out-of-heap memory and measurably accelerate major
-     GC during instance construction. The reinterpret is safe for
-     [unsafe_get], which compiles the element size from the static type
-     and never consults the header — but the header's [dim] still
-     counts BYTES, so every bounds guard on this view must derive the
-     slot count from [wlim], never from [Array1.dim]. *)
-  let of_bigstring (buf : bigstring) =
-    let len = Bigarray.Array1.dim buf in
-    { buf; w32 = (Obj.magic buf : big32); wlim = ((len lsr 2) lsl 2) - 12; off = 0; len }
+  let of_bigstring (buf : bigstring) = { buf; off = 0; len = Bigarray.Array1.dim buf }
 
   let map_file path : bigstring =
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
@@ -190,141 +174,41 @@ module Bin = struct
 
   let source_of_path path = of_bigstring (map_file path)
 
-  (* one copy into a fresh bigstring, four bytes per store through the
-     u32 view while whole slots remain *)
+  (* one copy into a fresh bigstring, eight bytes per store while whole
+     words remain *)
   let source_of_string s =
     let len = String.length s in
-    let src = of_bigstring (Bigarray.Array1.create Bigarray.char Bigarray.c_layout len) in
-    for j = 0 to (len lsr 2) - 1 do
-      Bigarray.Array1.unsafe_set src.w32 j (String.get_int32_ne s (j lsl 2))
+    let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
+    for j = 0 to (len / 8) - 1 do
+      set64u buf (8 * j) (String.get_int64_ne s (8 * j))
     done;
-    for i = (len lsr 2) lsl 2 to len - 1 do
-      Bigarray.Array1.unsafe_set src.buf i (String.unsafe_get s i)
+    for i = 8 * (len / 8) to len - 1 do
+      Bigarray.Array1.unsafe_set buf i (String.unsafe_get s i)
     done;
-    src
+    of_bigstring buf
 
-  (* all accessors are offset-relative to the window; the reader
-     bounds-checks against its section limit before every call *)
+  (* all accessors are offset-relative to the window *)
   let src_byte src i = Char.code (Bigarray.Array1.unsafe_get src.buf (src.off + i))
-  let src_char src i = Char.chr (src_byte src i)
-
-  (* the byte-path decoders assemble words from unsafe byte loads in
-     native int arithmetic — no boxed Int32/Int64 on the ragged tail
-     past [wlim] *)
-  let map_u16 buf i =
-    Char.code (Bigarray.Array1.unsafe_get buf i)
-    lor (Char.code (Bigarray.Array1.unsafe_get buf (i + 1)) lsl 8)
-
-  let map_u32 buf i = map_u16 buf i lor (map_u16 buf (i + 2) lsl 16)
-
-  let map_i64 buf i = map_u32 buf i lor (map_u32 buf (i + 4) lsl 32)
-
-  (* unboxed u32 out of the int32 view: load, sign-extend to native,
-     mask back to 32 bits — no Int32/Int64 allocation anywhere *)
-  let u32_of (w : big32) j = Int32.to_int (Bigarray.Array1.unsafe_get w j) land 0xFFFF_FFFF
-
-  (* Unaligned little-endian u32 load at byte offset [b]; the caller
-     guarantees the underlying u32 slots exist (the [wlim] guard). *)
-  let u32_at w b =
-    let j = b lsr 2 in
-    let a = (b land 3) lsl 3 in
-    if a = 0 then u32_of w j
-    else (u32_of w j lsr a) lor (u32_of w (j + 1) lsl (32 - a) land 0xFFFF_FFFF)
-
-  (* Little-endian 64-bit word at byte offset [b], truncated to native
-     int exactly like [Int64.to_int] (the top bit shifts off the 63-bit
-     integer just as to_int drops it). *)
-  let word_at w b =
-    let j = b lsr 2 in
-    let a = (b land 3) lsl 3 in
-    if a = 0 then u32_of w j lor (u32_of w (j + 1) lsl 32)
-    else
-      let na = 32 - a in
-      let c0 = u32_of w j in
-      let c1 = u32_of w (j + 1) in
-      let c2 = u32_of w (j + 2) in
-      let lo = (c0 lsr a) lor (c1 lsl na land 0xFFFF_FFFF) in
-      let hi = (c1 lsr a) lor (c2 lsl na land 0xFFFF_FFFF) in
-      lo lor (hi lsl 32)
-
-  let src_u16 src i = map_u16 src.buf (src.off + i)
-
-  (* sign-extend bit 31 in 63-bit native arithmetic; [lsl]/[asr] are
-     right-associative in OCaml, so the shifts need explicit parens *)
-  let sext32 v = (v lsl 31) asr 31
-
-  let src_i32 { buf; w32; wlim; off; _ } i =
-    if off + i <= wlim then sext32 (u32_at w32 (off + i)) else sext32 (map_u32 buf (off + i))
-
-  let src_i64 { buf; w32; wlim; off; _ } i =
-    if off + i <= wlim then word_at w32 (off + i)
-    else
-      (* low and high 32-bit halves; the [lsl 32] wraps exactly like
-         [Int64.to_int]'s 63-bit truncation *)
-      map_i64 buf (off + i)
-
+  let src_i64 src i = Int64.to_int (get64u src.buf (src.off + i))
   let src_sub src pos len = { src with off = src.off + pos; len }
 
-  let src_string { buf; w32; wlim; off; _ } pos len =
-    (* manual loop rather than [String.init]: no closure call per byte;
-       copy in u32 chunks while the view covers the span, byte tail
-       after *)
+  let src_string { buf; off; _ } pos len =
     let b = Bytes.create len in
-    let base = off + pos in
-    let i0 =
-      if len >= 4 && base <= wlim then begin
-        let nw = min (len lsr 2) (((wlim - base) lsr 2) + 1) in
-        for k = 0 to nw - 1 do
-          let d = k lsl 2 in
-          Bytes.set_int32_le b d (Int32.of_int (u32_at w32 (base + d)))
-        done;
-        nw lsl 2
-      end
-      else 0
-    in
-    for i = i0 to len - 1 do
-      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get buf (base + i))
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get buf (off + pos + i))
     done;
     Bytes.unsafe_to_string b
 
   let mix h w = ((h lsl 5) + h) lxor w
 
-  let checksum_src { buf; w32 = w; wlim; off; _ } pos len =
+  (* [Int64.to_int] drops the top bit of each word; the format defines
+     the checksum over those 63-bit truncations *)
+  let checksum_src { buf; off; _ } pos len =
+    let base = off + pos in
     let words = len / 8 in
     let h = ref 0x1505 in
-    let base = off + pos in
-    (* as many whole 64-bit words as the u32 view can serve (the run
-       may stop short when the region ends inside the ragged tail); the
-       rest byte-assembles below with the same mixing schedule. Slot
-       count comes from [wlim]: the view is a reinterpreted byte
-       bigstring whose [dim] counts bytes. *)
-    let slots = (wlim + 12) lsr 2 in
-    let j0 = base lsr 2 in
-    let avail = slots - j0 - (if base land 3 = 0 then 0 else 1) in
-    let fast = max 0 (min words (avail / 2)) in
-    if base land 3 = 0 then
-      for k = 0 to fast - 1 do
-        let j = j0 + (2 * k) in
-        h := mix !h (u32_of w j lor (u32_of w (j + 1) lsl 32))
-      done
-    else if fast > 0 then begin
-      (* misaligned: roll a window of adjacent u32 slots so each
-         iteration costs two loads — all native-int arithmetic *)
-      let a = (base land 3) lsl 3 in
-      let na = 32 - a in
-      let prev = ref (u32_of w j0) in
-      for k = 0 to fast - 1 do
-        let j = j0 + (2 * k) in
-        let c1 = u32_of w (j + 1) in
-        let c2 = u32_of w (j + 2) in
-        let lo = (!prev lsr a) lor (c1 lsl na land 0xFFFF_FFFF) in
-        let hi = (c1 lsr a) lor (c2 lsl na land 0xFFFF_FFFF) in
-        h := mix !h (lo lor (hi lsl 32));
-        prev := c2
-      done
-    end;
-    for i = fast to words - 1 do
-      h := mix !h (map_i64 buf (base + (8 * i)))
+    for i = 0 to words - 1 do
+      h := mix !h (Int64.to_int (get64u buf (base + (8 * i))))
     done;
     for i = base + (8 * words) to base + len - 1 do
       h := mix !h (Char.code (Bigarray.Array1.unsafe_get buf i))
@@ -452,6 +336,21 @@ module Bin = struct
 
   (* -- reader -- *)
 
+  let header_i64 src pos what =
+    if pos + 8 > src.len then corrupt "truncated header (%s)" what;
+    src_i64 src pos
+
+  (* The fixed-layout header: magic, version, kind, stored checksum.
+     Returns the kind, the stored checksum and the payload offset. *)
+  let read_header src =
+    if src.len < 4 || src_string src 0 4 <> magic then corrupt "bad magic";
+    let version = header_i64 src 4 "version" in
+    if version <> format_version then
+      corrupt "unsupported version %d (expected %d)" version format_version;
+    let klen = header_i64 src 12 "kind" in
+    if klen < 0 || klen > src.len - 20 then corrupt "truncated header (kind)";
+    (src_string src 20 klen, header_i64 src (20 + klen) "checksum", 28 + klen)
+
   type reader = {
     r_data : source;
     mutable r_pos : int; (* cursor within the current section *)
@@ -463,24 +362,14 @@ module Bin = struct
 
   let open_reader ~kind src =
     let len = src.len in
-    if len < 4 || src_string src 0 4 <> magic then corrupt "bad magic";
-    let pos = ref 4 in
+    let k, stored, payload_pos = read_header src in
+    if k <> kind then corrupt "kind mismatch: expected %s, got %s" kind k;
+    let pos = ref payload_pos in
     let rd_i64 what =
-      if !pos + 8 > len then corrupt "truncated header (%s)" what;
-      let v = src_i64 src !pos in
+      let v = header_i64 src !pos what in
       pos := !pos + 8;
       v
     in
-    let version = rd_i64 "version" in
-    if version <> format_version then
-      corrupt "unsupported version %d (expected %d)" version format_version;
-    let klen = rd_i64 "kind" in
-    if klen < 0 || !pos + klen > len then corrupt "truncated header (kind)";
-    let k = src_string src !pos klen in
-    pos := !pos + klen;
-    if k <> kind then corrupt "kind mismatch: expected %s, got %s" kind k;
-    let stored = rd_i64 "checksum" in
-    let payload_pos = !pos in
     (* walk the section table first so truncation reports as such; the
        checksum then vouches for the body bytes *)
     let count = rd_i64 "section count" in
@@ -488,11 +377,11 @@ module Bin = struct
     let sections = ref [] in
     for _ = 1 to count do
       let tlen = rd_i64 "section tag" in
-      if tlen < 0 || !pos + tlen > len then corrupt "truncated section table";
+      if tlen < 0 || tlen > len - !pos then corrupt "truncated section table";
       let tag = src_string src !pos tlen in
       pos := !pos + tlen;
       let blen = rd_i64 "section length" in
-      if blen < 0 || !pos + blen > len then corrupt "truncated section %s" tag;
+      if blen < 0 || blen > len - !pos then corrupt "truncated section %s" tag;
       sections := (tag, !pos, blen) :: !sections;
       pos := !pos + blen
     done;
@@ -509,32 +398,16 @@ module Bin = struct
     }
 
   (* A cheap identity for a container file without decoding (or even
-     reading) its payload: kind, stored checksum, and byte length pulled
-     from the fixed-layout header. [None] when the file is not a v3
-     container. *)
+     touching) its payload: kind, stored checksum, and byte length from
+     the header. [None] when the file is not a v3 container. *)
   let fingerprint_file path =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          let head_len = min len 4096 in
-          match really_input_string ic head_len with
-          | exception End_of_file -> None
-          | head ->
-            if head_len < 4 + 16 || String.sub head 0 4 <> magic then None
-            else begin
-              let version = Int64.to_int (String.get_int64_le head 4) in
-              let klen = Int64.to_int (String.get_int64_le head 12) in
-              if version <> format_version || klen < 0 || 20 + klen + 8 > head_len then None
-              else begin
-                let kind = String.sub head 20 klen in
-                let stored = Int64.to_int (String.get_int64_le head (20 + klen)) in
-                Some (Printf.sprintf "%s:v%d:%x:%d" kind version stored len)
-              end
-            end)
+    match source_of_path path with
+    | exception Unix.Unix_error _ -> None
+    | src -> (
+      match read_header src with
+      | exception Corrupt _ -> None
+      | kind, stored, _ ->
+        Some (Printf.sprintf "%s:v%d:%x:%d" kind format_version stored src.len))
 
   let enter r tag =
     if r.r_pos <> r.r_limit then
@@ -565,63 +438,21 @@ module Bin = struct
     | _ -> corrupt "section %s: bad array width %d" r.r_cur_tag width);
     if n > (r.r_limit - r.r_pos) / width then
       corrupt "section %s: truncated array" r.r_cur_tag;
-    let base = r.r_pos in
-    let data = r.r_data in
-    let { w32 = w; wlim; off; _ } = data in
-    (* wide columns decode with one or two word loads per element
-       instead of four or eight byte loads *)
-    (* elements whose u32-view loads stay inside the whole-slot prefix;
-       the handful at the ragged tail (if any) take the byte path.
-       [word_at]'s misaligned case peeks one slot past the 8-byte
-       window, hence the 12-byte slack already folded into [wlim]. *)
-    let n_fast wlim b0 stride need =
-      let limit = wlim + 12 - need - b0 in
-      if limit < 0 then 0 else min n ((limit / stride) + 1)
-    in
+    let { buf; off; _ } = r.r_data in
+    let b0 = off + r.r_pos in
     let a =
       match width with
-      | 1 -> Array.init n (fun i -> src_byte data (base + i))
-      | 2 -> Array.init n (fun i -> src_u16 data (base + (2 * i)))
-      | 4 ->
-        (* stride 4 walks consecutive u32 slots: one load per element
-           when aligned, a rolled two-slot window (still one fresh load
-           per element) when not *)
-        let b0 = off + base in
-        let nf = n_fast wlim b0 4 (if b0 land 3 = 0 then 4 else 8) in
-        let arr = Array.make (max n 1) 0 in
-        (if b0 land 3 = 0 then begin
-           let j0 = b0 lsr 2 in
-           for i = 0 to nf - 1 do
-             Array.unsafe_set arr i (sext32 (u32_of w (j0 + i)))
-           done
-         end
-         else if nf > 0 then begin
-           let a = (b0 land 3) lsl 3 in
-           let na = 32 - a in
-           let j0 = b0 lsr 2 in
-           let prev = ref (u32_of w j0) in
-           for i = 0 to nf - 1 do
-             let c1 = u32_of w (j0 + i + 1) in
-             Array.unsafe_set arr i (sext32 ((!prev lsr a) lor (c1 lsl na land 0xFFFF_FFFF)));
-             prev := c1
-           done
-         end);
-        for i = nf to n - 1 do
-          arr.(i) <- src_i32 data (base + (4 * i))
-        done;
-        if n = 0 then [||] else arr
-      | _ ->
-        let b0 = off + base in
-        let nf = n_fast wlim b0 8 12 in
-        Array.init n (fun i ->
-            if i < nf then word_at w (b0 + (8 * i)) else src_i64 data (base + (8 * i)))
+      | 1 -> Array.init n (fun i -> Char.code (Bigarray.Array1.unsafe_get buf (b0 + i)))
+      | 2 -> Array.init n (fun i -> get16u buf (b0 + (2 * i)))
+      | 4 -> Array.init n (fun i -> Int32.to_int (get32u buf (b0 + (4 * i))))
+      | _ -> Array.init n (fun i -> Int64.to_int (get64u buf (b0 + (8 * i))))
     in
-    r.r_pos <- base + (n * width);
+    r.r_pos <- r.r_pos + (n * width);
     a
 
   let read_string r =
     let n = read_int r in
-    if n < 0 || r.r_pos + n > r.r_limit then corrupt "section %s: truncated string" r.r_cur_tag;
+    if n < 0 || n > r.r_limit - r.r_pos then corrupt "section %s: truncated string" r.r_cur_tag;
     let s = src_string r.r_data r.r_pos n in
     r.r_pos <- r.r_pos + n;
     s
@@ -632,29 +463,32 @@ module Bin = struct
      container). *)
   let read_blob r =
     let n = read_int r in
-    if n < 0 || r.r_pos + n > r.r_limit then corrupt "section %s: truncated blob" r.r_cur_tag;
+    if n < 0 || n > r.r_limit - r.r_pos then corrupt "section %s: truncated blob" r.r_cur_tag;
     let s = src_sub r.r_data r.r_pos n in
     r.r_pos <- r.r_pos + n;
     s
 
+  (* A '\000'-tagged rational: bulk payloads repeat a handful of values
+     (uniform probs, equal table weights), so the previous one is reused
+     when it recurs. *)
+  let small_rat r n d =
+    if d = 0 then corrupt "zero rational denominator";
+    match r.r_rat with
+    | Some (n', d', q) when n = n' && d = d' -> q
+    | _ ->
+      let q = Lll_num.Rat.of_ints n d in
+      r.r_rat <- Some (n, d, q);
+      q
+
   let read_rat r =
     if r.r_pos >= r.r_limit then corrupt "section %s: truncated rational" r.r_cur_tag;
-    let tag = src_char r.r_data r.r_pos in
+    let tag = Char.chr (src_byte r.r_data r.r_pos) in
     r.r_pos <- r.r_pos + 1;
     let open Lll_num in
     match tag with
-    | '\000' -> (
+    | '\000' ->
       let n = read_int r in
-      let d = read_int r in
-      if d = 0 then corrupt "zero rational denominator";
-      (* bulk payloads repeat a handful of values (uniform probs, equal
-         table weights): reuse the previous rational when it recurs *)
-      match r.r_rat with
-      | Some (n', d', q) when n = n' && d = d' -> q
-      | _ ->
-        let q = Rat.of_ints n d in
-        r.r_rat <- Some (n, d, q);
-        q)
+      small_rat r n (read_int r)
     | '\001' -> (
       let ns = read_string r in
       let ds = read_string r in
@@ -667,54 +501,29 @@ module Bin = struct
     if n < 0 then corrupt "section %s: negative rational count" r.r_cur_tag;
     let a = Array.make n Lll_num.Rat.one in
     let filled = ref 0 in
+    let checked_run run =
+      if run <= 0 || run > n - !filled then corrupt "section %s: bad rational run" r.r_cur_tag;
+      run
+    in
+    let fill run q =
+      Array.fill a !filled run q;
+      filled := !filled + run
+    in
     (* Probability columns are long sequences of fixed-size 25-byte
        small-rational run records (run i64, tag '\000', num i64, den
-       i64). Decode those straight off the u32 view — the same
-       treatment wide columns get in [read_int_array] — and fall back to the generic reader for
-       big-integer entries, truncated tails and foreign tags, which all
-       raise the same [Corrupt] they always did. *)
-    let store run nv dv =
-      if run <= 0 || run > n - !filled then
-        corrupt "section %s: bad rational run" r.r_cur_tag;
-      if dv = 0 then corrupt "zero rational denominator";
-      let q =
-        match r.r_rat with
-        | Some (n', d', q) when nv = n' && dv = d' -> q
-        | _ ->
-          let q = Lll_num.Rat.of_ints nv dv in
-          r.r_rat <- Some (nv, dv, q);
-          q
-      in
-      Array.fill a !filled run q;
-      filled := !filled + run
-    in
-    let generic () =
-      let run = read_int r in
-      if run <= 0 || run > n - !filled then
-        corrupt "section %s: bad rational run" r.r_cur_tag;
-      let q = read_rat r in
-      Array.fill a !filled run q;
-      filled := !filled + run
-    in
-    let { buf; w32 = w; wlim; off; _ } = r.r_data in
+       i64): decode those with one bounds check per record. Big-integer
+       entries, truncated tails and foreign tags take the generic
+       reader, which raises the same [Corrupt] on damage. *)
     while !filled < n do
-      let p = off + r.r_pos in
-      (* p + 17 <= wlim keeps every [word_at] of the record inside the
-         u32 view (the 12-byte misaligned-peek slack is folded into
-         wlim); the tag byte sits below r_limit so the plain byte load
-         is in range *)
-      if
-        r.r_pos + 25 <= r.r_limit
-        && p + 17 <= wlim
-        && Bigarray.Array1.unsafe_get buf (p + 8) = '\000'
-      then begin
-        let run = word_at w p in
-        let nv = word_at w (p + 9) in
-        let dv = word_at w (p + 17) in
-        r.r_pos <- r.r_pos + 25;
-        store run nv dv
+      let p = r.r_pos in
+      if p + 25 <= r.r_limit && src_byte r.r_data (p + 8) = 0 then begin
+        r.r_pos <- p + 25;
+        let run = checked_run (src_i64 r.r_data p) in
+        fill run (small_rat r (src_i64 r.r_data (p + 9)) (src_i64 r.r_data (p + 17)))
       end
-      else generic ()
+      else
+        let run = checked_run (read_int r) in
+        fill run (read_rat r)
     done;
     a
 

@@ -12,7 +12,6 @@ type weighted_table = {
     Embeds into larger line-oriented formats (the LLL instance format). *)
 
 val weighted_table_to_string : weighted_table -> string
-val weighted_table_to_buffer : Buffer.t -> weighted_table -> unit
 
 val weighted_table_of_lines :
   next_line:(unit -> string) -> fail:(string -> exn) -> weighted_table
@@ -61,11 +60,10 @@ module Bin : sig
   (** Assemble header + checksum + sections into the final blob. *)
 
   type source
-  (** Bytes a reader decodes from: a window into a bigstring carrying a
-      u32 word view over its whole-slot prefix, so the checksum and the
-      wide column decoders read unboxed words instead of assembling
-      bytes. Windows slice without copying, so nested containers decode
-      zero-copy. *)
+  (** Bytes a reader decodes from: an offset and length into a
+      bigstring. Every multi-byte value is one unaligned little-endian
+      load at its offset, behind the reader's bounds check. Windows
+      slice without copying, so nested containers decode zero-copy. *)
 
   val source_of_path : string -> source
   (** Map the file read-only: the checksum pass touches each page once,
@@ -85,8 +83,9 @@ module Bin : sig
 
   val fingerprint_file : string -> string option
   (** Cheap identity of a container file — kind, stored checksum and
-      byte length from the fixed-layout header, no payload read. [None]
-      when the file is missing or not a v3 container. *)
+      byte length from the mapped file's header, decoded by the same
+      code as {!open_reader}; the payload is never read. [None] when
+      the file is missing or its header is not a v3 container's. *)
 
   val enter : reader -> string -> unit
   (** Advance to the next section, which must carry the given tag and

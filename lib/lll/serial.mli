@@ -33,11 +33,6 @@ val bad_tuples : Lll_prob.Space.t -> Lll_prob.Event.t -> int list list
 val to_binary_string : Instance.t -> string
 val of_binary_string : string -> Instance.t
 
-val of_binary_source : Lll_graph.Serialize.Bin.source -> Instance.t
-(** Decode from any byte source (a copied blob or a mapped file). The
-    nested dependency-graph container decodes zero-copy out of the
-    parent. *)
-
 val save_binary : string -> Instance.t -> unit
 
 val load_binary_mmap : string -> Instance.t

@@ -22,8 +22,6 @@ type family = {
   spec : seed:int -> int -> Spec.t;
 }
 
-let side_to_string = function Below -> "below" | At -> "at"
-
 (* High-girth 3-regular graphs: the lower-bound structure. Girth 6 is
    comfortably feasible from n = 24 up and keeps the swap repair fast. *)
 let sinkless ~relaxed ~seed n = Spec.Sinkless { n; seed; degree = 3; girth = 6; relaxed }

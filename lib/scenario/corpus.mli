@@ -32,7 +32,6 @@ val all : family list
     splitting family on biregular bipartite structure. *)
 
 val find : string -> family option
-val side_to_string : side -> string
 
 val default_grid : int list
 (** Sizes divisible by 12, satisfying every family's structural

@@ -1343,7 +1343,24 @@ let test_serial_binary_error_paths () =
   reject "corrupted checksum" "checksum mismatch" (patch last flipped);
   (* wrong container kind: a graph blob is not an instance *)
   reject "wrong kind" "kind"
-    (Lll_graph.Serialize.graph_to_binary (Gen.cycle 6))
+    (Lll_graph.Serialize.graph_to_binary (Gen.cycle 6));
+  (* a string or blob length near max_int must not wrap the bounds
+     check past the section end *)
+  List.iter
+    (fun (what, read) ->
+      let w = Bin.make_writer ~kind:"huge" in
+      Bin.section w "HUGE";
+      Bin.add_int w (max_int - 4);
+      let r = Bin.open_reader ~kind:"huge" (Bin.source_of_string (Bin.contents w)) in
+      Bin.enter r "HUGE";
+      match read r with
+      | () -> Alcotest.fail (what ^ ": huge length accepted")
+      | exception Bin.Corrupt msg ->
+        Alcotest.(check string) what ("section HUGE: truncated " ^ what) msg)
+    [
+      ("string", fun r -> ignore (Bin.read_string r));
+      ("blob", fun r -> ignore (Bin.read_blob r));
+    ]
 
 let test_serial_binary_mmap () =
   (* the mapped read path must decode the same instance as a copied
@@ -1388,7 +1405,46 @@ let test_serial_binary_mmap () =
       Out_channel.with_open_bin text (fun oc ->
           Out_channel.output_string oc (Ser.to_string inst));
       Alcotest.(check (option string)) "text has no fingerprint" None
-        (Ser.binary_fingerprint text))
+        (Ser.binary_fingerprint text));
+  (* the fingerprint and the reader share one header decoder: every
+     damaged header yields no fingerprint and the reader's Corrupt *)
+  let missing = Filename.temp_file "lll_test" ".lllb" in
+  Sys.remove missing;
+  Alcotest.(check (option string)) "missing: no fingerprint" None
+    (Ser.binary_fingerprint missing);
+  (try
+     ignore (Bin.source_of_path missing);
+     Alcotest.fail "missing path mapped"
+   with Unix.Unix_error _ -> ());
+  let i64 v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    Bytes.to_string b
+  in
+  let blob = Ser.to_binary_string inst in
+  List.iter
+    (fun (name, bytes, expect) ->
+      let path = Filename.temp_file "lll_test" ".lllb" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+          Alcotest.(check (option string)) (name ^ ": no fingerprint") None
+            (Ser.binary_fingerprint path);
+          match Bin.open_reader ~kind:"instance" (Bin.source_of_path path) with
+          | _ -> Alcotest.fail (name ^ ": header accepted")
+          | exception Bin.Corrupt msg ->
+            Alcotest.(check string) (name ^ ": message") expect msg))
+    [
+      ("empty", "", "bad magic");
+      ("bare magic", "LLL3", "truncated header (version)");
+      ( "version 2",
+        "LLL3" ^ i64 2 ^ String.sub blob 12 (String.length blob - 12),
+        "unsupported version 2 (expected 3)" );
+      ("kind past EOF", "LLL3" ^ i64 3 ^ i64 1000 ^ "instance", "truncated header (kind)");
+      ("kind length near max_int", "LLL3" ^ i64 3 ^ i64 (max_int - 4) ^ "instance",
+        "truncated header (kind)");
+    ]
 
 let test_store_artifact_error_paths () =
   (* the artifact store built on this container must never surface
@@ -1432,10 +1488,10 @@ let test_store_artifact_error_paths () =
           Lll_graph.Serialize.graph_to_binary (Gen.cycle 6)))
 
 let test_bin_mmap_negative_values () =
-  (* regression: the u32-view decoder must sign-extend i32 array
-     elements and assemble full-width i64 values — negative entries at
-     word-misaligned offsets (the leading string skews alignment) came
-     out wrong when the shift chain dropped its parentheses *)
+  (* regression: negative values at misaligned offsets (the leading
+     string skews every later value off 4- and 8-byte alignment) must
+     decode intact — i32 array elements sign-extended, i64 values at
+     full width — from a mapped file and from a copied blob alike *)
   let m32 = Int32.to_int Int32.min_int in
   let a32 = [| -1; m32; 123456; -70000 |] in
   let a64 = [| min_int; -1; max_int; -4611686018427387904 |] in
@@ -1527,8 +1583,8 @@ let test_bin_signed_digit_rational () =
 (* One container case for the alignment property: a leading string that
    shifts every later value, int columns of every packed width, and a
    run-length rational column. Whichever of the two column sections
-   comes last ends the file, so its final values sit in the ragged tail
-   the u32 view does not cover. *)
+   comes last ends the file, so its final values sit in the last bytes
+   of the file. *)
 type bin_case = {
   lead : string;
   cols : int array list;
@@ -1618,9 +1674,9 @@ let gen_bin_case =
 
 (* Every case is written once and read three ways — from a copied
    blob, from a mapped file, and as a nested window behind a random
-   pad (the window ends its outer container, so it ends in the same
-   ragged tail) — so values land at every offset modulo 4 and, with
-   random total lengths, past the u32 view's safe limit. *)
+   pad (the window ends its outer container, so it ends in the last
+   bytes of that file too) — so values land at every offset modulo 8
+   and in the last bytes of files of random total length. *)
 let bin_alignment_law (pad, c) =
   let blob = write_bin_case c in
   let read_bin_case = read_bin_case ~rats_last:c.rats_last in

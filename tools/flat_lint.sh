@@ -8,6 +8,10 @@
 #                           reference implementations in mis and dist_lll.
 # Any other spelling of run_full_info (the bare name or a new _suffix
 # variant) is a regression, in every file.
+#
+# It also bans Obj.magic: no value is reinterpreted at another type
+# (the v3 container decodes with typed bigstring loads, not a cast
+# view of its bytes).
 set -u
 
 dirs=(lib bin examples)
@@ -31,7 +35,15 @@ if [ -n "$boxed" ]; then
   fail=1
 fi
 
+# Type reinterpretation, anywhere.
+magic=$(grep -rn --include='*.ml' --include='*.mli' 'Obj\.magic' "${dirs[@]}" || true)
+if [ -n "$magic" ]; then
+  echo "flat-lint: Obj.magic in the program sources:" >&2
+  echo "$magic" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist)"
+  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic)"
 fi
 exit "$fail"
