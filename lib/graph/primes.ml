@@ -1,4 +1,5 @@
-(* Small prime utilities for Linial's set-system construction. *)
+(* Small prime utilities for Linial's set-system construction: the
+   field size [q] of each Linial round is a prime. *)
 
 let is_prime n =
   if n < 2 then false
@@ -12,27 +13,3 @@ let is_prime n =
 let next_prime n =
   let rec go k = if is_prime k then k else go (k + 1) in
   go (max n 2)
-
-(* modular arithmetic in F_q for prime q *)
-let mod_add q a b = (a + b) mod q
-let mod_mul q a b = a * b mod q (* q < 2^31 so no overflow on 63-bit ints *)
-
-(* Evaluate the polynomial with little-endian coefficients [coeffs] at [x]
-   over F_q (Horner). *)
-let poly_eval q coeffs x =
-  let acc = ref 0 in
-  for i = Array.length coeffs - 1 downto 0 do
-    acc := mod_add q (mod_mul q !acc x) coeffs.(i)
-  done;
-  !acc
-
-(* Digits of [v] in base [q], little-endian, padded to [len]. *)
-let digits ~base ~len v =
-  let d = Array.make len 0 in
-  let v = ref v in
-  for i = 0 to len - 1 do
-    d.(i) <- !v mod base;
-    v := !v / base
-  done;
-  if !v <> 0 then invalid_arg "Primes.digits: value does not fit";
-  d

@@ -1,17 +1,6 @@
-(** Prime and finite-field helpers backing Linial's coloring
+(** Prime helpers backing Linial's coloring
     construction. *)
 
 val is_prime : int -> bool
 val next_prime : int -> int
 (** Smallest prime [>= max n 2]. *)
-
-val mod_add : int -> int -> int -> int
-val mod_mul : int -> int -> int -> int
-
-val poly_eval : int -> int array -> int -> int
-(** [poly_eval q coeffs x]: evaluate the polynomial with little-endian
-    coefficients over the prime field F_q at [x]. *)
-
-val digits : base:int -> len:int -> int -> int array
-(** Little-endian base-[base] digits padded to [len].
-    @raise Invalid_argument if the value needs more digits. *)

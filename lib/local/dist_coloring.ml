@@ -55,19 +55,65 @@ let schedule ~dmax ~m =
   go m []
 
 (* One Linial step given parameters (q, t): pick the smallest evaluation
-   point at which my polynomial differs from every neighbor's. *)
-let linial_step ~q ~t my_color (nbr_colors : int array) =
-  let my_poly = Primes.digits ~base:q ~len:(t + 1) my_color in
-  let nbr_polys = Array.map (fun c -> Primes.digits ~base:q ~len:(t + 1) c) nbr_colors in
-  let rec find a =
-    if a >= q then invalid_arg "Dist_coloring.linial_step: no free point (improper coloring?)"
-    else if
-      Array.for_all (fun p -> Primes.poly_eval q my_poly a <> Primes.poly_eval q p a) nbr_polys
-    then a
-    else find (a + 1)
-  in
-  let a = find 0 in
-  (a * q) + Primes.poly_eval q my_poly a
+   point at which my polynomial differs from every neighbor's.
+
+   The step allocates nothing once its domain's scratch row has grown to
+   size. The row holds, in [t + 1]-wide slots: the powers [a^i mod q] of
+   the current point [a], then my digits, then each neighbor's digits in
+   [nbrs] order — every color is read into digits once per step, not once
+   per candidate point. At each point my polynomial is evaluated once and
+   each neighbor's at most once, as a dot product with the power slot and
+   a single [mod]: every term is below [q^2], and [color] checks that
+   [t + 1] of them fit an int ([fits_one_reduction]). *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref [||])
+
+let scratch len =
+  let r = Domain.DLS.get scratch_key in
+  if Array.length !r < len then r := Array.make (max len (2 * Array.length !r)) 0;
+  !r
+
+let fits_one_reduction ~q ~t = q - 1 <= max_int / (t + 1) / (q - 1)
+
+let read_digits row off ~q ~k c =
+  let c = ref c in
+  for i = 0 to k - 1 do
+    let c' = !c / q in
+    row.(off + i) <- !c - (c' * q);
+    c := c'
+  done;
+  if !c <> 0 then invalid_arg "Dist_coloring.linial_step: color does not fit the field"
+
+let eval_at row off ~q ~k =
+  let s = ref 0 in
+  for i = 0 to k - 1 do
+    s := !s + (row.(off + i) * row.(i))
+  done;
+  !s mod q
+
+let linial_step ~q ~t (colors : int array) me (nbrs : int array) =
+  let k = t + 1 in
+  let deg = Array.length nbrs in
+  let row = scratch ((deg + 2) * k) in
+  read_digits row k ~q ~k colors.(me);
+  for i = 0 to deg - 1 do
+    read_digits row ((i + 2) * k) ~q ~k colors.(nbrs.(i))
+  done;
+  let a = ref 0 and found = ref (-1) in
+  while !found < 0 do
+    if !a >= q then invalid_arg "Dist_coloring.linial_step: no free point (improper coloring?)";
+    let p = ref 1 in
+    for i = 0 to k - 1 do
+      row.(i) <- !p;
+      p := !p * !a mod q
+    done;
+    let mine = eval_at row k ~q ~k in
+    let i = ref 0 in
+    while !i < deg && eval_at row ((!i + 2) * k) ~q ~k <> mine do
+      incr i
+    done;
+    if !i = deg then found := (!a * q) + mine else incr a
+  done;
+  !found
 
 (* The number of Kuhn-Wattenhofer halving phases from [m] colors down to
    [dmax + 1]: each phase costs [dmax + 1] rounds and maps [m] colors to
@@ -100,30 +146,42 @@ let color ?(id_bound = max_int) ?domains ?(metrics = Metrics.disabled) net =
     let total = linial_rounds + reduction_rounds in
     (* whole node state is one int column (the color), so the protocol
        runs straight on the flat engine: neighbor colors are read off
-       the [prev] snapshot column at the CSR slice indices. KW rounds
-       scan the slice in place — no neighbor array is ever materialised;
-       only the rare Linial rounds (O(log* n) of them) build one for the
-       polynomial step. *)
+       the [prev] snapshot column at the CSR slice indices, and no
+       neighbor array is ever materialised.
+
+       Only nodes that can change are stepped ([wake]). Linial rounds
+       and the last round of each KW phase (which compacts the blocks,
+       renaming every node) wake everyone. KW round [j] of a phase can
+       only recolor the nodes at offset [w + j] of their block, so it
+       wakes exactly those: one counting sort at [j = 0] buckets the
+       nodes by offset, and the buckets stay exact for the whole phase
+       because a node that recolors lands in its block's low window and
+       every other node keeps its color until the compaction. *)
     if total = 0 then (Array.init n (fun v -> Network.id net v), 0)
     else begin
+      List.iter
+        (fun (q, t, _) ->
+          if not (fits_one_reduction ~q ~t) then
+            invalid_arg "Dist_coloring.color: Linial field too large for one-reduction evaluation")
+        sched;
       let state = Flat_state.create ~n ~int_fields:1 () in
       let col0 = Flat_state.int_column state 0 in
       for v = 0 to n - 1 do
         col0.(v) <- Network.id net v
       done;
+      let block_size = 2 * w in
       let step ~round ~me ~prev ~cur ~nbrs =
         let colors = Flat_state.int_column prev 0 in
         let color = colors.(me) in
         let color' =
           if round < linial_rounds then begin
             let q, t, _ = sched_arr.(round) in
-            linial_step ~q ~t color (Array.map (fun u -> colors.(u)) nbrs)
+            linial_step ~q ~t colors me nbrs
           end
           else begin
             (* KW reduction: offset j of the current phase *)
             let r = round - linial_rounds in
             let j = r mod w in
-            let block_size = 2 * w in
             let base = color / block_size * block_size in
             let color =
               if color - base = w + j then begin
@@ -149,7 +207,41 @@ let color ?(id_bound = max_int) ?domains ?(metrics = Metrics.disabled) net =
         Flat_state.set_int cur 0 me color';
         round + 1 >= total
       in
-      let st, stats = Runtime.run_flat ?domains ~metrics net ~state ~step in
+      (* [slots.(s)]: the nodes at block offset [w + s] at the start of
+         the current KW phase, ascending *)
+      let slots = Array.make w [||] in
+      let bucket colors =
+        let count = Array.make w 0 in
+        Array.iter
+          (fun c ->
+            let s = (c mod block_size) - w in
+            if s >= 0 then count.(s) <- count.(s) + 1)
+          colors;
+        for s = 0 to w - 1 do
+          slots.(s) <- Array.make count.(s) 0;
+          count.(s) <- 0
+        done;
+        Array.iteri
+          (fun v c ->
+            let s = (c mod block_size) - w in
+            if s >= 0 then begin
+              slots.(s).(count.(s)) <- v;
+              count.(s) <- count.(s) + 1
+            end)
+          colors
+      in
+      let wake ~round ~prev =
+        if round < linial_rounds then None
+        else begin
+          let j = (round - linial_rounds) mod w in
+          if j = w - 1 then None
+          else begin
+            if j = 0 then bucket (Flat_state.int_column prev 0);
+            Some slots.(j)
+          end
+        end
+      in
+      let st, stats = Runtime.run_flat ?domains ~metrics ~wake net ~state ~step in
       (Flat_state.int_column st 0, stats.Runtime.rounds)
     end
   end

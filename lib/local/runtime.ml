@@ -15,7 +15,12 @@
    semantics by construction. Halt bookkeeping and metrics happen in a
    sequential sweep over nodes 0..n-1 after the parallel phase; with
    [~domains:1] no domain is spawned and the engine IS the sequential
-   reference, which the differential tests exploit. [gather_balls] is a
+   reference, which the differential tests exploit. A protocol may also
+   declare a wake set per round ([?wake]): then only the non-halted nodes
+   in that set are stepped (and only they may halt), every other row
+   carries over, and the halt sweep walks the wake set instead of 0..n-1,
+   so a round costs in proportion to the nodes that can act (the KW
+   rounds of [Dist_coloring] wake one color slot). [gather_balls] is a
    thin wrapper over it; [run_full_info_boxed] is the retired boxed
    engine (assoc-list neighborhoods), kept as the reference
    implementation [run_flat] is tested against. *)
@@ -71,9 +76,22 @@ let emit metrics ~round ~t0 ~stepped ~halted_count ~n ~sample ~par_width =
    [me] of [cur], return the halt request. Halt bookkeeping happens in a
    sequential sweep in node order after the parallel phase, so the
    result is bit-identical for any [domains], asserted by the
-   differential tests. *)
-let run_flat ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.disabled) net ~state
-    ~step =
+   differential tests.
+
+   [wake] (called once per round, after the blit, on the calling
+   domain) narrows the round to a strictly ascending set of node ids:
+   the parallel phase runs over the set's indices and the halt sweep
+   walks the set, so neither touches a node that is asleep. [None]
+   wakes every node. *)
+let check_wake n ws =
+  Array.iteri
+    (fun i v ->
+      if v >= n || v < (if i = 0 then 0 else ws.(i - 1) + 1) then
+        invalid_arg "Runtime.run_flat: wake set must be strictly ascending node ids in [0, n)")
+    ws
+
+let run_flat ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.disabled) ?wake net
+    ~state ~step =
   let n = Network.n net in
   if Flat_state.n state <> n then invalid_arg "Runtime.run_flat: state/network size mismatch";
   let nbrs = neighbor_index net in
@@ -83,25 +101,41 @@ let run_flat ?(max_rounds = default_max_rounds) ?domains ?(metrics = Metrics.dis
   let halted_count = ref 0 in
   let halt_req = Array.make n false in
   let round = ref 0 in
-  let par_width = effective_domains ?domains n in
   let payload = Flat_state.payload_column cur in
+  let step_node v =
+    if not halted.(v) then halt_req.(v) <- step ~round:!round ~me:v ~prev ~cur ~nbrs:nbrs.(v)
+  in
+  let stepped = ref 0 in
+  let sweep_node v =
+    if not halted.(v) then begin
+      incr stepped;
+      if halt_req.(v) then begin
+        halted.(v) <- true;
+        incr halted_count
+      end
+    end
+  in
   while !halted_count < n do
     if !round >= max_rounds then raise (Round_limit_exceeded max_rounds);
     let t0 = if Metrics.enabled metrics then Metrics.now_ns () else 0 in
     Flat_state.blit ~src:cur ~dst:prev;
-    Par.parallel_for ?domains ~n (fun v ->
-        if not halted.(v) then
-          halt_req.(v) <- step ~round:!round ~me:v ~prev ~cur ~nbrs:nbrs.(v));
-    let stepped = ref 0 in
-    for v = 0 to n - 1 do
-      if not halted.(v) then begin
-        incr stepped;
-        if halt_req.(v) then begin
-          halted.(v) <- true;
-          incr halted_count
-        end
-      end
-    done;
+    stepped := 0;
+    let woken = match wake with None -> None | Some f -> f ~round:!round ~prev in
+    let par_width =
+      match woken with
+      | None ->
+        Par.parallel_for ?domains ~n step_node;
+        for v = 0 to n - 1 do
+          sweep_node v
+        done;
+        effective_domains ?domains n
+      | Some ws ->
+        check_wake n ws;
+        let k = Array.length ws in
+        Par.parallel_for ?domains ~n:k (fun i -> step_node ws.(i));
+        Array.iter sweep_node ws;
+        effective_domains ?domains k
+    in
     (* sample the payload column when the protocol has one (so
        state-growth protocols like ball gathering stay observable);
        pure column states sample as an immediate, i.e. 0 words *)

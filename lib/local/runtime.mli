@@ -12,7 +12,9 @@
     snapshot of the previous round; halt bookkeeping is committed by a
     sequential sweep in node order afterwards, so results are identical
     for every domain count — [~domains:1] is the sequential reference
-    engine. Per-round records go to the [?metrics] sink. *)
+    engine. A protocol whose rounds only let some nodes act declares a
+    per-round wake set ([run_flat ?wake]) so a round costs in proportion
+    to the nodes it steps. Per-round records go to the [?metrics] sink. *)
 
 exception Round_limit_exceeded of int
 
@@ -24,6 +26,7 @@ val run_flat :
   ?max_rounds:int ->
   ?domains:int ->
   ?metrics:Metrics.sink ->
+  ?wake:(round:int -> prev:'p Flat_state.t -> int array option) ->
   Network.t ->
   state:'p Flat_state.t ->
   step:
@@ -44,7 +47,19 @@ val run_flat :
     sequential sweep in node order. Results are bit-identical for every
     [domains] value. Rows a step does not write carry over from the
     previous round. Exceeding [max_rounds] raises
-    {!Round_limit_exceeded}. *)
+    {!Round_limit_exceeded}.
+
+    [wake], when given, is called once per round (after the snapshot
+    refresh, with [prev] holding the round's starting states) and
+    declares which nodes that round steps. [None] steps every non-halted
+    node. [Some ws] — a strictly ascending array of node ids — steps
+    only the non-halted nodes in [ws]; every other row carries over
+    unchanged, and only the nodes in [ws] may halt that round, since the
+    halt sweep walks [ws] instead of [0..n-1]. Metrics then report the
+    nodes actually stepped and the domain count used for [ws]. A [ws]
+    that is unsorted, holds a duplicate or an id outside [0..n-1]
+    raises [Invalid_argument]. Omitting [wake] is the same as a [wake]
+    that always answers [None]. *)
 
 val run_full_info_boxed :
   ?max_rounds:int ->

@@ -237,7 +237,7 @@ let test_hypergraph_duplicate_members () =
   Alcotest.(check int) "rank" 3 (H.rank h)
 
 (* ------------------------------------------------------------------ *)
-(* Primes (Linial's polynomial arithmetic)                             *)
+(* Primes (Linial's field sizes)                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_primes () =
@@ -248,11 +248,6 @@ let test_primes () =
   Alcotest.(check int) "next 90" 97 (P.next_prime 90);
   Alcotest.(check int) "next of prime" 13 (P.next_prime 13);
   Alcotest.(check int) "next 0" 2 (P.next_prime 0)
-
-let test_poly_eval () =
-  (* 3 + 2x + x^2 at x=4 over F_7: 3 + 8 + 16 = 27 = 6 mod 7 *)
-  Alcotest.(check int) "horner" 6 (P.poly_eval 7 [| 3; 2; 1 |] 4);
-  Alcotest.(check (array int)) "digits" [| 2; 4; 1 |] (P.digits ~base:5 ~len:3 47)
 
 (* ------------------------------------------------------------------ *)
 (* Cole–Vishkin                                                         *)
@@ -804,7 +799,6 @@ let () =
       ( "linial",
         [
           Alcotest.test_case "primes" `Quick test_primes;
-          Alcotest.test_case "poly eval" `Quick test_poly_eval;
         ] );
       ( "cole-vishkin",
         [

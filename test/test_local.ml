@@ -173,6 +173,71 @@ let test_choose_params () =
   Alcotest.(check bool) "q > t*d" true (q > t * 4);
   Alcotest.(check bool) "covers" true (float_of_int q ** float_of_int (t + 1) >= 100.)
 
+(* Golden pin for the coloring itself: a digest of the color array plus
+   the LOCAL round count, for [color] and [two_hop_color] on a cycle, a
+   random 4-regular graph and a gnm graph with shuffled ids. The gnm
+   [id_bound] of 2^24 forces two Linial rounds, with t = 4 and t = 2.
+   Any change to the Linial or KW schedule, the evaluation point a node
+   picks, or the slot it recolors into moves a digest. *)
+let coloring_digest (colors, rounds) =
+  Printf.sprintf "%s/%d"
+    (Digest.to_hex
+       (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int colors)))))
+    rounds
+
+let test_dist_coloring_golden () =
+  let gnm_g = Gen.gnm ~seed:11 80 200 in
+  let dmax = G.max_degree gnm_g in
+  Alcotest.(check (list (pair int int)))
+    "gnm schedule: two Linial rounds with t >= 2"
+    [ (47, 4); (23, 2) ]
+    (List.map (fun (q, t, _) -> (q, t)) (DC.schedule ~dmax ~m:(1 lsl 24)));
+  let cyc = Net.create (Gen.cycle 50) in
+  let rr = Net.create (Gen.random_regular ~seed:7 60 4) in
+  let gnm = Net.with_shuffled_ids ~seed:5 (Net.create gnm_g) in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected (coloring_digest got))
+    [
+      ("cycle color", "0bafbe9cd14303a241ad3432637e277e/13", DC.color cyc);
+      ("cycle two-hop", "6bd6e587f142f8f9bbb6bcdcdf0795d8/40", DC.two_hop_color cyc);
+      ("rr4 color", "0affd87cc37a3c633663855c0702ff5f/20", DC.color rr);
+      ("rr4 two-hop", "2c124e597d7d7a6f3e5882b2b6ddaa64/68", DC.two_hop_color rr);
+      ( "gnm color",
+        "895fbf9b76eb21520297da0d4e3a7bb8/74",
+        DC.color ~id_bound:(1 lsl 24) gnm );
+      ("gnm two-hop", "05641e72204ba058a299eb05a515c22a/94", DC.two_hop_color gnm);
+    ]
+
+(* With wake sets, per-round metrics count the nodes actually stepped:
+   Linial rounds and the compacting last round of each KW phase step all
+   n nodes, every other KW round steps one color slot, and [par_width]
+   is the domain count used for that round's woken nodes. *)
+let test_dist_coloring_wake_metrics () =
+  let g = Gen.random_regular ~seed:7 60 4 in
+  let n = G.n g and dmax = G.max_degree g in
+  let w = dmax + 1 in
+  Alcotest.(check bool) "n > 2(dmax+1)" true (n > 2 * w);
+  let id_bound = 1 lsl 16 in
+  let linial_rounds = List.length (DC.schedule ~dmax ~m:id_bound) in
+  Alcotest.(check bool) "has Linial rounds" true (linial_rounds >= 1);
+  let sink = Lll_local.Metrics.buffer () in
+  let _, rounds = DC.color ~id_bound ~domains:4 ~metrics:sink (Net.create g) in
+  let recs = Lll_local.Metrics.records sink in
+  Alcotest.(check int) "one record per round" rounds (List.length recs);
+  List.iter
+    (fun (r : Lll_local.Metrics.round_record) ->
+      let everyone = r.round < linial_rounds || (r.round - linial_rounds) mod w = w - 1 in
+      if everyone then Alcotest.(check int) (Printf.sprintf "round %d steps all" r.round) n r.stepped
+      else
+        Alcotest.(check bool) (Printf.sprintf "round %d steps fewer" r.round) true (r.stepped < n);
+      Alcotest.(check int)
+        (Printf.sprintf "round %d par_width" r.round)
+        (min 4 (max 1 r.stepped))
+        r.par_width)
+    recs;
+  let total = List.fold_left (fun acc (r : Lll_local.Metrics.round_record) -> acc + r.stepped) 0 recs in
+  Alcotest.(check bool) "summed stepped below rounds * n" true (total < rounds * n)
+
 let test_gather_beyond_diameter () =
   let g = Gen.path 4 in
   let net = Net.create g in
@@ -272,5 +337,7 @@ let () =
           Alcotest.test_case "log* scaling" `Slow test_dist_coloring_logstar_scaling;
           Alcotest.test_case "schedule descends" `Quick test_schedule_consistency;
           Alcotest.test_case "choose params" `Quick test_choose_params;
+          Alcotest.test_case "golden colors" `Quick test_dist_coloring_golden;
+          Alcotest.test_case "wake metrics" `Quick test_dist_coloring_wake_metrics;
         ] );
     ]

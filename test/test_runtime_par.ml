@@ -112,6 +112,78 @@ let diff_props =
   ]
 
 (* ---------------------------------------------------------------- *)
+(* wake sets: stepping only the woken nodes == stepping everyone    *)
+(* ---------------------------------------------------------------- *)
+
+(* A node is awake in a round when a pseudo-random function of (node,
+   round, its round-start state) says so; the set changes every round. *)
+let awake ~round ~prev v = mix (mix v round) (FS.get_int prev 0 v) land 3 = 0
+
+(* the flood step, but the identity (no write, no halt) on sleeping nodes *)
+let flood_sleepy ~round ~me ~prev ~cur ~nbrs =
+  awake ~round ~prev me && flood_flat ~round ~me ~prev ~cur ~nbrs
+
+let wake_set ~round ~prev =
+  let n = FS.n prev in
+  Some (Array.of_list (List.filter (awake ~round ~prev) (List.init n Fun.id)))
+
+(* states and rounds (or the round limit's payload), and whether a
+   sleeping node was stepped; the metrics' [stepped] must add up to the
+   step calls made *)
+let sleepy_run ?wake net domains =
+  let n = Net.n net in
+  let state = FS.create ~n ~int_fields:1 () in
+  for v = 0 to n - 1 do
+    FS.set_int state 0 v (flood_init v)
+  done;
+  let calls = Atomic.make 0 and stepped_asleep = Atomic.make false in
+  let step ~round ~me ~prev ~cur ~nbrs =
+    Atomic.incr calls;
+    if not (awake ~round ~prev me) then Atomic.set stepped_asleep true;
+    flood_sleepy ~round ~me ~prev ~cur ~nbrs
+  in
+  let metrics = Metrics.buffer () in
+  let outcome =
+    match RT.run_flat ~max_rounds:60 ~domains ~metrics ?wake net ~state ~step with
+    | st, stats -> Ok (FS.int_column st 0, stats.RT.rounds)
+    | exception RT.Round_limit_exceeded k -> Error k
+  in
+  let stepped = List.fold_left (fun acc r -> acc + r.Metrics.stepped) 0 (Metrics.records metrics) in
+  (outcome, Atomic.get stepped_asleep, stepped = Atomic.get calls)
+
+let wake_props =
+  [
+    prop "wake: d1 == d4 == identity step on sleeping nodes" 200 arb_net_params (fun p ->
+        let net = net_of p in
+        let reference, _, counted = sleepy_run net 1 in
+        counted
+        && List.for_all
+             (fun domains -> sleepy_run ~wake:wake_set net domains = (reference, false, true))
+             [ 1; 4 ]);
+  ]
+
+let test_wake_rejects_bad_sets () =
+  let net = Net.create (Gen.cycle 6) in
+  List.iter
+    (fun (name, ws) ->
+      List.iter
+        (fun domains ->
+          match
+            RT.run_flat ~domains ~wake:(fun ~round:_ ~prev:_ -> Some ws) net
+              ~state:(FS.create ~n:6 ~int_fields:1 ())
+              ~step:(fun ~round:_ ~me:_ ~prev:_ ~cur:_ ~nbrs:_ -> true)
+          with
+          | _ -> Alcotest.failf "%s accepted (domains=%d)" name domains
+          | exception Invalid_argument _ -> ())
+        [ 1; 4 ])
+    [
+      ("unsorted", [| 2; 1; 3 |]);
+      ("duplicate", [| 0; 2; 2 |]);
+      ("past n", [| 4; 6 |]);
+      ("negative", [| -1; 0 |]);
+    ]
+
+(* ---------------------------------------------------------------- *)
 (* migrated protocols: flat d1 == flat d4 == boxed ablation         *)
 (* ---------------------------------------------------------------- *)
 
@@ -253,7 +325,11 @@ let test_parallel_for_covers_all () =
 let () =
   Alcotest.run "runtime_par"
     [
-      ("differential", diff_props);
+      ( "differential",
+        diff_props
+        @ wake_props
+        @ [ Alcotest.test_case "wake: bad sets raise Invalid_argument" `Quick
+              test_wake_rejects_bad_sets ] );
       ("protocols", protocol_props);
       (* Alcotest truncates case names at a column set by the longest
          group name; at 15 characters this group keeps the printed case
