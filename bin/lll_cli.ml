@@ -366,7 +366,8 @@ let fuzz_cmd =
         let outcome = Fuzz.run ~engines ~log ~seed ~budget () in
         match outcome.Fuzz.finding with
         | None ->
-          Format.printf "fuzz: %d instances x %d engines x 2 backends clean@." outcome.Fuzz.tested
+          Format.printf "fuzz: %d instances x %d engines x (tables, enumeration) clean@."
+            outcome.Fuzz.tested
             (List.length engines)
         | Some f ->
           Format.printf "fuzz VIOLATION on instance %d (%s):@." outcome.Fuzz.tested f.Fuzz.label;
@@ -407,9 +408,10 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Adversarial fuzz-and-shrink: threshold-hugging instances, every applicable \
-             engine under both probability backends, backend-identical assignments, the \
-             guarantee predicate vs exact verification, and an independent P* replay of \
-             every trace. Violations are shrunk greedily and dumped as v2 reproducers.")
+             engine on the compiled tables and on the enumerating reference, identical \
+             assignments on both, the guarantee predicate vs exact verification, and an \
+             independent P* replay of every trace. Violations are shrunk greedily and \
+             dumped as v2 reproducers.")
     Term.(
       const run $ seed_arg $ budget_arg $ engines_arg $ out_arg $ self_test_arg $ geometry_arg
       $ store_arg)

@@ -23,9 +23,10 @@
       monochromatic semantics, so it is claimed only when every event's
       scope is small enough to tabulate.
 
-    Both engines are deterministic, backend-independent and total: on
-    instances that do not match their application they return a
-    best-effort constant assignment and their {!Lll_core.Solver.guarantees}
+    Both engines are deterministic, unchanged on the enumerating
+    reference ({!Lll_core.Instance.enumerating}) and total: on instances
+    that do not match their application they return a best-effort
+    constant assignment and their {!Lll_core.Solver.guarantees}
     predicate returns [false], so the shared post-condition (exact
     verification) is the only judge. Registration is effectful; call
     {!ensure_registered} before consulting the registry. *)

@@ -1,12 +1,13 @@
 (* The adversarial fuzz harness over the solver registry.
 
    For every generated hostile instance (Gen) and every applicable
-   engine, run the engine under BOTH probability backends and
-   cross-check:
+   engine, run the engine on the instance and on its enumerating
+   reference ([Instance.enumerating], whose conditionals never read a
+   compiled table) and cross-check:
 
-   (a) deterministic-given-seed engines produce backend-identical final
-       assignments (the two backends are exactly equal in Q, and the
-       randomness streams do not depend on the backend);
+   (a) deterministic-given-seed engines produce identical final
+       assignments on both (tables and enumeration are exactly equal in
+       Q, and the randomness streams do not depend on either);
    (b) whenever the engine's guarantee predicate holds for the
        instance, the shared post-condition report is [ok] — exact
        Verify plus the engine's own P* claim;
@@ -29,7 +30,6 @@
    harness catches and shrinks it. *)
 
 module Rat = Lll_num.Rat
-module Space = Lll_prob.Space
 module Instance = Lll_core.Instance
 module Solver = Lll_core.Solver
 module Srep = Lll_core.Srep
@@ -54,7 +54,9 @@ let violation_engine = function
 
 let pp_violation ppf = function
   | Backend_mismatch { engine } ->
-    Format.fprintf ppf "%s: final assignments differ between Enum and Table backends" engine
+    Format.fprintf ppf
+      "%s: final assignments differ between the compiled tables and the enumerating reference"
+      engine
   | Guarantee_failed { engine; violated } ->
     Format.fprintf ppf
       "%s: guarantee predicate holds but the report is not ok (violated events: %a)" engine
@@ -80,13 +82,11 @@ let default_replay_engines = [ "fix2"; "fix3"; mutant_name ]
 
 let check ?(eps = Srep.default_eps)
     ?(replay = fun name -> List.mem name default_replay_engines) ~engines inst =
-  let run engine backend =
-    Space.with_backend backend (fun () ->
-        Solver.solve ~params:{ Solver.default_params with seed = 1 } engine inst)
-  in
+  let reference = Instance.enumerating inst in
+  let run engine inst = Solver.solve ~params:{ Solver.default_params with seed = 1 } engine inst in
   let check_engine e =
     let name = Solver.name e in
-    match (run e Space.Enum, run e Space.Table) with
+    match (run e reference, run e inst) with
     | exception exn -> Some (Engine_crashed { engine = name; exn = Printexc.to_string exn })
     | re, rt ->
       if re.Solver.outcome.Solver.assignment <> rt.Solver.outcome.Solver.assignment then

@@ -1,6 +1,6 @@
 (** The adversarial fuzz harness over the solver registry: hostile
-    instances from {!Gen}, a cross-check matrix per engine under both
-    probability backends, independent P* replay ({!Replay}), greedy
+    instances from {!Gen}, a cross-check matrix per engine against the
+    enumerating reference ({!Lll_core.Instance.enumerating}), independent P* replay ({!Replay}), greedy
     shrinking ({!Shrink}) and Serialize-v2 reproducer dumps. See
     DESIGN.md §8. *)
 
@@ -11,7 +11,8 @@ module Solver = Lll_core.Solver
 
 type violation =
   | Backend_mismatch of { engine : string }
-      (** final assignments differ between [Enum] and [Table] *)
+      (** final assignments differ between the instance and its
+          enumerating reference *)
   | Guarantee_failed of { engine : string; violated : int list }
       (** the guarantee predicate holds but the report is not [ok] *)
   | Pstar_broken of { engine : string; failure : Replay.failure }
@@ -33,8 +34,9 @@ val check :
   engines:Solver.t list ->
   Instance.t ->
   violation option
-(** Run every applicable engine of [engines] on the instance under both
-    backends and return the first violation found, if any. *)
+(** Run every applicable engine of [engines] on the instance and on
+    [Instance.enumerating] of it and return the first violation found,
+    if any. *)
 
 val shrink :
   ?eps:float ->

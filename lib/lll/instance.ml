@@ -126,6 +126,7 @@ let of_precomputed space events ~dep_graph =
   let hypergraph = Hypergraph.of_sorted_arrays ~n:ne (Array.of_list (List.rev !hedges)) in
   { space; events; var_events; dep_graph; hypergraph; hyperedge_of_var }
 
+let enumerating t = { t with space = Space.enumerating t.space }
 let space t = t.space
 let events t = t.events
 let event t i = t.events.(i)

@@ -20,6 +20,10 @@ val of_precomputed : Space.t -> Event.t array -> dep_graph:Graph.t -> t
     deterministically (linear time), skipping [create]'s pair
     enumeration and table compilation. *)
 
+val enumerating : t -> t
+(** The same instance on {!Space.enumerating} of its space: the exact
+    enumeration reference that differential checks run engines on. *)
+
 val space : t -> Space.t
 val events : t -> Event.t array
 val event : t -> int -> Event.t

@@ -243,8 +243,8 @@ let of_string s = parse_lines (String.split_on_char '\n' s)
    events are rebuilt directly from the stored columns
    ([Event.of_table] re-derives strides and the sat bitmap and installs
    the bitmap as the event's predicate — the same closure replacement
-   the text loader performs via [of_bad_set], so both backends solve
-   identically), tables are installed into the space without
+   the text loader performs via [of_bad_set], so tables and enumeration
+   solve identically), tables are installed into the space without
    recompiling, the dependency graph decodes through [Graph.of_csr]'s
    structural validation, and [Instance.of_precomputed] skips the
    O(Σ deg²) pair enumeration. Unlike the self-checking text v2 loader,
@@ -278,7 +278,7 @@ let to_binary_string instance =
         Bin.add_int_array w tab.Event.codes;
         Bin.add_rat_array w tab.Event.weights
       | None ->
-        (* no cached table (e.g. an [Enum]-backend space): enumerate.
+        (* no cached table (a scope too large to tabulate): enumerate.
            Nested ascending enumeration yields ascending codes. *)
         let wt = weighted_table space e in
         let k = Array.length wt.Serialize.arities in

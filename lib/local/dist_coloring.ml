@@ -26,18 +26,28 @@ let pow_sat ~limit b e =
   let rec go acc e = if e = 0 then acc else if acc > limit / b then limit else go (acc * b) (e - 1) in
   go 1 e
 
+(* The smallest [r >= 1] with [r^k >= m], exactly: the float root is off
+   by at most one either way, and [pow_sat] settles it. *)
+let root_ceil ~k m =
+  let fits r = pow_sat ~limit:max_int r k >= m in
+  let r = ref (max 1 (int_of_float (Float.pow (float_of_int m) (1. /. float_of_int k)))) in
+  while !r > 1 && fits (!r - 1) do decr r done;
+  while not (fits !r) do incr r done;
+  !r
+
 (* Choose [(q, t)] minimising the resulting color count [q^2], subject to
    [q] prime, [q > t * dmax], [q^(t+1) >= m]. *)
 let choose_params ~dmax ~m =
   let dmax = max dmax 1 in
   let best = ref None in
   for t = 1 to 60 do
-    (* smallest prime q with q > t*dmax and q^(t+1) >= m *)
+    (* smallest prime q with q > t*dmax and q^(t+1) >= m; no q below the
+       exact root passes the power test, so the walk starts there *)
     let rec search q =
       let q = Primes.next_prime q in
       if pow_sat ~limit:max_int q (t + 1) >= m then q else search (q + 1)
     in
-    let q = search ((t * dmax) + 1) in
+    let q = search (max ((t * dmax) + 1) (root_ceil ~k:(t + 1) m)) in
     match !best with
     | Some (q', _) when q' <= q -> ()
     | _ -> best := Some (q, t)

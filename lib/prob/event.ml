@@ -141,7 +141,8 @@ let compile ~arity_of ~prob_of ?(max_rows = default_max_rows) e =
    binary instance loader). Only [codes]/[weights]/[arities] travel;
    strides, total and the sat bitmap are re-derived here, and the event's
    predicate is the bitmap itself — the same replacement [of_bad_set]
-   performs for the text loader, so both backends see one semantics. *)
+   performs for the text loader, so tables and enumeration see one
+   semantics. *)
 let of_table ~id ~name ~scope ~arities ~codes ~weights =
   let fail msg = invalid_arg ("Event.of_table: " ^ msg) in
   let k = Array.length scope in

@@ -69,7 +69,7 @@ val of_table :
 (** Rebuild an event and its compiled table from stored parts (the
     binary instance loader). Strides, total and the sat bitmap are
     re-derived; the event's predicate is the rebuilt bitmap, so solving
-    under either backend matches the original event. Validates scope
+    from the table or by enumeration matches the original event. Validates scope
     order, arity positivity, code range/order and weight positivity.
     @raise Invalid_argument on any violation. *)
 

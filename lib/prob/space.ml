@@ -4,10 +4,11 @@
    their index). Probabilities of events conditioned on a partial
    assignment are computed exactly, in one of two ways:
 
-   - [Enum]: enumerate the joint values of the event's *unfixed* scope
-     variables through the closure predicate (the original path, kept as
-     a fallback and as the reference for differential tests);
-   - [Table]: sum rows of the event's compiled weighted table
+   - enumeration: enumerate the joint values of the event's *unfixed*
+     scope variables through the closure predicate (the fallback for
+     events without a table, and everything an {!enumerating} reference
+     space computes);
+   - table: sum rows of the event's compiled weighted table
      ({!Event.compile}) that are consistent with the fixed scope
      variables, and divide once by the probability of the fixed part.
 
@@ -31,18 +32,14 @@
 
 module Rat = Lll_num.Rat
 
-type backend = Enum | Table
-
-let backend_ref = ref Table
-
-let with_backend b f =
-  let old = !backend_ref in
-  backend_ref := b;
-  Fun.protect ~finally:(fun () -> backend_ref := old) f
+(* The table cache sits in its own record so that a space and its
+   {!enumerating} reference share one cache, whenever it is filled. *)
+type cache = { mutable tables : (Event.t * Event.table) option array (* keyed by event id *) }
 
 type t = {
   vars : Var.t array;
-  mutable tables : (Event.t * Event.table) option array; (* keyed by event id *)
+  cache : cache;
+  enumerate : bool; (* conditionals and membership never read a table *)
 }
 
 let create vars =
@@ -50,7 +47,9 @@ let create vars =
     (fun i v ->
       if Var.id v <> i then invalid_arg "Space.create: variable id must equal its index")
     vars;
-  { vars; tables = [||] }
+  { vars; cache = { tables = [||] }; enumerate = false }
+
+let enumerating t = { t with enumerate = true }
 
 let num_vars t = Array.length t.vars
 let var t id = t.vars.(id)
@@ -59,11 +58,12 @@ let vars t = t.vars
 (* ---- compiled-table cache ---- *)
 
 let ensure_table_capacity t id =
-  let n = Array.length t.tables in
+  let c = t.cache in
+  let n = Array.length c.tables in
   if id >= n then begin
     let grown = Array.make (max (id + 1) ((2 * n) + 1)) None in
-    Array.blit t.tables 0 grown 0 n;
-    t.tables <- grown
+    Array.blit c.tables 0 grown 0 n;
+    c.tables <- grown
   end
 
 let compile_event t e =
@@ -76,7 +76,7 @@ let compile_event t e =
       ~prob_of:(fun vid v -> Var.prob t.vars.(vid) v)
       e
   with
-  | Some tab -> t.tables.(id) <- Some (e, tab)
+  | Some tab -> t.cache.tables.(id) <- Some (e, tab)
   | None -> () (* scope too large to tabulate; enumeration handles it *)
 
 let compile_events t events = Array.iter (compile_event t) events
@@ -91,21 +91,24 @@ let install_table t e tab =
   if not (Event.scope e == tab.Event.tscope) then
     invalid_arg "Space.install_table: table does not belong to the event";
   ensure_table_capacity t id;
-  t.tables.(id) <- Some (e, tab)
+  t.cache.tables.(id) <- Some (e, tab)
 
-(* The cached table for exactly this event value, regardless of the
-   backend toggle (serialization wants the table even under [Enum]). *)
+(* The cached table for exactly this event value, also on an
+   enumerating space (serialization and the apps' shape checks read it
+   there too). *)
 let compiled_table t e =
+  let tables = t.cache.tables in
   let id = Event.id e in
-  if id >= 0 && id < Array.length t.tables then
-    match t.tables.(id) with
+  if id >= 0 && id < Array.length tables then
+    match tables.(id) with
     | Some (e', tab) when e' == e -> Some tab
     | _ -> None
   else None
 
-let find_table t e = match !backend_ref with Enum -> None | Table -> compiled_table t e
+(* The table the conditionals may read: none on an enumerating space. *)
+let find_table t e = if t.enumerate then None else compiled_table t e
 
-(* ---- exact enumeration (fallback + differential reference) ---- *)
+(* ---- exact enumeration (fallback + the enumerating reference) ---- *)
 
 (* Enumerate the assignments of the unfixed scope variables of [e],
    folding [f acc weight lookup] over each joint value, where [weight] is
@@ -313,8 +316,8 @@ module Cond_tracker = struct
     let entries =
       Array.map
         (fun e ->
-          (* honour the backend toggle at creation time: under [Enum] the
-             tracker degrades to per-fixing enumeration throughout *)
+          (* on an enumerating space the tracker degrades to per-fixing
+             enumeration throughout *)
           match find_table space e with
           | Some tab ->
             {

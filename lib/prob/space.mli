@@ -2,30 +2,28 @@
 
     The space of an LLL instance: independent discrete variables; event
     probabilities conditioned on a partial assignment are computed
-    exactly (rationals), either by enumerating the unfixed scope
-    variables through the event's predicate ([Enum]) or by summing
-    consistent rows of the event's compiled weighted table ([Table]).
-    The two backends are exactly equal in ℚ — the table rows carry
-    full-scope joint probabilities, so a consistent-row sum divided by
-    the fixed part's probability recovers the enumerated sum term for
-    term (and [Rat] normalizes, so equality is structural). *)
+    exactly (rationals), by summing consistent rows of the event's
+    compiled weighted table when one is cached, and otherwise by
+    enumerating the unfixed scope variables through the event's
+    predicate. The two paths are exactly equal in ℚ — the table rows
+    carry full-scope joint probabilities, so a consistent-row sum
+    divided by the fixed part's probability recovers the enumerated sum
+    term for term (and [Rat] normalizes, so equality is structural).
+    {!enumerating} gives the enumeration-only reference that
+    differential tests and the fuzz cross-check compare against. *)
 
 module Rat = Lll_num.Rat
 
 type t
 
-type backend = Enum | Table
-(** How conditional probabilities are computed. [Table] (the default)
-    uses compiled event tables when available and silently falls back to
-    enumeration otherwise; [Enum] forces the original enumeration path
-    everywhere (the reference for differential tests and fuzzing). *)
-
-val with_backend : backend -> (unit -> 'a) -> 'a
-(** Run a thunk under a backend, restoring the previous one afterwards
-    (also on exceptions). *)
-
 val create : Var.t array -> t
 (** Variable ids must equal their array index. *)
+
+val enumerating : t -> t
+(** The same space, except that {!prob}, {!prob_vector},
+    {!event_holds} and {!Cond_tracker.create} on it never read a table:
+    they enumerate. It shares the table cache with the original, so
+    {!compiled_table} returns the same tables on both. *)
 
 val num_vars : t -> int
 val var : t -> int -> Var.t
@@ -47,7 +45,8 @@ val install_table : t -> Event.t -> Event.table -> unit
 val compiled_table : t -> Event.t -> Event.table option
 (** The cached table for exactly this event value (validated by physical
     equality, so an event the space never compiled — or a same-id
-    impostor — returns [None]). Ignores the backend toggle. *)
+    impostor — returns [None]). Also answers on an {!enumerating}
+    space. *)
 
 val prob : t -> Event.t -> fixed:Assignment.t -> Rat.t
 (** Exact [Pr[e | fixed]]. *)
@@ -83,9 +82,9 @@ module Cond_tracker : sig
 
   val create : t -> Event.t array -> tracker
   (** Start from the empty assignment. Event ids must equal their array
-      index. Honours the backend toggle at creation time: under [Enum]
-      (or for events without a compiled table) conditionals are
-      recomputed by enumeration on each affected fixing. *)
+      index. On an {!enumerating} space (or for events without a
+      compiled table) conditionals are recomputed by enumeration on each
+      affected fixing. *)
 
   val space : tracker -> t
 

@@ -39,13 +39,7 @@ let set_max_frame n =
   max_frame_ref := n
 
 (* batches above this count are rejected before any frame is read *)
-let default_max_batch = 4096
-let max_batch_ref = ref default_max_batch
-let max_batch () = !max_batch_ref
-
-let set_max_batch n =
-  if n < 1 then invalid_arg "Protocol.set_max_batch: need >= 1";
-  max_batch_ref := n
+let max_batch = 4096
 
 type frame = { header : (string * string) list; body : string }
 

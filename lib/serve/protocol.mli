@@ -14,11 +14,8 @@ val max_frame : unit -> int
 val set_max_frame : int -> unit
 (** @raise Invalid_argument below 4096 bytes. *)
 
-val max_batch : unit -> int
-(** Current bound on an explicit batch's [count] (default 4096). *)
-
-val set_max_batch : int -> unit
-(** @raise Invalid_argument below 1. *)
+val max_batch : int
+(** Bound on an explicit batch's [count]: 4096. *)
 
 val encode : frame -> string
 val decode : string -> frame

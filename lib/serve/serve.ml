@@ -49,11 +49,11 @@ let read_batch ic first =
   | Some "batch" ->
     let count =
       match Protocol.get_int first "count" with
-      | Some c when c >= 0 && c <= Protocol.max_batch () -> c
+      | Some c when c >= 0 && c <= Protocol.max_batch -> c
       | Some c when c >= 0 ->
         raise
           (Protocol.Protocol_error
-             (Printf.sprintf "batch count %d exceeds the limit of %d" c (Protocol.max_batch ())))
+             (Printf.sprintf "batch count %d exceeds the limit of %d" c Protocol.max_batch))
       | _ -> raise (Protocol.Protocol_error "batch frame needs count>=0")
     in
     let rec collect k acc =
@@ -78,10 +78,9 @@ let serve_channels sched ic oc =
   in
   loop ()
 
-let serve_stdio ?capacity ?domains ?store_dir ?max_frame ?max_batch () =
+let serve_stdio ?capacity ?domains ?store_dir ?max_frame () =
   ignore_sigpipe ();
   Option.iter Protocol.set_max_frame max_frame;
-  Option.iter Protocol.set_max_batch max_batch;
   let sched = Sched.create ?capacity ?domains ?store_dir () in
   set_binary_mode_in stdin true;
   set_binary_mode_out stdout true;
@@ -209,10 +208,9 @@ let rec accept_retry sock =
   | conn -> conn
   | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> accept_retry sock
 
-let serve_socket ?capacity ?domains ?store_dir ?(workers = 1) ?max_frame ?max_batch ~path () =
+let serve_socket ?capacity ?domains ?store_dir ?(workers = 1) ?max_frame ~path () =
   ignore_sigpipe ();
   Option.iter Protocol.set_max_frame max_frame;
-  Option.iter Protocol.set_max_batch max_batch;
   let workers = max 1 workers in
   let sched = Sched.create ?capacity ?domains ?store_dir () in
   claim_socket_path path;

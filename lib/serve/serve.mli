@@ -17,7 +17,6 @@ val serve_stdio :
   ?domains:int ->
   ?store_dir:string ->
   ?max_frame:int ->
-  ?max_batch:int ->
   unit ->
   unit
 (** Serve on stdin/stdout (binary mode) until EOF or shutdown.
@@ -30,7 +29,6 @@ val serve_socket :
   ?store_dir:string ->
   ?workers:int ->
   ?max_frame:int ->
-  ?max_batch:int ->
   path:string ->
   unit ->
   unit

@@ -226,50 +226,6 @@ let test_weak_splitting_rejects () =
     (fun () -> ignore (WS.instance ~params:{ WS.colors = 1; min_seen = 1 } ~nv:1 [| [| 0 |] |]))
 
 (* ------------------------------------------------------------------ *)
-(* Frugal coloring                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module FC = Lll_apps.Frugal_coloring
-
-let test_frugal_overloaded () =
-  Alcotest.(check bool) "triple" true (FC.overloaded ~max_per_color:2 [ 5; 5; 5 ]);
-  Alcotest.(check bool) "pair ok" false (FC.overloaded ~max_per_color:2 [ 5; 5; 7 ]);
-  Alcotest.(check bool) "empty" false (FC.overloaded ~max_per_color:1 []);
-  Alcotest.(check bool) "strict" true (FC.overloaded ~max_per_color:1 [ 3; 3 ])
-
-let test_frugal_criterion_and_solve () =
-  (* degree-3 rank-3 hypergraph, 16 colors, <= 2 per color: the bad event
-     is "all three incident edges share a color": p = 16^-2 *)
-  let h = Gen.random_regular_hypergraph ~seed:3 15 3 3 in
-  let inst = FC.instance h in
-  let rep = Crit.evaluate inst in
-  Alcotest.check rat "p" (R.of_ints 1 256) rep.Crit.p;
-  Alcotest.(check bool) "below threshold" true
-    (List.assoc Crit.Exponential rep.Crit.satisfied);
-  let a, t = F3.solve inst in
-  Alcotest.(check bool) "avoids" true (V.avoids_all inst a);
-  Alcotest.(check bool) "valid frugal coloring" true (FC.is_valid h a);
-  Alcotest.(check bool) "pstar" true (F3.pstar_holds t)
-
-let test_frugal_small_palette () =
-  (* non-power-of-two palette: 10 colors, degree 3, <= 2 per color:
-     p = 10^-2 < 2^-6 *)
-  let h = Gen.random_regular_hypergraph ~seed:5 12 3 3 in
-  let params = { FC.colors = 10; max_per_color = 2 } in
-  let inst = FC.instance ~params h in
-  let rep = Crit.evaluate inst in
-  Alcotest.check rat "p = 1/100" (R.of_ints 1 100) rep.Crit.p;
-  Alcotest.(check bool) "below threshold" true
-    (List.assoc Crit.Exponential rep.Crit.satisfied);
-  let a, _ = F3.solve inst in
-  Alcotest.(check bool) "valid" true (FC.is_valid ~params h a)
-
-let test_frugal_rejects () =
-  let h = Lll_graph.Hypergraph.create ~n:4 [ [ 0; 1; 2; 3 ] ] in
-  Alcotest.check_raises "rank" (Invalid_argument "Frugal_coloring.instance: rank > 3") (fun () ->
-      ignore (FC.instance h))
-
-(* ------------------------------------------------------------------ *)
 (* Property B                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -390,12 +346,6 @@ let model_check_props =
         let adj = Gen.random_biregular_bipartite ~seed ~nv ~nu:nv ~deg_u:3 ~deg_v:3 in
         let report = Solver.solve (Solver.find_exn "weak-split-greedy") (WS.instance ~nv adj) in
         report.Solver.ok && WS.is_valid ~nv adj report.Solver.outcome.Solver.assignment);
-    prop "frugal coloring: fixer output respects the load cap" 200 seed_arb (fun seed ->
-        let n = [| 9; 12; 15 |].(seed mod 3) in
-        let h = Gen.random_regular_hypergraph ~seed n 3 3 in
-        let inst = FC.instance h in
-        let a, _ = F3.solve inst in
-        V.avoids_all inst a && FC.is_valid h a);
     prop "property B: relaxed 2-coloring is proper" 200 seed_arb (fun seed ->
         let n = [| 12; 16; 20 |].(seed mod 3) in
         let h = Gen.random_regular_hypergraph ~seed n 4 2 in
@@ -448,13 +398,6 @@ let () =
           Alcotest.test_case "ternary is below" `Quick test_property_b_relaxed_below;
           Alcotest.test_case "degree 3 / rank 3" `Quick test_property_b_degree3;
           Alcotest.test_case "checker" `Quick test_property_b_checker;
-        ] );
-      ( "frugal-coloring",
-        [
-          Alcotest.test_case "overloaded predicate" `Quick test_frugal_overloaded;
-          Alcotest.test_case "criterion + solve" `Quick test_frugal_criterion_and_solve;
-          Alcotest.test_case "small non-power-of-two palette" `Quick test_frugal_small_palette;
-          Alcotest.test_case "rejects rank 4" `Quick test_frugal_rejects;
         ] );
       ("properties", app_props);
       ("model-check", model_check_props);

@@ -974,64 +974,6 @@ let test_cond_exp_phi_never_increases () =
   Alcotest.(check bool) "phi <= initial" true (R.leq phi initial)
 
 (* ------------------------------------------------------------------ *)
-(* Transform: the footnote-3 variable merge                             *)
-(* ------------------------------------------------------------------ *)
-
-module T = Lll_core.Transform
-
-(* two variables per ring hyperedge so there is something to merge *)
-let doubled_ring_instance ~seed n =
-  let base = Syn.ring ~seed ~n ~arity:4 () in
-  ignore base;
-  let vars =
-    Array.init (2 * n) (fun i -> Var.uniform ~id:i ~name:(Printf.sprintf "x%d" i) 2)
-  in
-  (* edge j of the ring carries variables 2j and 2j+1; event i depends on
-     the variables of edges i-1 and i, occurring iff all four are 1 *)
-  let events =
-    Array.init n (fun i ->
-        let e_prev = (i + n - 1) mod n and e_next = i in
-        let scope = [| 2 * e_prev; (2 * e_prev) + 1; 2 * e_next; (2 * e_next) + 1 |] in
-        E.all_value ~id:i ~name:(Printf.sprintf "bad%d" i) ~scope ~value:1)
-  in
-  I.create (S.create vars) events
-
-let test_transform_merges () =
-  let orig = doubled_ring_instance ~seed:1 8 in
-  Alcotest.(check int) "orig vars" 16 (I.num_vars orig);
-  let m = T.merge_shared_variables orig in
-  Alcotest.(check int) "merged vars" 8 (I.num_vars m.T.instance);
-  Alcotest.(check int) "same events" (I.num_events orig) (I.num_events m.T.instance);
-  (* structure preserved *)
-  Alcotest.(check bool) "same dep graph" true
-    (G.edges (I.dep_graph orig) = G.edges (I.dep_graph m.T.instance));
-  Alcotest.(check int) "same d" (I.dependency_degree orig)
-    (I.dependency_degree m.T.instance);
-  (* probabilities preserved exactly *)
-  Alcotest.(check bool) "same initial probs" true
-    (I.initial_probs orig = I.initial_probs m.T.instance);
-  (* merged arity is the product *)
-  Alcotest.(check int) "product arity" 4
-    (Var.arity (S.var (I.space m.T.instance) 0))
-
-let test_transform_solve_and_decode () =
-  let orig = doubled_ring_instance ~seed:2 10 in
-  let m = T.merge_shared_variables orig in
-  (* the merged instance is in Section-2 normal form: solve it *)
-  let a, _ = F2.solve m.T.instance in
-  Alcotest.(check bool) "merged solved" true (V.avoids_all m.T.instance a);
-  (* decode back and verify on the ORIGINAL instance *)
-  let a0 = T.decode m a in
-  Alcotest.(check bool) "decoded complete" true (A.is_complete a0);
-  Alcotest.(check bool) "original avoided" true (V.avoids_all orig a0)
-
-let test_transform_identity_when_unique () =
-  (* a ring already has one variable per hyperedge: nothing merges *)
-  let inst = Syn.ring ~seed:3 ~n:8 ~arity:4 () in
-  let m = T.merge_shared_variables inst in
-  Alcotest.(check int) "same var count" (I.num_vars inst) (I.num_vars m.T.instance)
-
-(* ------------------------------------------------------------------ *)
 (* Active adversary against order-obliviousness                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1946,12 +1888,6 @@ let () =
             test_cond_exp_solves_under_union_bound;
           Alcotest.test_case "criterion is global" `Quick test_cond_exp_criterion_fails_globally;
           Alcotest.test_case "phi never increases" `Quick test_cond_exp_phi_never_increases;
-        ] );
-      ( "transform",
-        [
-          Alcotest.test_case "merges shared variables" `Quick test_transform_merges;
-          Alcotest.test_case "solve merged + decode" `Quick test_transform_solve_and_decode;
-          Alcotest.test_case "identity when unique" `Quick test_transform_identity_when_unique;
         ] );
       ( "adversary",
         [

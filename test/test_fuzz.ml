@@ -66,6 +66,44 @@ let test_geometry_oracle_clean () =
     Alcotest.failf "geometry oracle tripped on (%g, %g, %g): %s" a b c reason
 
 (* ------------------------------------------------------------------ *)
+(* The table-vs-enumeration cross-check fires                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Rank 2: x0 is shared by e0 (bad on x0 = x1) and e1 (bad on x2 = 0,
+   whatever x0), with Pr[x = 1] = 3/4 for x0 and x1. The honest fix2 sets
+   x0 := 0 (Inc_e0 = 2/5 against 6/5) and x1 := 1. Swapping the weights
+   of e0's two table rows keeps its rows and bitmap but moves the mass
+   to x0 = 0, so a fixer reading that table sets x0 := 1 (Inc_e0 = 2/15
+   against 18/5); only the enumerating reference still sees the truth. *)
+let planted_table_instance () =
+  let skewed i =
+    Lll_prob.Var.make ~id:i ~name:(Printf.sprintf "x%d" i) [| Rat.of_ints 1 4; Rat.of_ints 3 4 |]
+  in
+  let vars = [| skewed 0; skewed 1; Lll_prob.Var.uniform ~id:2 ~name:"x2" 2 |] in
+  let e0 = Lll_prob.Event.of_bad_set ~id:0 ~name:"e0" ~scope:[| 0; 1 |] [ [ 0; 0 ]; [ 1; 1 ] ] in
+  let e1 = Lll_prob.Event.of_bad_set ~id:1 ~name:"e1" ~scope:[| 0; 2 |] [ [ 0; 0 ]; [ 1; 0 ] ] in
+  I.create (Lll_prob.Space.create vars) [| e0; e1 |]
+
+let test_backend_mismatch_fires () =
+  let fix2 = engines [ "fix2" ] in
+  let inst = planted_table_instance () in
+  Alcotest.(check int) "rank 2" 2 (I.rank inst);
+  (match Fuzz.check ~engines:fix2 inst with
+  | None -> ()
+  | Some v ->
+    Alcotest.failf "honest instance flagged: %s" (Format.asprintf "%a" Fuzz.pp_violation v));
+  let space = I.space inst in
+  let e0 = I.event inst 0 in
+  let tab = Option.get (Lll_prob.Space.compiled_table space e0) in
+  let w = tab.Lll_prob.Event.weights in
+  Alcotest.(check int) "two rows" 2 (Array.length w);
+  Lll_prob.Space.install_table space e0 { tab with weights = [| w.(1); w.(0) |] };
+  match Fuzz.check ~engines:fix2 inst with
+  | Some (Fuzz.Backend_mismatch { engine = "fix2" }) -> ()
+  | Some v -> Alcotest.failf "wrong violation: %s" (Format.asprintf "%a" Fuzz.pp_violation v)
+  | None -> Alcotest.fail "a wrong compiled table went unnoticed"
+
+(* ------------------------------------------------------------------ *)
 (* Replay checker unit behaviour                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -179,6 +217,8 @@ let () =
             test_honest_engines_clean;
           Alcotest.test_case "geometry oracle clean on honest Srep" `Quick
             test_geometry_oracle_clean;
+          Alcotest.test_case "planted wrong table is a backend mismatch" `Quick
+            test_backend_mismatch_fires;
         ] );
       ( "replay",
         [

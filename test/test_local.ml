@@ -173,6 +173,62 @@ let test_choose_params () =
   Alcotest.(check bool) "q > t*d" true (q > t * 4);
   Alcotest.(check bool) "covers" true (float_of_int q ** float_of_int (t + 1) >= 100.)
 
+(* The parameter search before it started at the exact root: walk the
+   primes up from [t * dmax + 1], testing q^(t+1) >= m with a saturating
+   power. Kept as the reference the faster search must agree with. *)
+let linear_choose_params ~dmax ~m =
+  let dmax = max dmax 1 in
+  let rec pow_sat q k =
+    if k = 0 then 1
+    else
+      let p = pow_sat q (k - 1) in
+      if p > max_int / q then max_int else p * q
+  in
+  let best = ref None in
+  for t = 1 to 60 do
+    let rec search q =
+      let q = Lll_graph.Primes.next_prime q in
+      if pow_sat q (t + 1) >= m then q else search (q + 1)
+    in
+    let q = search ((t * dmax) + 1) in
+    match !best with Some (q', _) when q' <= q -> () | _ -> best := Some (q, t)
+  done;
+  Option.get !best
+
+let linear_schedule ~dmax ~m =
+  let rec go m acc =
+    let q, t = linear_choose_params ~dmax ~m in
+    if q * q >= m then List.rev acc else go (q * q) ((q, t, q * q) :: acc)
+  in
+  go m []
+
+let test_schedule_matches_linear_search () =
+  let ms =
+    [ 0; 1; 2; 3; 4; 5; 8; 9; 10; 48; 49; 50; 100; 120; 121; 122; 1000; 1023; 1024; 1025 ]
+    @ [ 4095; 4096; 4097; 10_000; 65_535; 65_536; 99_999; 1 lsl 20; (1 lsl 20) + 1 ]
+    @ [ (1 lsl 24) - 1; 1 lsl 24; 32_749 * 32_749; 1 lsl 30 ]
+  in
+  for dmax = 0 to 12 do
+    List.iter
+      (fun m ->
+        let label = Printf.sprintf "dmax=%d m=%d" dmax m in
+        Alcotest.(check (pair int int)) label (linear_choose_params ~dmax ~m)
+          (DC.choose_params ~dmax ~m);
+        Alcotest.(check (list (triple int int int))) label (linear_schedule ~dmax ~m)
+          (DC.schedule ~dmax ~m))
+      ms
+  done
+
+let test_schedule_huge_id_space () =
+  (* the search once walked every prime up to sqrt m here *)
+  let sched = DC.schedule ~dmax:11 ~m:(1 lsl 60) in
+  match sched with
+  | [] -> Alcotest.fail "no Linial step for 2^60 ids"
+  | (q, t, m') :: _ ->
+    Alcotest.(check bool) "prime" true (Lll_graph.Primes.is_prime q);
+    Alcotest.(check bool) "q > t*d" true (q > t * 11);
+    Alcotest.(check int) "colors after" (q * q) m'
+
 (* Golden pin for the coloring itself: a digest of the color array plus
    the LOCAL round count, for [color] and [two_hop_color] on a cycle, a
    random 4-regular graph and a gnm graph with shuffled ids. The gnm
@@ -337,6 +393,9 @@ let () =
           Alcotest.test_case "log* scaling" `Slow test_dist_coloring_logstar_scaling;
           Alcotest.test_case "schedule descends" `Quick test_schedule_consistency;
           Alcotest.test_case "choose params" `Quick test_choose_params;
+          Alcotest.test_case "schedule matches linear search" `Quick
+            test_schedule_matches_linear_search;
+          Alcotest.test_case "schedule for 2^60 ids" `Quick test_schedule_huge_id_space;
           Alcotest.test_case "golden colors" `Quick test_dist_coloring_golden;
           Alcotest.test_case "wake metrics" `Quick test_dist_coloring_wake_metrics;
         ] );

@@ -304,7 +304,7 @@ let prob_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Backend differential: compiled tables vs. the enumerator             *)
+(* Differential: compiled tables vs. the enumerating reference        *)
 (* ------------------------------------------------------------------ *)
 
 (* Random spaces with non-uniform rational distributions, random
@@ -379,8 +379,8 @@ let arb_backend_case =
       let* seed = int_range 0 1_000_000 in
       return (build_backend_case (nvars, nevents, seed)))
 
-let both_backends f =
-  (S.with_backend S.Table f, S.with_backend S.Enum f)
+(* [f] on the space itself and on its enumerating reference *)
+let both_paths space f = (f space, f (S.enumerating space))
 
 (* table prob must be Rat-equal to the enumerated prob under the empty
    assignment and after every prefix of the fixing sequence *)
@@ -390,7 +390,7 @@ let law_table_prob_matches_enum c =
   let check fixed =
     Array.iter
       (fun e ->
-        let pt, pe = both_backends (fun () -> S.prob c.bspace e ~fixed) in
+        let pt, pe = both_paths c.bspace (fun s -> S.prob s e ~fixed) in
         if not (R.equal pt pe) then ok := false)
       c.bevents
   in
@@ -414,7 +414,7 @@ let law_table_prob_vector_matches_enum c =
         Array.iter
           (fun e ->
             let (at, bt), (ae, be) =
-              both_backends (fun () -> S.prob_vector c.bspace e ~fixed ~var:v)
+              both_paths c.bspace (fun s -> S.prob_vector s e ~fixed ~var:v)
             in
             if not (R.equal bt be) then ok := false;
             Array.iteri (fun y a -> if not (R.equal a ae.(y)) then ok := false) at)
@@ -434,20 +434,19 @@ let law_table_prob_vector_matches_enum c =
    after every single fixing step, on both prob and prob_vector *)
 let law_tracker_matches_enum c =
   S.compile_events c.bspace c.bevents;
-  let tr = S.with_backend S.Table (fun () -> S.Cond_tracker.create c.bspace c.bevents) in
+  let tr = S.Cond_tracker.create c.bspace c.bevents in
+  let reference = S.enumerating c.bspace in
   let ok = ref true in
   let check () =
     let fixed = S.Cond_tracker.assignment tr in
     Array.iteri
       (fun i e ->
-        let pe = S.with_backend S.Enum (fun () -> S.prob c.bspace e ~fixed) in
+        let pe = S.prob reference e ~fixed in
         if not (R.equal (S.Cond_tracker.prob tr i) pe) then ok := false;
         for v = 0 to S.num_vars c.bspace - 1 do
           if not (A.is_fixed fixed v) then begin
             let at, bt = S.Cond_tracker.prob_vector tr i ~var:v in
-            let ae, be =
-              S.with_backend S.Enum (fun () -> S.prob_vector c.bspace e ~fixed ~var:v)
-            in
+            let ae, be = S.prob_vector reference e ~fixed ~var:v in
             if not (R.equal bt be) then ok := false;
             Array.iteri (fun y a -> if not (R.equal a ae.(y)) then ok := false) at
           end
@@ -462,11 +461,12 @@ let law_tracker_matches_enum c =
     c.bfixes;
   !ok
 
-(* an Enum-created tracker (no tables consulted) walks the same path *)
+(* a tracker on the enumerating reference (no tables consulted) walks
+   the same path *)
 let law_tracker_backend_independent c =
   S.compile_events c.bspace c.bevents;
-  let tt = S.with_backend S.Table (fun () -> S.Cond_tracker.create c.bspace c.bevents) in
-  let te = S.with_backend S.Enum (fun () -> S.Cond_tracker.create c.bspace c.bevents) in
+  let tt = S.Cond_tracker.create c.bspace c.bevents in
+  let te = S.Cond_tracker.create (S.enumerating c.bspace) c.bevents in
   let ok = ref true in
   let check () =
     Array.iteri

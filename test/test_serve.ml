@@ -232,14 +232,38 @@ let test_protocol_limit_accessors () =
      Protocol.set_max_frame 16;
      Alcotest.fail "sub-minimum max_frame accepted"
    with Invalid_argument _ -> ());
-  (try
-     Protocol.set_max_batch 0;
-     Alcotest.fail "zero max_batch accepted"
-   with Invalid_argument _ -> ());
   Protocol.set_max_frame 8192;
   Alcotest.(check int) "max_frame updates" 8192 (Protocol.max_frame ());
-  Protocol.set_max_frame old;
-  Alcotest.(check bool) "max_batch positive" true (Protocol.max_batch () >= 1)
+  Protocol.set_max_frame old
+
+(* A batch header one past the limit ends the connection before any of
+   its frames is read, naming the limit. *)
+let test_batch_count_limit () =
+  let path = Filename.temp_file "lll_serve" ".batch" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Protocol.write_frame oc
+        {
+          Protocol.header = [ ("op", "batch"); ("count", string_of_int (Protocol.max_batch + 1)) ];
+          body = "";
+        };
+      Protocol.write_frame oc { Protocol.header = [ ("op", "stats") ]; body = "" };
+      close_out oc;
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let sched = Sched.create ~capacity:4 () in
+          let oc = open_out_bin Filename.null in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () ->
+              match Serve.serve_channels sched ic oc with
+              | _ -> Alcotest.fail "a batch of 4097 frames was accepted"
+              | exception Protocol.Protocol_error m ->
+                Alcotest.(check string) "error" "batch count 4097 exceeds the limit of 4096" m)))
 
 let test_protocol_accessors () =
   let f = { Protocol.header = [ ("n", "42"); ("bad", "x"); ("flag", "1"); ("off", "0") ]; body = "" } in
@@ -613,6 +637,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_protocol_truncation;
           Alcotest.test_case "oversized header" `Quick test_protocol_oversized_header;
           Alcotest.test_case "limit accessors" `Quick test_protocol_limit_accessors;
+          Alcotest.test_case "batch count limit" `Quick test_batch_count_limit;
           Alcotest.test_case "accessors" `Quick test_protocol_accessors;
         ] );
       ( "workload",

@@ -12,6 +12,10 @@
 # It also bans Obj.magic: no value is reinterpreted at another type
 # (the v3 container decodes with typed bigstring loads, not a cast
 # view of its bytes).
+#
+# And it bans top-level refs in lib/prob: exact conditionals are a
+# function of the space value alone (the enumerating reference is a
+# value, Space.enumerating, not a process-wide mode).
 set -u
 
 dirs=(lib bin examples)
@@ -43,7 +47,15 @@ if [ -n "$magic" ]; then
   fail=1
 fi
 
+# Process-global mutable state in the probability layer.
+globals=$(grep -nE "^let +[a-z_][A-Za-z0-9_']* *(:[^=]*)?= *ref\b" lib/prob/*.ml || true)
+if [ -n "$globals" ]; then
+  echo "flat-lint: top-level ref in lib/prob:" >&2
+  echo "$globals" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic)"
+  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic, no top-level ref in lib/prob)"
 fi
 exit "$fail"
