@@ -81,19 +81,17 @@ let recognize_sinkless inst =
       let exception Reject in
       try
         (* every variable = an edge between two distinct events *)
-        let ends =
-          Array.init m (fun e ->
-              match Instance.events_of_var inst e with
-              | [| u; v |] when u <> v && v < n -> (u, v)
-              | _ -> raise Reject)
-        in
-        (* no parallel edges (Graph.create would silently renumber) *)
-        let seen = Hashtbl.create (2 * m) in
-        Array.iter
-          (fun uv ->
-            if Hashtbl.mem seen uv then raise Reject;
-            Hashtbl.add seen uv ())
-          ends;
+        let ends = Array.make (2 * m) 0 in
+        for e = 0 to m - 1 do
+          match Instance.events_of_var inst e with
+          | [| u; v |] when u <> v && v < n ->
+            ends.(2 * e) <- u;
+            ends.((2 * e) + 1) <- v
+          | _ -> raise Reject
+        done;
+        let graph = Graph.of_ends ~n ends in
+        (* no parallel edges: [of_ends] would drop one and renumber *)
+        if Graph.m graph <> m then raise Reject;
         (* semantics: event v is bad on exactly the all-point-at-v tuple *)
         Array.iter
           (fun ev ->
@@ -105,15 +103,15 @@ let recognize_sinkless inst =
               let code = ref 0 in
               Array.iteri
                 (fun pos e ->
-                  let u, w = ends.(e) in
                   let toward_v =
-                    if v = u then 0 else if v = w then 1 else raise Reject
+                    if v = ends.(2 * e) then 0 else if v = ends.((2 * e) + 1) then 1
+                    else raise Reject
                   in
                   code := !code + (toward_v * t.Event.strides.(pos)))
                 t.Event.tscope;
               if t.Event.codes <> [| !code |] then raise Reject)
           (Instance.events inst);
-        Some { graph = Graph.create ~n (Array.to_list ends); arity }
+        Some { graph; arity }
       with Reject | Invalid_argument _ -> None)
     | _ -> None
 

@@ -197,7 +197,7 @@ let random_regular_girth ?(stats = fresh_girth_stats ()) ~seed ~girth n d =
     else Random.State.make [| seed; girth; d; k; 0x5157 |]
   in
   let m = Graph.m g0 in
-  let edges = Array.copy (Graph.edges g0) in
+  let edges = Graph.edges g0 in
   let adj = Array.make n [] in
   let edge_set = Hashtbl.create (2 * m) in
   let key u v = (min u v, max u v) in

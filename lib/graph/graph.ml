@@ -3,17 +3,17 @@
    The adjacency structure is CSR (compressed sparse row): one offsets
    array of length [n+1] into two parallel flat arrays holding, for every
    node, its neighbors and the corresponding edge ids. Per-node slices are
-   sorted by neighbor (ascending), which makes [find_edge] a binary search
-   and keeps the neighbor order identical to the historical
-   list-of-sorted-pairs representation. [degree] is an O(1) offsets
-   difference and [max_degree] is cached at construction.
+   sorted by neighbor (ascending), which makes [find_edge] a binary search.
+   [degree] is an O(1) offsets difference and [max_degree] is cached at
+   construction.
 
-   Edge ids index into [edges], which stores endpoints normalised as
-   [(min, max)]. *)
+   Edge endpoints live in one flat column [ends] of length [2m]: edge [e]
+   joins [ends.(2e) < ends.(2e+1)]. That is exactly the binary
+   container's EDGE section, so the codec writes and reads it as is. *)
 
 type t = {
   n : int;
-  edges : (int * int) array;
+  ends : int array; (* length 2m; edge e joins ends.(2e) < ends.(2e+1) *)
   adj_offsets : int array; (* length n+1; slice of node v is [off.(v), off.(v+1)) *)
   adj_neighbors : int array; (* length 2m, per-node slices sorted by neighbor *)
   adj_edge_ids : int array; (* parallel to adj_neighbors *)
@@ -21,9 +21,9 @@ type t = {
 }
 
 let n g = g.n
-let m g = Array.length g.edges
-let edges g = g.edges
-let endpoints g e = g.edges.(e)
+let m g = Array.length g.ends / 2
+let edges g = Array.init (m g) (fun e -> (g.ends.(2 * e), g.ends.((2 * e) + 1)))
+let endpoints g e = (g.ends.(2 * e), g.ends.((2 * e) + 1))
 let degree g v = g.adj_offsets.(v + 1) - g.adj_offsets.(v)
 let max_degree g = g.max_degree
 
@@ -55,82 +55,103 @@ let incident_edges g v =
   List.init (degree g v) (fun i -> g.adj_edge_ids.(g.adj_offsets.(v) + i))
 
 let other_endpoint g e v =
-  let u, w = g.edges.(e) in
+  let u = g.ends.(2 * e) and w = g.ends.((2 * e) + 1) in
   if u = v then w else if w = v then u else invalid_arg "Graph.other_endpoint: not an endpoint"
 
-(* Build the CSR from an array of already-normalised ([u < v]), duplicate-
-   free edges. The two half-edges of every edge are sorted by
-   (node, neighbor) with a 2-pass stable counting sort — one pass keyed by
-   neighbor, one keyed by node — so no per-node comparison sort (and no
-   intermediate lists) is needed: O(n + m) total. *)
-let of_norm_edges ~n (edges : (int * int) array) =
-  let m = Array.length edges in
+let max_slice off n =
+  let best = ref 0 in
+  for v = 0 to n - 1 do
+    best := max !best (off.(v + 1) - off.(v))
+  done;
+  !best
+
+(* Build the CSR from a normalised ([ends.(2e) < ends.(2e+1)]) endpoint
+   column, dropping repeated edges. Two stable counting sorts place the
+   half-edges: one keyed by neighbor, then one keyed by node, so every
+   slice comes out sorted by neighbor with equal neighbors in edge-id
+   order. A repeated edge is then a slice entry whose neighbor equals
+   its predecessor's, and the first occurrence (the smallest id) is the
+   one kept: the survivors, in input order, are sorted once more.
+   O(n + m), no comparison sort, no hashing. [ends] is owned by the
+   result. *)
+let rec of_norm_ends ~n ends =
+  let m = Array.length ends / 2 in
   let h = 2 * m in
-  (* pass 1: stable counting sort of the half-edges by neighbor *)
-  let cnt = Array.make (n + 1) 0 in
-  Array.iter
-    (fun (u, v) ->
-      cnt.(v + 1) <- cnt.(v + 1) + 1;
-      cnt.(u + 1) <- cnt.(u + 1) + 1)
-    edges;
-  for v = 1 to n do
-    cnt.(v) <- cnt.(v) + cnt.(v - 1)
-  done;
-  let by_nbr_node = Array.make h 0 in
-  let by_nbr_nbr = Array.make h 0 in
-  let by_nbr_eid = Array.make h 0 in
-  Array.iteri
-    (fun e (u, v) ->
-      let p = cnt.(v) in
-      cnt.(v) <- p + 1;
-      by_nbr_node.(p) <- u;
-      by_nbr_nbr.(p) <- v;
-      by_nbr_eid.(p) <- e;
-      let p = cnt.(u) in
-      cnt.(u) <- p + 1;
-      by_nbr_node.(p) <- v;
-      by_nbr_nbr.(p) <- u;
-      by_nbr_eid.(p) <- e)
-    edges;
-  (* pass 2: stable counting sort by node — slices come out sorted by
-     neighbor because pass 1 was stable *)
-  let adj_offsets = Array.make (n + 1) 0 in
-  Array.iter
-    (fun (u, v) ->
-      adj_offsets.(u + 1) <- adj_offsets.(u + 1) + 1;
-      adj_offsets.(v + 1) <- adj_offsets.(v + 1) + 1)
-    edges;
-  for v = 1 to n do
-    adj_offsets.(v) <- adj_offsets.(v) + adj_offsets.(v - 1)
-  done;
-  let pos = Array.sub adj_offsets 0 (max n 1) in
-  let adj_neighbors = Array.make h 0 in
-  let adj_edge_ids = Array.make h 0 in
+  let off = Array.make (n + 1) 0 in
   for i = 0 to h - 1 do
-    let v = by_nbr_node.(i) in
+    off.(ends.(i) + 1) <- off.(ends.(i) + 1) + 1
+  done;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  (* pass 1: half-edges bucketed by neighbor, in edge-id order; bucket
+     [w] holds the nodes adjacent to [w] *)
+  let pos = Array.sub off 0 n in
+  let by_nbr_node = Array.make h 0 and by_nbr_eid = Array.make h 0 in
+  for e = 0 to m - 1 do
+    let u = ends.(2 * e) and v = ends.((2 * e) + 1) in
     let p = pos.(v) in
     pos.(v) <- p + 1;
-    adj_neighbors.(p) <- by_nbr_nbr.(i);
-    adj_edge_ids.(p) <- by_nbr_eid.(i)
+    by_nbr_node.(p) <- u;
+    by_nbr_eid.(p) <- e;
+    let p = pos.(u) in
+    pos.(u) <- p + 1;
+    by_nbr_node.(p) <- v;
+    by_nbr_eid.(p) <- e
   done;
-  let max_degree = ref 0 in
+  (* pass 2: stable by node; walking the buckets in neighbor order
+     leaves every slice sorted by neighbor *)
+  Array.blit off 0 pos 0 n;
+  let nbr = Array.make h 0 and eid = Array.make h 0 in
+  for w = 0 to n - 1 do
+    for p = off.(w) to off.(w + 1) - 1 do
+      let x = by_nbr_node.(p) in
+      let q = pos.(x) in
+      pos.(x) <- q + 1;
+      nbr.(q) <- w;
+      eid.(q) <- by_nbr_eid.(p)
+    done
+  done;
+  (* repeated edges: a later entry of a run of equal neighbors *)
+  let drop = Array.make m false in
+  let dropped = ref 0 in
   for v = 0 to n - 1 do
-    max_degree := max !max_degree (adj_offsets.(v + 1) - adj_offsets.(v))
+    for i = off.(v) + 1 to off.(v + 1) - 1 do
+      if nbr.(i) = nbr.(i - 1) && not drop.(eid.(i)) then begin
+        drop.(eid.(i)) <- true;
+        incr dropped
+      end
+    done
   done;
-  { n; edges; adj_offsets; adj_neighbors; adj_edge_ids; max_degree = !max_degree }
+  if !dropped = 0 then
+    { n; ends; adj_offsets = off; adj_neighbors = nbr; adj_edge_ids = eid;
+      max_degree = max_slice off n }
+  else begin
+    (* keep the first occurrences, in input order, and sort again *)
+    let kept = Array.make (2 * (m - !dropped)) 0 in
+    let k = ref 0 in
+    for e = 0 to m - 1 do
+      if not drop.(e) then begin
+        kept.(!k) <- ends.(2 * e);
+        kept.(!k + 1) <- ends.((2 * e) + 1);
+        k := !k + 2
+      end
+    done;
+    of_norm_ends ~n kept
+  end
 
 (* ---- raw CSR view, for the binary serializer ----
 
    [csr] exposes exactly the arrays of the internal representation so a
    binary dump is a plain copy-out and a binary load a copy-in.
    [of_csr] re-validates every structural invariant in O(n + m) int
-   work — strictly sorted slices, mirror symmetry via [edges], offsets
+   work — strictly sorted slices, mirror symmetry via [ends], offsets
    monotone and covering — so a loaded graph is as trustworthy as a
    constructed one without re-running the counting sorts. *)
 
 type csr = {
   csr_n : int;
-  csr_edges : (int * int) array;
+  csr_ends : int array;
   csr_offsets : int array;
   csr_neighbors : int array;
   csr_edge_ids : int array;
@@ -139,66 +160,74 @@ type csr = {
 let csr g =
   {
     csr_n = g.n;
-    csr_edges = g.edges;
+    csr_ends = g.ends;
     csr_offsets = g.adj_offsets;
     csr_neighbors = g.adj_neighbors;
     csr_edge_ids = g.adj_edge_ids;
   }
 
-let of_csr { csr_n = n; csr_edges = edges; csr_offsets = off; csr_neighbors = nbr;
+let of_csr { csr_n = n; csr_ends = ends; csr_offsets = off; csr_neighbors = nbr;
              csr_edge_ids = eid } =
   let fail msg = invalid_arg ("Graph.of_csr: " ^ msg) in
-  let m = Array.length edges in
-  let h = 2 * m in
+  let h = Array.length ends in
+  if h land 1 <> 0 then fail "edge endpoint column must have even length";
+  let m = h / 2 in
   if n < 0 then fail "negative n";
   if Array.length off <> n + 1 then fail "offsets length must be n+1";
   if Array.length nbr <> h || Array.length eid <> h then
     fail "adjacency arrays must have length 2m";
   if off.(0) <> 0 || off.(n) <> h then fail "offsets must cover [0, 2m)";
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || v >= n || u >= v then fail "edge endpoints must satisfy 0 <= u < v < n")
-    edges;
+  for e = 0 to m - 1 do
+    let u = ends.(2 * e) and v = ends.((2 * e) + 1) in
+    if u < 0 || v >= n || u >= v then fail "edge endpoints must satisfy 0 <= u < v < n"
+  done;
   (* every half-edge must appear exactly once per direction: count them
      against the offsets while checking slice order and edge agreement *)
-  let max_degree = ref 0 in
   for v = 0 to n - 1 do
     let lo = off.(v) and hi = off.(v + 1) in
     if hi < lo then fail "offsets must be monotone";
-    max_degree := max !max_degree (hi - lo);
     for i = lo to hi - 1 do
       let u = nbr.(i) and e = eid.(i) in
       if u < 0 || u >= n then fail "neighbor out of range";
       if i > lo && nbr.(i - 1) >= u then fail "slice not strictly sorted by neighbor";
       if e < 0 || e >= m then fail "edge id out of range";
-      let a, b = edges.(e) in
+      let a = ends.(2 * e) and b = ends.((2 * e) + 1) in
       if not ((a = v && b = u) || (a = u && b = v)) then
         fail "edge id disagrees with slice entry"
     done
   done;
-  { n; edges; adj_offsets = off; adj_neighbors = nbr; adj_edge_ids = eid;
-    max_degree = !max_degree }
+  { n; ends; adj_offsets = off; adj_neighbors = nbr; adj_edge_ids = eid;
+    max_degree = max_slice off n }
+
+(* Normalise edge [e] of a fresh endpoint column in place. *)
+let norm_end ~fn ~n ends e =
+  let u = ends.(2 * e) and v = ends.((2 * e) + 1) in
+  if u < 0 || u >= n || v < 0 || v >= n then invalid_arg (fn ^ ": node out of range");
+  if u = v then invalid_arg (fn ^ ": self-loop");
+  if u > v then begin
+    ends.(2 * e) <- v;
+    ends.((2 * e) + 1) <- u
+  end
+
+let of_ends ~n ends =
+  if n < 0 then invalid_arg "Graph.of_ends: negative n";
+  if Array.length ends land 1 <> 0 then invalid_arg "Graph.of_ends: odd endpoint column";
+  let ends = Array.copy ends in
+  for e = 0 to (Array.length ends / 2) - 1 do
+    norm_end ~fn:"Graph.of_ends" ~n ends e
+  done;
+  of_norm_ends ~n ends
 
 let create ~n edge_list =
   if n < 0 then invalid_arg "Graph.create: negative n";
-  let seen = Hashtbl.create (List.length edge_list) in
-  let norm (u, v) =
-    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Graph.create: node out of range";
-    if u = v then invalid_arg "Graph.create: self-loop";
-    if u < v then (u, v) else (v, u)
-  in
-  let uniq =
-    List.filter
-      (fun e ->
-        let e = norm e in
-        if Hashtbl.mem seen e then false
-        else begin
-          Hashtbl.add seen e ();
-          true
-        end)
-      edge_list
-  in
-  of_norm_edges ~n (Array.of_list (List.map norm uniq))
+  let ends = Array.make (2 * List.length edge_list) 0 in
+  List.iteri
+    (fun e (u, v) ->
+      ends.(2 * e) <- u;
+      ends.((2 * e) + 1) <- v;
+      norm_end ~fn:"Graph.create" ~n ends e)
+    edge_list;
+  of_norm_ends ~n ends
 
 (* Binary search for [v] in [u]'s neighbor slice. *)
 let find_edge g u v =
@@ -222,74 +251,132 @@ let find_edge_exn g u v =
 
 let fold_edges f acc g =
   let acc = ref acc in
-  Array.iteri (fun i (u, v) -> acc := f !acc i u v) g.edges;
+  for e = 0 to m g - 1 do
+    acc := f !acc e g.ends.(2 * e) g.ends.((2 * e) + 1)
+  done;
   !acc
 
-let iter_edges f g = Array.iteri (fun i (u, v) -> f i u v) g.edges
+let iter_edges f g =
+  for e = 0 to m g - 1 do
+    f e g.ends.(2 * e) g.ends.((2 * e) + 1)
+  done
 
-(* A growable flat pair buffer — the scratch space the derived-graph
-   builders ([square], [line_graph]) collect their edges into before the
-   single CSR construction pass. *)
-module Pair_buf = struct
-  type t = { mutable a : (int * int) array; mutable len : int }
+(* ---- derived graphs, written straight into CSR ----
 
-  let create () = { a = Array.make 256 (0, 0); len = 0 }
+   [square] and [line_graph] fill their columns in two passes over the
+   source. The first sizes every slice. The second walks the nodes in
+   ascending order; when node [v] comes up, its lower neighbors are
+   already in its slice, ascending, because each smaller node appended
+   itself there. [v] then collects its upper neighbors into the rest of
+   the slice, sorts them in place, numbers the edges [(v, w)] in that
+   order, and appends itself to each upper neighbor's slice. Edge ids
+   come out in (min, max) order. *)
 
-  let push b p =
-    if b.len = Array.length b.a then begin
-      let a' = Array.make (2 * b.len) (0, 0) in
-      Array.blit b.a 0 a' 0 b.len;
-      b.a <- a'
-    end;
-    b.a.(b.len) <- p;
-    b.len <- b.len + 1
+let sort_slice a lo hi =
+  let s = Array.sub a lo (hi - lo) in
+  Array.sort Int.compare s;
+  Array.blit s 0 a lo (hi - lo)
 
-  let contents b = Array.sub b.a 0 b.len
-end
-
-(* Square graph: nodes at distance 1 or 2 become adjacent. A proper coloring
-   of [square g] is exactly a 2-hop coloring of [g].
-
-   Built by a timestamped merge over the CSR: for every node [v] the sorted
-   neighbor slices of [v] and of [v]'s neighbors are walked once, a
-   last-seen-at stamp deduplicates across slices, and only pairs [(v, w)]
-   with [w > v] are emitted — so the edge array is duplicate-free by
-   construction and feeds [of_norm_edges] directly, with no per-node lists
-   and no hash-based dedup. *)
-let square g =
-  let n = g.n in
-  let stamp = Array.make n (-1) in
-  let buf = Pair_buf.create () in
-  for v = 0 to n - 1 do
-    let emit w =
-      if w > v && stamp.(w) <> v then begin
-        stamp.(w) <- v;
-        Pair_buf.push buf (v, w)
-      end
-    in
-    iter_adj g v (fun u _ ->
-        emit u;
-        iter_adj g u (fun w _ -> emit w))
+(* [off] sized, [fill] at the first free slot of every slice, the
+   current node's upper neighbors in [nbr.(lo) .. nbr.(fill.(v) - 1)]:
+   sort them and emit their edges, numbered from [e0]. Returns the next
+   free edge id. *)
+let emit_uppers ~ends ~nbr ~eid ~fill v lo e0 =
+  let hi = fill.(v) in
+  sort_slice nbr lo hi;
+  for i = lo to hi - 1 do
+    let w = nbr.(i) and e = e0 + (i - lo) in
+    eid.(i) <- e;
+    ends.(2 * e) <- v;
+    ends.((2 * e) + 1) <- w;
+    let q = fill.(w) in
+    fill.(w) <- q + 1;
+    nbr.(q) <- v;
+    eid.(q) <- e
   done;
-  of_norm_edges ~n (Pair_buf.contents buf)
+  e0 + (hi - lo)
 
-(* Line graph: one node per edge of [g]; two nodes adjacent iff the edges
-   share an endpoint. In a simple graph two distinct edges share at most
-   one endpoint, so emitting each incident pair at its shared node never
-   produces a duplicate. Returns the line graph; its node [i] is edge [i]
-   of [g]. *)
-let line_graph g =
-  let buf = Pair_buf.create () in
-  for v = 0 to g.n - 1 do
-    let lo = g.adj_offsets.(v) and hi = g.adj_offsets.(v + 1) - 1 in
-    for i = lo to hi do
-      for j = i + 1 to hi do
-        let e = g.adj_edge_ids.(i) and e' = g.adj_edge_ids.(j) in
-        Pair_buf.push buf (min e e', max e e')
+let prefix_sum a =
+  for i = 1 to Array.length a - 1 do
+    a.(i) <- a.(i) + a.(i - 1)
+  done
+
+(* Square graph: nodes at distance 1 or 2 become adjacent. A proper
+   coloring of [square g] is exactly a 2-hop coloring of [g]. A stamp
+   array marks the upper neighbors [w > v] already seen from [v]. *)
+let square g =
+  let n = g.n and off = g.adj_offsets and gn = g.adj_neighbors in
+  let stamp = Array.make n (-1) in
+  let walk v visit =
+    for i = off.(v) to off.(v + 1) - 1 do
+      let u = gn.(i) in
+      visit u;
+      for j = off.(u) to off.(u + 1) - 1 do
+        visit gn.(j)
       done
     done
+  in
+  (* pass 1: slice sizes; [v]'s uppers each count once for both ends *)
+  let soff = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    walk v (fun w ->
+        if w > v && stamp.(w) <> v then begin
+          stamp.(w) <- v;
+          soff.(v + 1) <- soff.(v + 1) + 1;
+          soff.(w + 1) <- soff.(w + 1) + 1
+        end)
   done;
-  of_norm_edges ~n:(m g) (Pair_buf.contents buf)
+  prefix_sum soff;
+  let h = soff.(n) in
+  let ends = Array.make h 0 and nbr = Array.make h 0 and eid = Array.make h 0 in
+  let fill = Array.sub soff 0 n in
+  Array.fill stamp 0 n (-1);
+  let e = ref 0 in
+  for v = 0 to n - 1 do
+    let lo = fill.(v) in
+    walk v (fun w ->
+        if w > v && stamp.(w) <> v then begin
+          stamp.(w) <- v;
+          nbr.(fill.(v)) <- w;
+          fill.(v) <- fill.(v) + 1
+        end);
+    e := emit_uppers ~ends ~nbr ~eid ~fill v lo !e
+  done;
+  { n; ends; adj_offsets = soff; adj_neighbors = nbr; adj_edge_ids = eid;
+    max_degree = max_slice soff n }
+
+(* Line graph: one node per edge of [g]; two nodes adjacent iff the edges
+   share an endpoint. Node [i] is edge [i] of [g]. In a simple graph two
+   distinct edges share at most one endpoint, so the upper neighbors of
+   [e = (a, b)] — the larger edge ids incident to [a] or [b] — are
+   distinct without a stamp, and [e] has [deg a + deg b - 2] neighbors. *)
+let line_graph g =
+  let lm = m g and off = g.adj_offsets and geid = g.adj_edge_ids in
+  let loff = Array.make (lm + 1) 0 in
+  for e = 0 to lm - 1 do
+    loff.(e + 1) <- degree g g.ends.(2 * e) + degree g g.ends.((2 * e) + 1) - 2
+  done;
+  prefix_sum loff;
+  let h = loff.(lm) in
+  let ends = Array.make h 0 and nbr = Array.make h 0 and eid = Array.make h 0 in
+  let fill = Array.sub loff 0 lm in
+  let e' = ref 0 in
+  for e = 0 to lm - 1 do
+    let lo = fill.(e) in
+    for s = 0 to 1 do
+      let x = g.ends.((2 * e) + s) in
+      for i = off.(x) to off.(x + 1) - 1 do
+        let f = geid.(i) in
+        if f > e then begin
+          nbr.(fill.(e)) <- f;
+          fill.(e) <- fill.(e) + 1
+        end
+      done
+    done;
+    e' := emit_uppers ~ends ~nbr ~eid ~fill e lo !e'
+  done;
+  { n = lm; ends; adj_offsets = loff; adj_neighbors = nbr; adj_edge_ids = eid;
+    max_degree = max_slice loff lm }
 
 let bfs_dist g src =
   let dist = Array.make g.n (-1) in
@@ -366,7 +453,7 @@ let to_dot g =
   for v = 0 to g.n - 1 do
     Buffer.add_string b (Printf.sprintf "  %d;\n" v)
   done;
-  Array.iter (fun (u, v) -> Buffer.add_string b (Printf.sprintf "  %d -- %d;\n" u v)) g.edges;
+  iter_edges (fun _ u v -> Buffer.add_string b (Printf.sprintf "  %d -- %d;\n" u v)) g;
   Buffer.add_string b "}\n";
   Buffer.contents b
 

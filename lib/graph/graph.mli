@@ -5,7 +5,8 @@
     this type.
 
     Adjacency is stored in CSR form (flat offsets + neighbor/edge-id
-    arrays, per-node slices sorted by neighbor), so [degree] and
+    arrays, per-node slices sorted by neighbor), and edge endpoints in
+    one flat column of length [2m], so [degree] and
     [max_degree] are O(1), [find_edge] is a binary search, and
     {!iter_adj}/{!fold_adj} walk a node's neighbors without allocating.
     The list-returning accessors ([adj], [neighbors], [incident_edges])
@@ -15,13 +16,20 @@
 type t
 
 val create : n:int -> (int * int) list -> t
-(** [create ~n edges] builds a graph on nodes [0..n-1]. Duplicate edges are
-    dropped; self-loops and out-of-range endpoints raise
-    [Invalid_argument]. *)
+(** [create ~n edges] builds a graph on nodes [0..n-1]. Edge ids follow
+    the list order; a repeated edge (in either orientation) is dropped,
+    keeping its first occurrence. Self-loops and out-of-range endpoints
+    raise [Invalid_argument]. *)
+
+val of_ends : n:int -> int array -> t
+(** [of_ends ~n ends] is {!create} on the flat endpoint column [ends]:
+    entry [i] joins [ends.(2i)] and [ends.(2i+1)], in either order. An
+    odd-length column raises [Invalid_argument]. *)
 
 type csr = {
   csr_n : int;
-  csr_edges : (int * int) array;  (** edge id -> [(u, v)] with [u < v] *)
+  csr_ends : int array;
+      (** length [2m]: edge [e] joins [csr_ends.(2e) < csr_ends.(2e+1)] *)
   csr_offsets : int array;  (** length [n+1], monotone, covering [0, 2m) *)
   csr_neighbors : int array;  (** per-node slices strictly sorted *)
   csr_edge_ids : int array;  (** edge id of each half-edge *)
@@ -46,9 +54,12 @@ val m : t -> int
 (** Number of edges. *)
 
 val edges : t -> (int * int) array
-(** [edges g] maps each edge id to its endpoints [(u, v)] with [u < v]. *)
+(** [edges g] maps each edge id to its endpoints [(u, v)] with [u < v].
+    Built on demand (O(m) allocation); walks should use {!iter_edges}. *)
 
 val endpoints : t -> int -> int * int
+(** [endpoints g e] is [(u, v)] with [u < v]. *)
+
 val other_endpoint : t -> int -> int -> int
 (** [other_endpoint g e v] is the endpoint of edge [e] different from [v]. *)
 
@@ -89,12 +100,14 @@ val iter_edges : (int -> int -> int -> unit) -> t -> unit
 val square : t -> t
 (** [square g] connects all pairs of nodes at distance 1 or 2 in [g]; a
     proper coloring of [square g] is a 2-hop coloring of [g]
-    (Corollary 1.4 of the paper). Built by a timestamped merge over the
-    CSR slices — no per-node lists, no hash-based dedup. *)
+    (Corollary 1.4 of the paper). Its CSR is written directly in two
+    passes (a stamp array dedups each node's 2-hop walk); edge ids are
+    in (min, max) order. *)
 
 val line_graph : t -> t
 (** Node [i] of [line_graph g] is edge [i] of [g]; nodes are adjacent iff
-    the edges share an endpoint. *)
+    the edges share an endpoint. Written directly into CSR like
+    {!square}; edge ids are in (min, max) order. *)
 
 val bfs_dist : t -> int -> int array
 (** Distances from a source; [-1] for unreachable nodes. *)

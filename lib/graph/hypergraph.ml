@@ -25,28 +25,6 @@ let create ~n edge_list =
   Array.iteri (fun v l -> incident.(v) <- List.sort compare l) incident;
   { n; edges; incident }
 
-(* Bulk-load variant of [create]: hyperedges arrive as strictly
-   ascending arrays, so validation is one linear scan and the incident
-   lists come out sorted by construction (descending edge-id push). *)
-let of_sorted_arrays ~n edges =
-  if n < 0 then invalid_arg "Hypergraph.create: negative n";
-  Array.iter
-    (fun e ->
-      if Array.length e = 0 then invalid_arg "Hypergraph.create: empty hyperedge";
-      Array.iteri
-        (fun j v ->
-          if v < 0 || v >= n then invalid_arg "Hypergraph.create: node out of range";
-          if j > 0 && e.(j - 1) >= v then
-            invalid_arg "Hypergraph.create: members must be strictly ascending")
-        e)
-    edges;
-  let edges = Array.map Array.copy edges in
-  let incident = Array.make n [] in
-  for i = Array.length edges - 1 downto 0 do
-    Array.iter (fun v -> incident.(v) <- i :: incident.(v)) edges.(i)
-  done;
-  { n; edges; incident }
-
 let n h = h.n
 let m h = Array.length h.edges
 let edge h i = h.edges.(i)

@@ -11,12 +11,6 @@ val create : n:int -> int list list -> t
     hyperedge are deduplicated; empty hyperedges and out-of-range nodes
     raise [Invalid_argument]. *)
 
-val of_sorted_arrays : n:int -> int array array -> t
-(** [create] for callers that already hold each hyperedge as a strictly
-    ascending member array (so no sorting or deduplication is needed —
-    the bulk-load path). Violations raise [Invalid_argument]. The arrays
-    are copied. *)
-
 val n : t -> int
 val m : t -> int
 

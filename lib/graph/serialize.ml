@@ -540,18 +540,12 @@ end
 let graph_bin_kind = "graph"
 
 let graph_to_binary g =
-  let { Graph.csr_n; csr_edges; csr_offsets; csr_neighbors; csr_edge_ids } = Graph.csr g in
+  let { Graph.csr_n; csr_ends; csr_offsets; csr_neighbors; csr_edge_ids } = Graph.csr g in
   let w = Bin.make_writer ~kind:graph_bin_kind in
   Bin.section w "GRPH";
   Bin.add_int w csr_n;
   Bin.section w "EDGE";
-  let m = Array.length csr_edges in
-  let flat =
-    Array.init (2 * m) (fun i ->
-        let u, v = csr_edges.(i / 2) in
-        if i land 1 = 0 then u else v)
-  in
-  Bin.add_int_array w flat;
+  Bin.add_int_array w csr_ends;
   Bin.section w "COFF";
   Bin.add_int_array w csr_offsets;
   Bin.section w "CNBR";
@@ -565,10 +559,8 @@ let graph_of_binary_src src =
   Bin.enter r "GRPH";
   let n = Bin.read_int r in
   Bin.enter r "EDGE";
-  let flat = Bin.read_int_array r in
-  if Array.length flat land 1 <> 0 then raise (Bin.Corrupt "odd edge endpoint array");
-  let m = Array.length flat / 2 in
-  let edges = Array.init m (fun e -> (flat.(2 * e), flat.((2 * e) + 1))) in
+  let ends = Bin.read_int_array r in
+  if Array.length ends land 1 <> 0 then raise (Bin.Corrupt "odd edge endpoint array");
   Bin.enter r "COFF";
   let off = Bin.read_int_array r in
   Bin.enter r "CNBR";
@@ -580,7 +572,7 @@ let graph_of_binary_src src =
     Graph.of_csr
       {
         Graph.csr_n = n;
-        csr_edges = edges;
+        csr_ends = ends;
         csr_offsets = off;
         csr_neighbors = nbr;
         csr_edge_ids = eid;

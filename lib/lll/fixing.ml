@@ -26,7 +26,6 @@ type 'phi t = {
   graph : Graph.t;
   tracker : Space.Cond_tracker.tracker;
   phi : 'phi array;
-  initial_probs : Rat.t array;
 }
 
 let create ~name ?max_rank phi0 instance =
@@ -40,7 +39,6 @@ let create ~name ?max_rank phi0 instance =
     graph;
     tracker = Space.Cond_tracker.create (Instance.space instance) (Instance.events instance);
     phi = Array.make (2 * Graph.m graph) phi0;
-    initial_probs = Instance.initial_probs instance;
   }
 
 let assignment t = Space.Cond_tracker.assignment t.tracker
@@ -57,7 +55,7 @@ let slot g e v =
 let inc_ratios (after, before) =
   Array.map (fun a -> if Rat.is_zero before then Rat.zero else Rat.div a before) after
 
-let inc_vector t ev ~var = inc_ratios (Space.Cond_tracker.prob_vector t.tracker ev ~var)
+let inc_vector t ev ~var = Space.Cond_tracker.inc_vector t.tracker ev ~var
 
 (* ---- choice rules over Inc vectors ---- *)
 
@@ -195,6 +193,7 @@ let run t ~phase ~fix ?order ?(metrics = Metrics.disabled) () =
    its initial probability times its incident phi values. *)
 let pstar_holds t ~edge_ok ~lift ~mul ~leq =
   let m = Graph.m t.graph in
+  let initial_probs = Instance.initial_probs t.instance in
   let rec edges e = e >= m || (edge_ok t.phi.(2 * e) t.phi.((2 * e) + 1) && edges (e + 1)) in
   edges 0
   && Array.for_all
@@ -203,7 +202,7 @@ let pstar_holds t ~edge_ok ~lift ~mul ~leq =
          let bound =
            List.fold_left
              (fun acc eid -> mul acc t.phi.(slot t.graph eid v))
-             (lift t.initial_probs.(v))
+             (lift initial_probs.(v))
              (Graph.incident_edges t.graph v)
          in
          leq (Space.prob (Instance.space t.instance) ev ~fixed:(assignment t)) bound)

@@ -17,7 +17,6 @@ type 'phi t = private {
   tracker : Lll_prob.Space.Cond_tracker.tracker;
       (** assignment + exact [Pr[E_v | assignment]] *)
   phi : 'phi array;  (** [phi_e^v] at slot {!slot}[ graph e v] *)
-  initial_probs : Rat.t array;
 }
 
 val create : name:string -> ?max_rank:int -> 'phi -> Instance.t -> 'phi t
@@ -43,8 +42,9 @@ val inc_ratios : Rat.t array * Rat.t -> Rat.t array
     [after.(y) / before], or [0] when [before = 0]. *)
 
 val inc_vector : _ t -> int -> var:int -> Rat.t array
-(** [inc_vector t ev ~var]: {!inc_ratios} of event [ev] for every value
-    of [var], from the tracker's live table rows. *)
+(** [inc_vector t ev ~var]: the [Inc] ratios of event [ev] for every
+    value of [var], in one pass over the tracker's live table rows
+    ({!Lll_prob.Space.Cond_tracker.inc_vector}). *)
 
 val min_inc : Rat.t array -> int
 (** Rank 1: the value minimising [Inc] (some value has [Inc <= 1]). *)

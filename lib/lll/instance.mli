@@ -1,9 +1,9 @@
-(** LLL instances: a product space, bad events, and the derived dependency
-    graph [G] and variable hypergraph [H] of the paper. *)
+(** LLL instances: a product space, bad events, the derived dependency
+    graph [G] of the paper, and per variable the events depending on it
+    (the hyperedges of the paper's [H]). *)
 
 module Rat = Lll_num.Rat
 module Graph = Lll_graph.Graph
-module Hypergraph = Lll_graph.Hypergraph
 module Space = Lll_prob.Space
 module Event = Lll_prob.Event
 
@@ -16,7 +16,7 @@ val of_precomputed : Space.t -> Event.t array -> dep_graph:Graph.t -> t
 (** Assemble an instance from precomputed parts (the binary loader's
     fast path): the space must already carry the events' compiled
     tables ({!Space.install_table}) and [dep_graph] must be the events'
-    dependency graph. [var_events] and the hypergraph are rebuilt
+    dependency graph. The per-variable event lists are rebuilt
     deterministically (linear time), skipping [create]'s pair
     enumeration and table compilation. *)
 
@@ -33,13 +33,8 @@ val num_vars : t -> int
 val dep_graph : t -> Graph.t
 (** Dependency graph: events sharing a variable are adjacent. *)
 
-val hypergraph : t -> Hypergraph.t
-(** One hyperedge per variable affecting at least one event. *)
-
 val events_of_var : t -> int -> int array
 (** Sorted ids of the events depending on a variable. *)
-
-val hyperedge_of_var : t -> int -> int option
 
 val rank : t -> int
 (** The paper's [r]: the maximum number of events any variable affects. *)

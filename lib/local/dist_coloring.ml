@@ -264,6 +264,6 @@ let color ?(id_bound = max_int) ?domains ?(metrics = Metrics.disabled) net =
 let two_hop_color ?domains ?(metrics = Metrics.disabled) net =
   let g = Network.graph net in
   let sq = Graph.square g in
-  let net_sq = Network.create ~ids:(Network.ids net) sq in
+  let net_sq = Network.with_graph net sq in
   let coloring, rounds_sq = color ?domains ~metrics net_sq in
   (coloring, 2 * rounds_sq)

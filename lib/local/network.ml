@@ -11,18 +11,29 @@ module Generators = Lll_graph.Generators
    creation, so network-level degree queries never touch the graph. *)
 type t = { graph : Graph.t; ids : int array; degrees : int array; max_degree : int }
 
+let of_valid_ids graph ids =
+  let degrees = Array.init (Graph.n graph) (Graph.degree graph) in
+  { graph; ids; degrees; max_degree = Graph.max_degree graph }
+
+(* Identity ids are distinct by construction; only given ids are
+   checked. *)
 let create ?ids graph =
   let n = Graph.n graph in
-  let ids = match ids with Some a -> Array.copy a | None -> Array.init n (fun i -> i) in
-  if Array.length ids <> n then invalid_arg "Network.create: ids length mismatch";
-  let tbl = Hashtbl.create n in
-  Array.iter
-    (fun id ->
-      if Hashtbl.mem tbl id then invalid_arg "Network.create: duplicate id";
-      Hashtbl.add tbl id ())
-    ids;
-  let degrees = Array.init n (Graph.degree graph) in
-  { graph; ids; degrees; max_degree = Graph.max_degree graph }
+  match ids with
+  | None -> of_valid_ids graph (Array.init n Fun.id)
+  | Some ids ->
+    if Array.length ids <> n then invalid_arg "Network.create: ids length mismatch";
+    let tbl = Hashtbl.create n in
+    Array.iter
+      (fun id ->
+        if Hashtbl.mem tbl id then invalid_arg "Network.create: duplicate id";
+        Hashtbl.add tbl id ())
+      ids;
+    of_valid_ids graph (Array.copy ids)
+
+let with_graph t graph =
+  if Graph.n graph <> Graph.n t.graph then invalid_arg "Network.with_graph: node count mismatch";
+  of_valid_ids graph t.ids
 
 let graph t = t.graph
 let n t = Graph.n t.graph

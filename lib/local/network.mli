@@ -8,6 +8,11 @@ type t
 val create : ?ids:int array -> Graph.t -> t
 (** Defaults to identity ids; duplicate ids raise [Invalid_argument]. *)
 
+val with_graph : t -> Graph.t -> t
+(** The same (already validated) ids on another graph over the same
+    nodes, e.g. its {!Graph.square}.
+    @raise Invalid_argument if the node counts differ. *)
+
 val graph : t -> Graph.t
 val n : t -> int
 val id : t -> int -> int

@@ -296,7 +296,8 @@ module Cond_tracker = struct
     mutable live_weights : Rat.t array;
     mutable nlive : int;
     mutable norm : Rat.t; (* Π_{fixed scope vars} P[var = value] *)
-    mutable cur : Rat.t; (* current Pr[ev | fixed] *)
+    mutable live_sum : Rat.t; (* Σ live_weights (table entries only) *)
+    mutable cur : Rat.t; (* current Pr[ev | fixed] = live_sum / norm *)
   }
 
   type tracker = {
@@ -320,6 +321,7 @@ module Cond_tracker = struct
              enumeration throughout *)
           match find_table space e with
           | Some tab ->
+            let sum = Array.fold_left Rat.add Rat.zero tab.Event.weights in
             {
               ev = e;
               tab = Some tab;
@@ -327,7 +329,8 @@ module Cond_tracker = struct
               live_weights = Array.copy tab.Event.weights;
               nlive = Array.length tab.Event.codes;
               norm = Rat.one;
-              cur = Array.fold_left Rat.add Rat.zero tab.Event.weights;
+              live_sum = sum;
+              cur = sum;
             }
           | None ->
             {
@@ -337,6 +340,7 @@ module Cond_tracker = struct
               live_weights = [||];
               nlive = 0;
               norm = Rat.one;
+              live_sum = Rat.zero;
               cur = enum_prob space e ~fixed;
             })
         events
@@ -354,6 +358,17 @@ module Cond_tracker = struct
   let assignment tr = tr.fixed
   let prob tr ev = tr.entries.(ev).cur
 
+  (* Per-value weight sums [b_y] of [ev]'s live rows, bucketed by their
+     value of [var]. *)
+  let buckets en tab ~var k =
+    let vpos = Event.scope_pos tab var in
+    let b = Array.make k Rat.zero in
+    for j = 0 to en.nlive - 1 do
+      let y = Event.value_at tab ~pos:vpos ~code:en.live_codes.(j) in
+      b.(y) <- Rat.add b.(y) en.live_weights.(j)
+    done;
+    b
+
   (* Conditional probabilities of [ev] for every candidate value of the
      unfixed variable [var], from the live rows in one pass — the
      incremental counterpart of {!Space.prob_vector}. *)
@@ -367,15 +382,32 @@ module Cond_tracker = struct
     else begin
       match en.tab with
       | Some tab ->
-        let vpos = Event.scope_pos tab var in
-        let buckets = Array.make k Rat.zero in
-        for j = 0 to en.nlive - 1 do
-          let y = Event.value_at tab ~pos:vpos ~code:en.live_codes.(j) in
-          buckets.(y) <- Rat.add buckets.(y) en.live_weights.(j)
-        done;
-        (Array.mapi (fun y w -> Rat.div w (Rat.mul en.norm (Var.prob v y))) buckets, en.cur)
+        let b = buckets en tab ~var k in
+        (Array.mapi (fun y w -> Rat.div w (Rat.mul en.norm (Var.prob v y))) b, en.cur)
       | None -> prob_vector tr.tspace en.ev ~fixed:tr.fixed ~var
     end
+
+  (* Inc(ev, y) for every value [y] of [var], in one pass:
+     [Pr[ev | fixed, var = y] / Pr[ev | fixed]] is
+     [(b_y / (norm · p_y)) / (S / norm) = b_y / (p_y · S)], with [S]
+     the live weight sum, and [0] when [S = 0]. [Rat] is canonical, so
+     this is structurally the two-step ratio. *)
+  let inc_vector tr ev ~var =
+    if Assignment.is_fixed tr.fixed var then
+      invalid_arg "Cond_tracker.inc_vector: var already fixed";
+    let en = tr.entries.(ev) in
+    let v = tr.tspace.vars.(var) in
+    let k = Var.arity v in
+    if Rat.is_zero en.cur then Array.make k Rat.zero
+    else if not (Event.depends_on en.ev var) then Array.make k Rat.one
+    else
+      match en.tab with
+      | Some tab ->
+        let s = en.live_sum in
+        Array.mapi (fun y w -> Rat.div w (Rat.mul (Var.prob v y) s)) (buckets en tab ~var k)
+      | None ->
+        let after, before = prob_vector tr ev ~var in
+        Array.map (fun a -> Rat.div a before) after
 
   (* Fix [var := value]: update the partial assignment and refresh the
      conditional probability of every event depending on [var] by
@@ -403,6 +435,7 @@ module Cond_tracker = struct
           done;
           en.nlive <- !kept;
           en.norm <- Rat.mul en.norm pv;
+          en.live_sum <- !sum;
           en.cur <- Rat.div !sum en.norm
         | None -> en.cur <- enum_prob tr.tspace en.ev ~fixed:tr.fixed)
       tr.var_entries.(var)

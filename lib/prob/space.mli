@@ -99,6 +99,14 @@ module Cond_tracker : sig
   (** [(after, before)] as in {!Space.prob_vector}, for an unfixed
       [var], from the live rows in one pass. *)
 
+  val inc_vector : tracker -> int -> var:int -> Rat.t array
+  (** The paper's [Inc] for every value [y] of an unfixed [var]:
+      [Pr[event | assignment, var = y] / Pr[event | assignment]], or [0]
+      when the denominator is [0]. One pass over the live rows, as
+      [b_y / (p_y · S)] with [b_y] the weight of the rows where
+      [var = y] and [S] the live weight sum; structurally equal to the
+      ratios of {!prob_vector}'s pair. *)
+
   val fix : tracker -> var:int -> value:int -> unit
   (** Fix [var := value] and refresh the conditionals of every event
       depending on [var]. [var] must be unfixed. *)

@@ -74,13 +74,50 @@ let test_instance_rejects () =
     (fun () -> ignore (I.create (S.create vars) [| oos |]))
 
 let test_hyperedges () =
+  (* one hyperedge per variable: the events depending on it *)
   let inst = triangle_instance () in
-  let h = I.hypergraph inst in
-  Alcotest.(check int) "hyperedges" 4 (Lll_graph.Hypergraph.m h);
-  Alcotest.(check int) "rank" 3 (Lll_graph.Hypergraph.rank h);
-  (match I.hyperedge_of_var inst 0 with
-  | Some he -> Alcotest.(check (array int)) "members" [| 0; 1; 2 |] (Lll_graph.Hypergraph.edge h he)
-  | None -> Alcotest.fail "no hyperedge")
+  let hedges = List.init (I.num_vars inst) (I.events_of_var inst) in
+  Alcotest.(check int) "hyperedges" 4 (List.length (List.filter (fun e -> e <> [||]) hedges));
+  Alcotest.(check int) "rank" 3 (I.rank inst);
+  Alcotest.(check (list (array int))) "members" [ [| 0; 1; 2 |]; [| 0 |]; [| 1 |]; [| 2 |] ] hedges
+
+(* Dependency edge ids: pairs numbered by descending first discovery in
+   an ascending walk over variables, then pairs, deduplicated by a
+   table. The reference is that walk, written out. *)
+let test_dep_edge_order () =
+  let reference inst =
+    let seen = Hashtbl.create 16 and acc = ref [] in
+    for vid = 0 to I.num_vars inst - 1 do
+      let evs = I.events_of_var inst vid in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              if j > i && not (Hashtbl.mem seen (a, b)) then begin
+                Hashtbl.add seen (a, b) ();
+                acc := (a, b) :: !acc
+              end)
+            evs)
+        evs
+    done;
+    Array.of_list !acc
+  in
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 40 do
+    let nv = 2 + Random.State.int rng 6 and ne = 2 + Random.State.int rng 6 in
+    let vars = Array.init nv (fun id -> Var.uniform ~id ~name:(string_of_int id) 2) in
+    (* random scopes of size 1..3: pairs often share several variables *)
+    let events =
+      Array.init ne (fun id ->
+          let k = 1 + Random.State.int rng 3 in
+          let scope =
+            Array.of_list (List.sort_uniq compare (List.init k (fun _ -> Random.State.int rng nv)))
+          in
+          E.make ~id ~name:(string_of_int id) ~scope (fun look -> look scope.(0) = 0))
+    in
+    let inst = I.create (S.create vars) events in
+    Alcotest.(check (array (pair int int))) "edge ids" (reference inst) (G.edges (I.dep_graph inst))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Criteria                                                             *)
@@ -1790,6 +1827,7 @@ let () =
           Alcotest.test_case "rejects" `Quick test_instance_rejects;
           Alcotest.test_case "to_dot" `Quick test_instance_to_dot;
           Alcotest.test_case "hyperedges" `Quick test_hyperedges;
+          Alcotest.test_case "dependency edge order" `Quick test_dep_edge_order;
         ] );
       ( "criteria",
         [

@@ -457,7 +457,20 @@ let test_of_csr_validation () =
       c with
       G.csr_edge_ids =
         (let a = Array.copy c.G.csr_edge_ids in
-         a.(0) <- (a.(0) + 1) mod Array.length c.G.csr_edges;
+         a.(0) <- (a.(0) + 1) mod (Array.length c.G.csr_ends / 2);
+         a);
+    };
+  (* the flat endpoint column: even length, each pair ascending *)
+  reject "odd endpoint column"
+    { c with G.csr_ends = Array.sub c.G.csr_ends 0 (Array.length c.G.csr_ends - 1) };
+  reject "reversed endpoints"
+    {
+      c with
+      G.csr_ends =
+        (let a = Array.copy c.G.csr_ends in
+         let t = a.(0) in
+         a.(0) <- a.(1);
+         a.(1) <- t;
          a);
     }
 
@@ -703,6 +716,18 @@ module Model = struct
       done
     done;
     !out
+
+  (* distinct edges sharing an endpoint, as ascending id pairs *)
+  let line_pairs t =
+    let out = ref [] in
+    let m = Array.length t.edges in
+    for i = m - 1 downto 0 do
+      for j = m - 1 downto i + 1 do
+        let a, b = t.edges.(i) and c, d = t.edges.(j) in
+        if a = c || a = d || b = c || b = d then out := (i, j) :: !out
+      done
+    done;
+    !out
 end
 
 (* Raw (n, possibly-duplicated, possibly-reversed edge list) inputs, so the
@@ -748,12 +773,25 @@ let csr_model_props =
           (List.init n Fun.id));
     prop "edge ids preserve first-occurrence order" 200 arb_raw_graph (fun (n, es) ->
         let g, m = both (n, es) in
-        G.edges g = m.Model.edges);
+        (* the same edges again, reversed, after the first occurrences:
+           every one is a repeat, so the ids must not move *)
+        let again = es @ List.rev_map (fun (u, v) -> (v, u)) es in
+        let flat = Array.of_list (List.concat_map (fun (u, v) -> [ u; v ]) again) in
+        G.edges g = m.Model.edges
+        && G.edges (G.create ~n again) = m.Model.edges
+        && G.edges (G.of_ends ~n flat) = m.Model.edges);
     prop "square agrees with brute-force dist<=2" 200 arb_raw_graph (fun (n, es) ->
         let g, m = both (n, es) in
         let sq = G.square g in
-        List.sort compare (Array.to_list (G.edges sq))
-        = List.sort compare (Model.square_pairs m));
+        (* edge ids in (min, max) order, and the CSR passes validation *)
+        G.edges sq = Array.of_list (Model.square_pairs m)
+        && graphs_equal sq (G.of_csr (G.csr sq)));
+    prop "line graph agrees with brute-force shared endpoints" 200 arb_raw_graph (fun (n, es) ->
+        let g, m = both (n, es) in
+        let lg = G.line_graph g in
+        G.n lg = Array.length m.Model.edges
+        && G.edges lg = Array.of_list (Model.line_pairs m)
+        && graphs_equal lg (G.of_csr (G.csr lg)));
   ]
 
 let () =

@@ -484,6 +484,106 @@ let law_tracker_backend_independent c =
     c.bfixes;
   !ok
 
+(* The two-step Inc reference: the tracker's (after, before) pair,
+   divided entry by entry, [0] when [before = 0]. *)
+let two_step_inc (after, before) =
+  Array.map (fun a -> if R.is_zero before then R.zero else R.div a before) after
+
+(* the one-pass [inc_vector] is structurally the two-step ratio, on the
+   table path and on the enumerating reference, after every fixing *)
+let law_tracker_inc_one_pass c =
+  S.compile_events c.bspace c.bevents;
+  let trackers =
+    [
+      S.Cond_tracker.create c.bspace c.bevents;
+      S.Cond_tracker.create (S.enumerating c.bspace) c.bevents;
+    ]
+  in
+  let ok = ref true in
+  let check tr =
+    let fixed = S.Cond_tracker.assignment tr in
+    Array.iteri
+      (fun i _ ->
+        for v = 0 to S.num_vars c.bspace - 1 do
+          if not (A.is_fixed fixed v) then
+            if S.Cond_tracker.inc_vector tr i ~var:v
+               <> two_step_inc (S.Cond_tracker.prob_vector tr i ~var:v)
+            then ok := false
+        done)
+      c.bevents
+  in
+  List.iter check trackers;
+  List.iter
+    (fun (v, y) ->
+      List.iter
+        (fun tr ->
+          S.Cond_tracker.fix tr ~var:v ~value:y;
+          check tr)
+        trackers)
+    c.bfixes;
+  !ok
+
+(* the edge cases by hand: an event already at probability 0, and
+   variables outside an event's scope *)
+let test_inc_vector_edge_cases () =
+  let vars =
+    [|
+      Var.make ~id:0 ~name:"x0" [| R.of_ints 1 4; R.of_ints 3 4 |];
+      Var.uniform ~id:1 ~name:"x1" 2;
+      Var.uniform ~id:2 ~name:"x2" 3;
+    |]
+  in
+  let e0 = E.of_bad_set ~id:0 ~name:"e0" ~scope:[| 0; 1 |] [ [ 0; 0 ] ] in
+  let e1 = E.of_bad_set ~id:1 ~name:"e1" ~scope:[| 2 |] [ [ 1 ] ] in
+  let space = S.create vars in
+  S.compile_events space [| e0; e1 |];
+  List.iter
+    (fun space ->
+      let tr = S.Cond_tracker.create space [| e0; e1 |] in
+      let inc ev var = S.Cond_tracker.inc_vector tr ev ~var in
+      let agrees ev var =
+        Alcotest.(check bool)
+          (Printf.sprintf "e%d var %d = two-step" ev var)
+          true
+          (inc ev var = two_step_inc (S.Cond_tracker.prob_vector tr ev ~var))
+      in
+      Alcotest.(check (array rat)) "e1 in scope" [| R.zero; R.of_int 3; R.zero |] (inc 1 2);
+      Alcotest.(check (array rat)) "e1, var outside scope" [| R.one; R.one |] (inc 1 1);
+      S.Cond_tracker.fix tr ~var:0 ~value:1;
+      Alcotest.(check rat) "e0 now impossible" R.zero (S.Cond_tracker.prob tr 0);
+      Alcotest.(check (array rat)) "e0 at 0, in scope" [| R.zero; R.zero |] (inc 0 1);
+      Alcotest.(check (array rat)) "e0 at 0, var outside scope" [| R.zero; R.zero; R.zero |]
+        (inc 0 2);
+      List.iter (fun (ev, var) -> agrees ev var) [ (0, 1); (0, 2); (1, 1); (1, 2) ])
+    [ space; S.enumerating space ]
+
+(* A structurally valid but wrong table: swapping e's two row weights
+   keeps its rows and bitmap but moves the mass. The table path must
+   read the planted value and the enumerating reference the true one,
+   or the differential properties above could not tell them apart. *)
+let test_planted_table_is_visible () =
+  let vars =
+    [|
+      Var.make ~id:0 ~name:"x0" [| R.of_ints 1 4; R.of_ints 3 4 |]; Var.uniform ~id:1 ~name:"x1" 2;
+    |]
+  in
+  let e = E.of_bad_set ~id:0 ~name:"e" ~scope:[| 0; 1 |] [ [ 0; 0 ]; [ 1; 1 ] ] in
+  let space = S.create vars in
+  S.compile_events space [| e |];
+  let tab = Option.get (S.compiled_table space e) in
+  let w = tab.E.weights in
+  S.install_table space e { tab with E.weights = [| w.(1); w.(0) |] };
+  let fixed = A.of_list 2 [ (0, 0) ] in
+  let reference = S.enumerating space in
+  (* Pr[e | x0 = 0] = Pr[x1 = 0] = 1/2; the planted row reads (3/8) / (1/4) *)
+  Alcotest.(check rat) "table path reads the plant" (R.of_ints 3 2) (S.prob space e ~fixed);
+  Alcotest.(check rat) "enumeration reads the truth" (R.of_ints 1 2) (S.prob reference e ~fixed);
+  Alcotest.(check rat) "enumerating prob_vector" (R.of_ints 1 2)
+    (fst (S.prob_vector reference e ~fixed:(A.empty 2) ~var:0)).(0);
+  let tr = S.Cond_tracker.create reference [| e |] in
+  S.Cond_tracker.fix tr ~var:0 ~value:0;
+  Alcotest.(check rat) "enumerating tracker" (R.of_ints 1 2) (S.Cond_tracker.prob tr 0)
+
 let backend_props =
   [
     prop "table prob = enum prob" 250 arb_backend_case law_table_prob_matches_enum;
@@ -492,6 +592,11 @@ let backend_props =
     prop "tracker = enum after every fix" 200 arb_backend_case law_tracker_matches_enum;
     prop "tracker is backend independent" 200 arb_backend_case
       law_tracker_backend_independent;
+    prop "tracker inc_vector = two-step ratios" 200 arb_backend_case law_tracker_inc_one_pass;
+    Alcotest.test_case "inc_vector at probability 0 and out of scope" `Quick
+      test_inc_vector_edge_cases;
+    Alcotest.test_case "planted wrong table: tables read it, enumeration does not" `Quick
+      test_planted_table_is_visible;
   ]
 
 let () =
