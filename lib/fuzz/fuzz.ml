@@ -76,12 +76,10 @@ let mutant_name = "fix3-mutant-phi"
 
 (* Engines whose traces follow the Fix_rank2 / Fix_rank3 update
    discipline the Replay checker models. (fixr generalises the
-   potential differently; the exact rank-3 fixer keeps phi rational —
-   its own pstar claim is already checked by the post-condition.) *)
+   potential differently.) *)
 let default_replay_engines = [ "fix2"; "fix3"; mutant_name ]
 
-let check ?(eps = Srep.default_eps)
-    ?(replay = fun name -> List.mem name default_replay_engines) ~engines inst =
+let check ?(replay = fun name -> List.mem name default_replay_engines) ~engines inst =
   let reference = Instance.enumerating inst in
   let run engine inst = Solver.solve ~params:{ Solver.default_params with seed = 1 } engine inst in
   let check_engine e =
@@ -97,7 +95,7 @@ let check ?(eps = Srep.default_eps)
         let steps =
           List.map (fun (s : Solver.step) -> (s.Solver.var, s.Solver.value)) rt.Solver.outcome.Solver.trace
         in
-        match Replay.check_trace ~eps inst steps with
+        match Replay.check_trace inst steps with
         | Some failure -> Some (Pstar_broken { engine = name; failure })
         | None -> None
       end
@@ -115,13 +113,13 @@ let check ?(eps = Srep.default_eps)
 (* Shrinking a finding                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let shrink ?eps ?replay ~engines violation inst =
+let shrink ?replay ~engines violation inst =
   let name = violation_engine violation in
   match List.find_opt (fun e -> Solver.name e = name) engines with
   | None -> inst
   | Some engine ->
     let reproduces candidate =
-      match check ?eps ?replay ~engines:[ engine ] candidate with
+      match check ?replay ~engines:[ engine ] candidate with
       | Some _ -> true
       | None -> false
       | exception _ -> false
@@ -175,17 +173,17 @@ type finding = {
 
 type outcome = { tested : int; finding : finding option }
 
-let run ?eps ?replay ?(engines = Solver.all ()) ?(log = fun _ -> ()) ~seed ~budget () =
+let run ?replay ?(engines = Solver.all ()) ?(log = fun _ -> ()) ~seed ~budget () =
   let rng = Random.State.make [| seed |] in
   let rec go i =
     if i >= budget then { tested = budget; finding = None }
     else begin
       let h = Gen.generate rng in
       log (Printf.sprintf "[%d/%d] %s" (i + 1) budget h.Gen.label);
-      match check ?eps ?replay ~engines h.Gen.instance with
+      match check ?replay ~engines h.Gen.instance with
       | None -> go (i + 1)
       | Some violation ->
-        let shrunk = shrink ?eps ?replay ~engines violation h.Gen.instance in
+        let shrunk = shrink ?replay ~engines violation h.Gen.instance in
         {
           tested = i + 1;
           finding = Some { label = h.Gen.label; instance = h.Gen.instance; violation; shrunk };
@@ -204,7 +202,7 @@ let run ?eps ?replay ?(engines = Solver.all ()) ?(log = fun _ -> ()) ~seed ~budg
    value that is unjustifiable under the honest potential — exactly what
    the independent replay must catch. A uniform nonzero gain would be
    too tame: it cancels out of the rank-2 ranking entirely. *)
-let self_test_mutation = { Replay.phi_gain = 0.0; choose_worst = false }
+let self_test_mutation = { Replay.phi_gain = Rat.zero; choose_worst = false }
 
 let mutant_engine =
   Solver.make ~name:mutant_name
@@ -232,8 +230,8 @@ let mutant_engine =
         detail = [ ("mutation", "phi_gain=0") ];
       })
 
-let self_test ?eps ?(seed = 7) ?(budget = 50) ?log () =
-  run ?eps ?log ~engines:[ mutant_engine ] ~seed ~budget ()
+let self_test ?(seed = 7) ?(budget = 50) ?log () =
+  run ?log ~engines:[ mutant_engine ] ~seed ~budget ()
 
 (* ------------------------------------------------------------------ *)
 (* Reproducer dump                                                     *)

@@ -1,8 +1,10 @@
 (** The adversarial fuzz harness over the solver registry: hostile
     instances from {!Gen}, a cross-check matrix per engine against the
-    enumerating reference ({!Lll_core.Instance.enumerating}), independent P* replay ({!Replay}), greedy
-    shrinking ({!Shrink}) and Serialize-v2 reproducer dumps. See
-    DESIGN.md §8. *)
+    enumerating reference ({!Lll_core.Instance.enumerating}), independent
+    P* replay ({!Replay}, exact: no tolerance enters the cross-check),
+    greedy shrinking ({!Shrink}) and Serialize-v2 reproducer dumps. The
+    float tolerance [?eps] survives only on the {!geometry_check} oracle
+    of the float [S_rep] surface. See DESIGN.md §8. *)
 
 module Instance = Lll_core.Instance
 module Solver = Lll_core.Solver
@@ -29,7 +31,6 @@ val default_replay_engines : string list
     discipline modelled by {!Replay.check_trace}. *)
 
 val check :
-  ?eps:float ->
   ?replay:(string -> bool) ->
   engines:Solver.t list ->
   Instance.t ->
@@ -39,7 +40,6 @@ val check :
     if any. *)
 
 val shrink :
-  ?eps:float ->
   ?replay:(string -> bool) ->
   engines:Solver.t list ->
   violation ->
@@ -72,7 +72,6 @@ type finding = {
 type outcome = { tested : int; finding : finding option }
 
 val run :
-  ?eps:float ->
   ?replay:(string -> bool) ->
   ?engines:Solver.t list ->
   ?log:(string -> unit) ->
@@ -105,7 +104,7 @@ val mutant_engine : Solver.t
     ({!self_test_mutation}). Its runs look deterministic and complete,
     so only the independent cross-checks can expose it. *)
 
-val self_test : ?eps:float -> ?seed:int -> ?budget:int -> ?log:(string -> unit) -> unit -> outcome
+val self_test : ?seed:int -> ?budget:int -> ?log:(string -> unit) -> unit -> outcome
 (** Fuzz the mutant engine only. A healthy harness returns a finding
     (the injected fault is caught and shrunk); [None] in [finding]
     means the harness itself lost its teeth. *)

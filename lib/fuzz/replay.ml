@@ -3,27 +3,27 @@
 
    The solver trace tells us only which variable was fixed to which
    value; everything else — the exact Inc ratios, the phi potential, the
-   representable triples and their decompositions — is re-derived here
-   from the instance, using the same update discipline as the paper's
-   fixers (Fix_rank2 / Fix_rank3). Nothing the engine reports is
-   trusted: if an engine's internal phi bookkeeping is wrong, its value
-   choices stop being justifiable under the *honest* potential and the
-   replay flags the first offending step.
+   representable triples and their splits — is re-derived here from the
+   instance, using the same update discipline as the paper's fixers
+   (Fix_rank2 / Fix_rank3). Nothing the engine reports is trusted: if an
+   engine's internal phi bookkeeping is wrong, its value choices stop
+   being justifiable under the *honest* potential and the replay flags
+   the first offending step.
 
    The checks per step, in order:
    - the step fixes a live in-range variable to an in-range value;
    - rank 1: the chosen value's Inc ratio is at most 1;
    - rank 2: the phi-weighted Inc score is within the edge budget
      [phi_e^u + phi_e^v] (Section 3.1, weighted form);
-   - rank 3: the scaled triple lies in S_rep (Lemma 3.2) and its
-     constructive decomposition (Lemma 3.5) is a valid witness;
+   - rank 3: the scaled triple lies in S_rep (Lemma 3.2, [Srep.mem_rat])
+     and its exact split ([Srep.decompose_rat], the fixer's write-back)
+     is a valid Definition 3.3 witness;
    - after the fix, every affected event's exact conditional probability
      is bounded by its initial probability times its phi product — the
      P* event bound itself.
 
-   Inc ratios and conditional probabilities are exact rationals
-   (Cond_tracker); only phi is float, with the library-wide [eps]
-   absorbing its rounding, exactly as in the fixers. *)
+   Everything is exact: Inc ratios, conditional probabilities and phi
+   are rationals, and no comparison has a tolerance. *)
 
 module Rat = Lll_num.Rat
 module Graph = Lll_graph.Graph
@@ -39,14 +39,14 @@ let pp_failure ppf f =
   Format.fprintf ppf "step %d (var %d): %s" f.step_index f.var f.reason
 
 (* ------------------------------------------------------------------ *)
-(* Shared replay state: exact conditionals + honest float phi          *)
+(* Shared replay state: exact conditionals + honest exact phi          *)
 (* ------------------------------------------------------------------ *)
 
 type state = {
   inst : Instance.t;
   tracker : Space.Cond_tracker.tracker;
   g : Graph.t;
-  phi : float array array; (* edge id -> [| side of min endpoint; side of max |] *)
+  phi : Rat.t array array; (* edge id -> [| side of min endpoint; side of max |] *)
   initial : Rat.t array;
 }
 
@@ -56,7 +56,7 @@ let make_state inst =
     inst;
     tracker = Space.Cond_tracker.create (Instance.space inst) (Instance.events inst);
     g;
-    phi = Array.init (Graph.m g) (fun _ -> [| 1.0; 1.0 |]);
+    phi = Array.init (Graph.m g) (fun _ -> [| Rat.one; Rat.one |]);
     initial = Instance.initial_probs inst;
   }
 
@@ -76,33 +76,53 @@ let inc_vector st ev ~var =
 (* ------------------------------------------------------------------ *)
 
 (* P* event bound for the events affected by the step just taken. *)
-let event_bound_failure st ~eps ~step_index ~var evs =
+let event_bound_failure st ~step_index ~var evs =
   let rec scan k =
     if k >= Array.length evs then None
     else begin
       let ev = evs.(k) in
       let bound =
         List.fold_left
-          (fun acc eid -> acc *. phi st eid ev)
-          (Rat.to_float st.initial.(ev))
-          (Graph.incident_edges st.g ev)
+          (fun acc eid -> Rat.mul acc (phi st eid ev))
+          st.initial.(ev) (Graph.incident_edges st.g ev)
       in
-      let p = Rat.to_float (Space.Cond_tracker.prob st.tracker ev) in
-      if p > bound +. eps then
+      let p = Space.Cond_tracker.prob st.tracker ev in
+      if Rat.gt p bound then
         Some
           {
             step_index;
             var;
             reason =
               Printf.sprintf "event %d: conditional probability %.9g exceeds P* bound %.9g" ev
-                p bound;
+                (Rat.to_float p) (Rat.to_float bound);
           }
       else scan (k + 1)
     end
   in
   scan 0
 
-let check_trace ?(eps = Srep.default_eps) inst steps =
+(* The clique edges and phi products of a rank-3 variable's events. *)
+let rank3_triple st u v w =
+  let e = Graph.find_edge_exn st.g u v in
+  let e' = Graph.find_edge_exn st.g u w in
+  let e'' = Graph.find_edge_exn st.g v w in
+  ( (e, e', e''),
+    ( Rat.mul (phi st e u) (phi st e' u),
+      Rat.mul (phi st e v) (phi st e'' v),
+      Rat.mul (phi st e' w) (phi st e'' w) ) )
+
+(* Write a split back onto the clique edges, each side scaled by [gain]. *)
+let set_split st ?(gain = Rat.one) (e, e', e'') (u, v, w) (d : Rat.t Srep.split) =
+  set_phi st e u (Rat.mul gain d.a1);
+  set_phi st e' u (Rat.mul gain d.a2);
+  set_phi st e v (Rat.mul gain d.b1);
+  set_phi st e'' v (Rat.mul gain d.b3);
+  set_phi st e' w (Rat.mul gain d.c2);
+  set_phi st e'' w (Rat.mul gain d.c3)
+
+let scale (a, b, c) (iu, iv, iw) = (Rat.mul iu a, Rat.mul iv b, Rat.mul iw c)
+
+let check_trace inst steps =
   let st = make_state inst in
   let nvars = Instance.num_vars inst in
   let fail step_index var reason = Some { step_index; var; reason } in
@@ -123,63 +143,46 @@ let check_trace ?(eps = Srep.default_eps) inst steps =
             | [ u ] ->
               (* rank 1: the event bound is unchanged, so the chosen
                  Inc must not scale the probability up *)
-              let inc = Rat.to_float (inc_vector st u ~var:vid).(y) in
-              if inc > 1. +. eps then
-                fail i vid (Printf.sprintf "rank-1 step scales event %d by Inc %.9g > 1" u inc)
+              let inc = (inc_vector st u ~var:vid).(y) in
+              if Rat.gt inc Rat.one then
+                fail i vid
+                  (Printf.sprintf "rank-1 step scales event %d by Inc %.9g > 1" u (Rat.to_float inc))
               else None
             | [ u; v ] ->
               let e = Graph.find_edge_exn st.g u v in
               let s = phi st e u and w = phi st e v in
-              let iu = (inc_vector st u ~var:vid).(y) in
-              let iv = (inc_vector st v ~var:vid).(y) in
-              let score = (Rat.to_float iu *. s) +. (Rat.to_float iv *. w) in
-              if score > s +. w +. eps then
+              let pu = Rat.mul (inc_vector st u ~var:vid).(y) s in
+              let pv = Rat.mul (inc_vector st v ~var:vid).(y) w in
+              let score = Rat.add pu pv and budget = Rat.add s w in
+              if Rat.gt score budget then
                 fail i vid
-                  (Printf.sprintf "rank-2 budget broken: score %.9g > phi budget %.9g" score
-                     (s +. w))
+                  (Printf.sprintf "rank-2 budget broken: score %.9g > phi budget %.9g"
+                     (Rat.to_float score) (Rat.to_float budget))
               else begin
-                set_phi st e u (Rat.to_float iu *. s);
-                set_phi st e v (Rat.to_float iv *. w);
+                set_phi st e u pu;
+                set_phi st e v pv;
                 None
               end
-            | [ u; v; w ] ->
-              let e = Graph.find_edge_exn st.g u v in
-              let e' = Graph.find_edge_exn st.g u w in
-              let e'' = Graph.find_edge_exn st.g v w in
-              let a = phi st e u *. phi st e' u in
-              let b = phi st e v *. phi st e'' v in
-              let c = phi st e' w *. phi st e'' w in
-              let iu = (inc_vector st u ~var:vid).(y) in
-              let iv = (inc_vector st v ~var:vid).(y) in
-              let iw = (inc_vector st w ~var:vid).(y) in
-              let scaled =
-                (Rat.to_float iu *. a, Rat.to_float iv *. b, Rat.to_float iw *. c)
-              in
-              let viol = Srep.violation scaled in
-              if viol > eps then
-                fail i vid
-                  (Printf.sprintf "scaled triple left S_rep: violation %.3g > eps" viol)
-              else begin
-                let d = Srep.decompose scaled in
-                if not (Srep.is_valid_decomposition ~eps d) then
-                  fail i vid "decomposition of the scaled triple is not a valid witness"
-                else begin
-                  set_phi st e u d.a1;
-                  set_phi st e' u d.a2;
-                  set_phi st e v d.b1;
-                  set_phi st e'' v d.b3;
-                  set_phi st e' w d.c2;
-                  set_phi st e'' w d.c3;
-                  None
-                end
-              end
+            | [ u; v; w ] -> (
+              let edges, triple = rank3_triple st u v w in
+              let incs ev = (inc_vector st ev ~var:vid).(y) in
+              let scaled = scale triple (incs u, incs v, incs w) in
+              if not (Srep.mem_rat scaled) then fail i vid "scaled triple left S_rep"
+              else
+                match Srep.decompose_rat scaled with
+                | None -> fail i vid "scaled triple has no exact split"
+                | Some d when not (Srep.is_valid_split scaled d) ->
+                  fail i vid "split of the scaled triple is not a valid witness"
+                | Some d ->
+                  set_split st edges (u, v, w) d;
+                  None)
             | _ -> fail i vid "rank > 3: the replay checker does not model this engine"
           in
           match step_failure with
           | Some _ as f -> f
           | None -> (
             Space.Cond_tracker.fix st.tracker ~var:vid ~value:y;
-            match event_bound_failure st ~eps ~step_index:i ~var:vid evs with
+            match event_bound_failure st ~step_index:i ~var:vid evs with
             | Some _ as f -> f
             | None -> go (i + 1) rest)
         end
@@ -191,9 +194,9 @@ let check_trace ?(eps = Srep.default_eps) inst steps =
 (* Fault injection: a fixer clone with a perturbed phi update          *)
 (* ------------------------------------------------------------------ *)
 
-type mutation = { phi_gain : float; choose_worst : bool }
+type mutation = { phi_gain : Rat.t; choose_worst : bool }
 
-let honest = { phi_gain = 1.0; choose_worst = false }
+let honest = { phi_gain = Rat.one; choose_worst = false }
 
 (* A forward fixing run sharing the replay's honest machinery except for
    the injected faults: [phi_gain] scales every phi write-back (the
@@ -201,20 +204,25 @@ let honest = { phi_gain = 1.0; choose_worst = false }
    future value rankings until a pick stops being justifiable under the
    honest potential), and [choose_worst] flips the value selection from
    minimising to maximising the score. With [honest] this is precisely
-   the Fix_rank3 discipline. *)
+   the Fix_rank3 discipline: exact rank-1 and rank-2 scores, float S_rep
+   violations at rank 3, the exact split written back (rounded down
+   where none exists). *)
 let run_mutant mutation inst =
   if Instance.rank inst > 3 then invalid_arg "Replay.run_mutant: instance has rank > 3";
   let st = make_state inst in
   let n = Instance.num_vars inst in
   let steps = ref [] in
+  let gain = mutation.phi_gain in
   for vid = 0 to n - 1 do
     let arity = Var.arity (Space.var (Instance.space inst) vid) in
-    let pick score_of =
+    (* the first value reaching the least (or, mutated, the greatest)
+       score under [compare] *)
+    let pick compare score_of =
       let best = ref (0, score_of 0) in
       for y = 1 to arity - 1 do
         let s = score_of y in
-        let better = if mutation.choose_worst then s > snd !best else s < snd !best in
-        if better then best := (y, s)
+        let c = compare s (snd !best) in
+        if (if mutation.choose_worst then c > 0 else c < 0) then best := (y, s)
       done;
       fst !best
     in
@@ -223,38 +231,32 @@ let run_mutant mutation inst =
       | [] -> 0
       | [ u ] ->
         let iu = inc_vector st u ~var:vid in
-        pick (fun y -> Rat.to_float iu.(y))
+        pick Rat.compare (Array.get iu)
       | [ u; v ] ->
         let e = Graph.find_edge_exn st.g u v in
         let s = phi st e u and w = phi st e v in
         let iu = inc_vector st u ~var:vid in
         let iv = inc_vector st v ~var:vid in
-        let y = pick (fun y -> (Rat.to_float iu.(y) *. s) +. (Rat.to_float iv.(y) *. w)) in
-        set_phi st e u (mutation.phi_gain *. Rat.to_float iu.(y) *. s);
-        set_phi st e v (mutation.phi_gain *. Rat.to_float iv.(y) *. w);
+        let y = pick Rat.compare (fun y -> Rat.add (Rat.mul iu.(y) s) (Rat.mul iv.(y) w)) in
+        set_phi st e u (Rat.mul gain (Rat.mul iu.(y) s));
+        set_phi st e v (Rat.mul gain (Rat.mul iv.(y) w));
         y
       | [ u; v; w ] ->
-        let e = Graph.find_edge_exn st.g u v in
-        let e' = Graph.find_edge_exn st.g u w in
-        let e'' = Graph.find_edge_exn st.g v w in
-        let a = phi st e u *. phi st e' u in
-        let b = phi st e v *. phi st e'' v in
-        let c = phi st e' w *. phi st e'' w in
+        let edges, ((a, b, c) as triple) = rank3_triple st u v w in
         let iu = inc_vector st u ~var:vid in
         let iv = inc_vector st v ~var:vid in
         let iw = inc_vector st w ~var:vid in
-        let triple_of y =
-          (Rat.to_float iu.(y) *. a, Rat.to_float iv.(y) *. b, Rat.to_float iw.(y) *. c)
+        let af = Rat.to_float a and bf = Rat.to_float b and cf = Rat.to_float c in
+        let violation y =
+          Srep.violation
+            (Rat.to_float iu.(y) *. af, Rat.to_float iv.(y) *. bf, Rat.to_float iw.(y) *. cf)
         in
-        let y = pick (fun y -> Srep.violation (triple_of y)) in
-        let d = Srep.decompose (triple_of y) in
-        let g = mutation.phi_gain in
-        set_phi st e u (g *. d.a1);
-        set_phi st e' u (g *. d.a2);
-        set_phi st e v (g *. d.b1);
-        set_phi st e'' v (g *. d.b3);
-        set_phi st e' w (g *. d.c2);
-        set_phi st e'' w (g *. d.c3);
+        let y = pick Float.compare violation in
+        let scaled = scale triple (iu.(y), iv.(y), iw.(y)) in
+        let d =
+          match Srep.decompose_rat scaled with Some d -> d | None -> Srep.decompose_down scaled
+        in
+        set_split st ~gain edges (u, v, w) d;
         y
       | _ -> assert false
     in

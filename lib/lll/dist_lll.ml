@@ -24,10 +24,11 @@
    bound with our coloring substitution.
 
    Determinism: class-c owners act on disjoint events and disjoint phi
-   edges (they are >= 3 apart), and each performs exactly the float
-   operations of the sequential rank-3 fixer, in the same per-variable
-   order — so the final assignment must agree BIT FOR BIT with
-   [Distributed.solve_rank3] (the test suite asserts this). *)
+   edges (they are >= 3 apart), and each calls the sequential fixers'
+   own choice rules ([Fixing.choose_rank2_exact], [Fixing.choose_rank3])
+   on the same exact phi, in the same per-variable order — so the final
+   assignment agrees BIT FOR BIT with [Distributed.solve_rank3] and
+   [Distributed.solve_rank2] (the test suite asserts both). *)
 
 module Rat = Lll_num.Rat
 module Graph = Lll_graph.Graph
@@ -44,7 +45,7 @@ module IntMap = Map.Make (Int)
 
 type state = {
   known : int IntMap.t; (* variable id -> fixed value *)
-  phi : ((float * float) * int) IntMap.t; (* edge id -> ((side min, side max), version) *)
+  phi : ((Rat.t * Rat.t) * int) IntMap.t; (* edge id -> ((side min, side max), version) *)
 }
 
 (* merge neighbor knowledge: union of fixed values, freshest phi *)
@@ -61,9 +62,9 @@ let phi_side g e v ((lo, hi), _) =
   let u, _ = Graph.endpoints g e in
   if v = u then lo else hi
 
-(* Fix one variable exactly as Fix_rank3 does, against local knowledge:
-   the same Fixing choice rules, fed from this node's known values and
-   phi copies. Returns the chosen value and the phi updates (edge ->
+(* Fix one variable exactly as Fix_rank2 / Fix_rank3 do, against local
+   knowledge: the same Fixing choice rules, fed from this node's known
+   values and exact phi copies. Returns the chosen value and the phi updates (edge ->
    both sides). *)
 let fix_one instance g st ~version vid =
   let space = Instance.space instance in
@@ -95,18 +96,19 @@ let fix_one instance g st ~version vid =
     let e = Graph.find_edge_exn g u v in
     let s = get_phi e u and w = get_phi e v in
     let incs_u = vector u and incs_v = vector v in
-    let y = Fixing.choose_rank2_float incs_u incs_v ~s ~w in
-    let up_u = Rat.to_float incs_u.(y) *. s and up_v = Rat.to_float incs_v.(y) *. w in
+    let y, _ = Fixing.choose_rank2_exact incs_u incs_v ~s ~w in
+    let up_u = Rat.mul incs_u.(y) s and up_v = Rat.mul incs_v.(y) w in
     (y, [ entry e ~at:u ~value_at:up_u ~value_other:up_v ])
   | [| u; v; w |] ->
     let e = Graph.find_edge_exn g u v in
     let e' = Graph.find_edge_exn g u w in
     let e'' = Graph.find_edge_exn g v w in
-    let a = get_phi e u *. get_phi e' u in
-    let b = get_phi e v *. get_phi e'' v in
-    let c = get_phi e' w *. get_phi e'' w in
-    let y, _, d = Fixing.choose_rank3_float (vector u) (vector v) (vector w) ~a ~b ~c in
-    ( y,
+    let a = Rat.mul (get_phi e u) (get_phi e' u) in
+    let b = Rat.mul (get_phi e v) (get_phi e'' v) in
+    let c = Rat.mul (get_phi e' w) (get_phi e'' w) in
+    let ch = Fixing.choose_rank3 (vector u) (vector v) (vector w) ~a ~b ~c in
+    let d = ch.Fixing.split in
+    ( ch.Fixing.value,
       [
         entry e ~at:u ~value_at:d.Srep.a1 ~value_other:d.Srep.b1;
         entry e' ~at:u ~value_at:d.Srep.a2 ~value_other:d.Srep.c2;
@@ -141,7 +143,7 @@ let run_sweep ?(engine = `Flat) ?domains ?(metrics = Metrics.disabled) instance 
        neighbors (the clique edges of my variables), straight off the
        CSR slices — no intermediate lists *)
     let phi = ref IntMap.empty in
-    let add e = phi := IntMap.add e ((1.0, 1.0), 0) !phi in
+    let add e = phi := IntMap.add e ((Rat.one, Rat.one), 0) !phi in
     Graph.iter_adj g v (fun _ e -> add e);
     Graph.iter_adj g v (fun u _ ->
         Graph.iter_adj g v (fun w _ ->

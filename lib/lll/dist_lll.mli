@@ -4,9 +4,11 @@
     act only on knowledge received in messages.
 
     Produces bit-for-bit the same assignment as the schedule-accounting
-    driver {!Distributed.solve_rank3} (asserted by the test suite), at
-    three communication rounds per color class (fix + two propagation
-    rounds for radius-2 freshness). *)
+    drivers {!Distributed.solve_rank3} and {!Distributed.solve_rank2}
+    (asserted by the test suite): the nodes call the sequential fixers'
+    choice rules on the same exact [phi]. It takes three communication
+    rounds per color class (fix + two propagation rounds for radius-2
+    freshness). *)
 
 module Assignment = Lll_prob.Assignment
 

@@ -14,14 +14,17 @@
    by the incurvedness of S_rep (Lemma 3.7) and the impossibility of all
    values being "evil" (Lemma 3.9) — guarantees a value y whose scaled
    triple (Inc(u,y)*a, Inc(v,y)*b, Inc(w,y)*c) is again in S_rep. We pick
-   the value minimising the S_rep violation and write the constructive
-   decomposition (proof of Lemma 3.5) back into phi.
+   the value minimising the S_rep violation and write a decomposition
+   (proof of Lemma 3.5) back into phi.
 
-   Inc ratios are exact rationals; only the phi potential uses floats
-   (its optimal updates are irrational). Final solutions are always
-   validated exactly against the event predicates (see Verify). The
-   rank <= 2 rules and the rank-3 choice live in {!Fixing}; this module
-   keeps the phi plumbing of the rank-3 step and the step log. *)
+   Everything is exact: Inc ratios and phi are rationals. The optimal
+   split of Lemma 3.5 is irrational, so the write-back is a dyadic split
+   near it that satisfies Definition 3.3 exactly (Srep.decompose_rat),
+   and P* is checked with no tolerance. Every triple of S_rep has such a
+   split; a chosen triple outside it (the float ranking can pick one a
+   rounding error past the surface) takes the rounded-down float split
+   instead, and such steps are counted ([fallbacks]). The rules live in {!Fixing}; this module keeps
+   the phi plumbing of the rank-3 step and the step log. *)
 
 module Rat = Lll_num.Rat
 module Assignment = Lll_prob.Assignment
@@ -30,26 +33,40 @@ type step = {
   var : int;
   value : int;
   incs : (int * Rat.t) list;
-  violation : float; (* S_rep violation of the chosen scaled triple *)
+  violation : float; (* float S_rep violation of the chosen scaled triple *)
+  fallback : bool; (* the chosen triple was outside S_rep *)
 }
 
-type t = { core : float Fixing.t; mutable steps : step list; mutable max_violation : float }
+type t = {
+  core : Rat.t Fixing.t;
+  mutable steps : step list;
+  mutable max_violation : float;
+  mutable fallbacks : int;
+}
 
 let name = "Fix_rank3"
 
 let create instance =
-  { core = Fixing.create ~name ~max_rank:3 1.0 instance; steps = []; max_violation = neg_infinity }
+  {
+    core = Fixing.create ~name ~max_rank:3 Rat.one instance;
+    steps = [];
+    max_violation = neg_infinity;
+    fallbacks = 0;
+  }
 
 let assignment t = Fixing.assignment t.core
 let steps t = List.rev t.steps
 let max_violation t = t.max_violation
+let fallbacks t = t.fallbacks
+let phi t e v = t.core.phi.(Fixing.slot t.core.graph e v)
 
 let record t step =
   t.steps <- step :: t.steps;
-  if step.violation > t.max_violation then t.max_violation <- step.violation
+  if step.violation > t.max_violation then t.max_violation <- step.violation;
+  if step.fallback then t.fallbacks <- t.fallbacks + 1
 
 (* Fix a rank-3 variable via the Variable Fixing Lemma: the triple's
-   phi products in, the decomposition's six sides back out. *)
+   phi products in, the split's six sides back out. *)
 let fix_rank3_var t vid u v w =
   let c0 = t.core in
   let g = c0.graph and phi = c0.phi in
@@ -59,13 +76,14 @@ let fix_rank3_var t vid u v w =
   let eu = Fixing.slot g e u and e'u = Fixing.slot g e' u in
   let ev = Fixing.slot g e v and e''v = Fixing.slot g e'' v in
   let e'w = Fixing.slot g e' w and e''w = Fixing.slot g e'' w in
-  let a = phi.(eu) *. phi.(e'u) in
-  let b = phi.(ev) *. phi.(e''v) in
-  let c = phi.(e'w) *. phi.(e''w) in
+  let a = Rat.mul phi.(eu) phi.(e'u) in
+  let b = Rat.mul phi.(ev) phi.(e''v) in
+  let c = Rat.mul phi.(e'w) phi.(e''w) in
   let incs_u = Fixing.inc_vector c0 u ~var:vid in
   let incs_v = Fixing.inc_vector c0 v ~var:vid in
   let incs_w = Fixing.inc_vector c0 w ~var:vid in
-  let y, viol, d = Fixing.choose_rank3_float incs_u incs_v incs_w ~a ~b ~c in
+  let ch = Fixing.choose_rank3 incs_u incs_v incs_w ~a ~b ~c in
+  let y = ch.value and d = ch.split in
   Lll_prob.Space.Cond_tracker.fix c0.tracker ~var:vid ~value:y;
   phi.(eu) <- d.a1;
   phi.(e'u) <- d.a2;
@@ -74,7 +92,7 @@ let fix_rank3_var t vid u v w =
   phi.(e'w) <- d.c2;
   phi.(e''w) <- d.c3;
   { var = vid; value = y; incs = [ (u, incs_u.(y)); (v, incs_v.(y)); (w, incs_w.(y)) ];
-    violation = viol }
+    violation = ch.violation; fallback = not ch.exact }
 
 (* All the work of a fixing step without touching the shared step log:
    the unit [fix_class] fans out across domains. *)
@@ -83,13 +101,15 @@ let fix_var_quiet t vid =
   match Instance.events_of_var t.core.instance vid with
   | [||] ->
     Fixing.fix_free t.core vid;
-    { var = vid; value = 0; incs = []; violation = neg_infinity }
+    { var = vid; value = 0; incs = []; violation = neg_infinity; fallback = false }
   | [| u |] ->
     let c = Fixing.fix_rank1 t.core vid u in
-    { var = vid; value = c.value; incs = c.incs; violation = Rat.to_float c.score -. 1.0 }
+    { var = vid; value = c.value; incs = c.incs; violation = Rat.to_float c.score -. 1.0;
+      fallback = false }
   | [| u; v |] ->
-    let c = Fixing.fix_rank2_float t.core vid u v in
-    { var = vid; value = c.value; incs = c.incs; violation = c.score -. c.budget }
+    let c = Fixing.fix_rank2_exact t.core vid u v in
+    { var = vid; value = c.value; incs = c.incs;
+      violation = Rat.to_float (Rat.sub c.score c.budget); fallback = false }
   | [| u; v; w |] -> fix_rank3_var t vid u v w
   | _ -> assert false
 
@@ -98,11 +118,11 @@ let fix_var t vid = record t (fix_var_quiet t vid)
 let fix_class ?domains t duties =
   Fixing.fix_class ?domains ~fix:(fix_var_quiet t) ~record:(record t) duties
 
-(* Property P* (Definition 3.1) with a float tolerance on the phi side:
-   phi values in [0,2] summing to <= 2 per edge. *)
-let pstar_holds ?(eps = Srep.default_eps) t =
-  Fixing.pstar_float ~eps t.core ~edge_ok:(fun p0 p1 ->
-      p0 >= -.eps && p1 >= -.eps && p0 <= 2. +. eps && p1 <= 2. +. eps && p0 +. p1 <= 2. +. eps)
+(* Property P* (Definition 3.1), exactly: phi sides non-negative with
+   edge sums at most 2 (so each side is at most 2). *)
+let pstar_holds t =
+  Fixing.pstar_exact t.core ~edge_ok:(fun p0 p1 ->
+      Rat.sign p0 >= 0 && Rat.sign p1 >= 0 && Rat.leq (Rat.add p0 p1) Rat.two)
 
 let solve ?order ?metrics instance =
   let t = create instance in

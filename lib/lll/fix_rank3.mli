@@ -2,9 +2,11 @@
     every variable affects at most three events, under [p < 2^-d], via the
     representable-triples machinery of Section 3.
 
-    [Inc] ratios are exact; the [phi] potential uses floats (its optimal
-    updates are irrational). Accepted solutions must always be validated
-    with {!Verify} (exact), which the high-level drivers do. *)
+    [Inc] ratios and the [phi] potential are exact rationals. The value
+    choice ranks the scaled triples by their float [S_rep] violation;
+    the write-back is an exact dyadic split of the chosen triple
+    ({!Srep.decompose_rat}), so property P* is checked with no
+    tolerance. *)
 
 module Rat = Lll_num.Rat
 module Assignment = Lll_prob.Assignment
@@ -14,8 +16,12 @@ type step = {
   value : int;
   incs : (int * Rat.t) list;
   violation : float;
-      (** [S_rep] violation of the chosen scaled triple; Lemma 3.2
+      (** float [S_rep] violation of the chosen scaled triple; Lemma 3.2
           guarantees this is non-positive up to float rounding. *)
+  fallback : bool;
+      (** the chosen triple was outside [S_rep], so it had no exact
+          split and the step wrote the rounded-down float split
+          ({!Srep.decompose_down}) *)
 }
 
 type t
@@ -41,6 +47,15 @@ val max_violation : t -> float
 (** Largest [S_rep] violation over all steps so far ([neg_infinity] if no
     step involved a choice); should never exceed float noise. *)
 
-val pstar_holds : ?eps:float -> t -> bool
-(** Property P* of Definition 3.1 (phi side with float tolerance, event
-    probabilities exact). [eps] defaults to {!Srep.default_eps}. *)
+val phi : t -> int -> int -> Rat.t
+(** [phi t e v]: the potential [phi_e^v] on edge [e] at endpoint [v]. *)
+
+val fallbacks : t -> int
+(** Steps so far whose chosen triple had no exact split (0 on every
+    corpus family). *)
+
+val pstar_holds : t -> bool
+(** Property P* of Definition 3.1, checked exactly: non-negative [phi]
+    sides with edge sums [<= 2], and every event's conditional
+    probability at most its initial probability times its [phi]
+    product. *)

@@ -3,9 +3,11 @@
    Theorem 1.1, Theorem 1.3 and the rank-r generalisation all run one
    loop: fix a variable, pick a value whose scaled Inc ratios stay
    within the potential's budget, write the potential phi back. This
-   module holds everything but the representability test: the state
-   (tracker + phi on edge-endpoints), the Inc vectors, the rank-0/1 and
-   rank-2 rules, the color-class fan-out, the run loop and the P* loop.
+   module holds the state (tracker + phi on edge-endpoints), the Inc
+   vectors, the rank-0/1, rank-2 and rank-3 rules, the color-class
+   fan-out, the run loop and the P* loop. The rank-2 and rank-3 rules
+   work on an exact [Rat.t] phi; only the rank-r experiment keeps a
+   float phi ([fix_rank2_float], [pstar_float]).
 
    phi is one flat array of 2m slots, [2e] for the smaller endpoint of
    edge [e] and [2e + 1] for the larger. Every rule indexes it directly
@@ -80,24 +82,44 @@ let choose_rank2_float incs_u incs_v ~s ~w =
   done;
   !best
 
-let choose_rank3_float incs_u incs_v incs_w ~a ~b ~c =
-  let triple y =
-    (Rat.to_float incs_u.(y) *. a, Rat.to_float incs_v.(y) *. b, Rat.to_float incs_w.(y) *. c)
-  in
-  let best = ref 0 and best_triple = ref (triple 0) in
-  let best_viol = ref (Srep.violation !best_triple) in
+let choose_rank2_exact incs_u incs_v ~s ~w =
+  let score y = Rat.add (Rat.mul incs_u.(y) s) (Rat.mul incs_v.(y) w) in
+  let best = ref 0 and best_score = ref (score 0) in
   for y = 1 to Array.length incs_u - 1 do
-    let tr = triple y in
-    let viol = Srep.violation tr in
+    let sc = score y in
+    if not (Rat.leq !best_score sc) then begin
+      best := y;
+      best_score := sc
+    end
+  done;
+  (!best, !best_score)
+
+type rank3_choice = { value : int; violation : float; split : Rat.t Srep.split; exact : bool }
+
+(* Rank 3 (Lemma 3.2): rank the values by the float S_rep violation of
+   their scaled triples, then split the chosen triple exactly. *)
+let choose_rank3 incs_u incs_v incs_w ~a ~b ~c =
+  let af = Rat.to_float a and bf = Rat.to_float b and cf = Rat.to_float c in
+  let violation y =
+    Srep.violation
+      (Rat.to_float incs_u.(y) *. af, Rat.to_float incs_v.(y) *. bf, Rat.to_float incs_w.(y) *. cf)
+  in
+  let best = ref 0 and best_viol = ref (violation 0) in
+  for y = 1 to Array.length incs_u - 1 do
+    let viol = violation y in
     if not (!best_viol <= viol) then begin
       best := y;
-      best_triple := tr;
       best_viol := viol
     end
   done;
-  (* Lemma 3.2: some value is not evil, i.e. the minimum violation is
-     non-positive (up to float rounding, which [Srep.decompose] clamps). *)
-  (!best, !best_viol, Srep.decompose !best_triple)
+  let y = !best in
+  let triple = (Rat.mul incs_u.(y) a, Rat.mul incs_v.(y) b, Rat.mul incs_w.(y) c) in
+  let split, exact =
+    match Srep.decompose_rat triple with
+    | Some d -> (d, true)
+    | None -> (Srep.decompose_down triple, false)
+  in
+  { value = y; violation = !best_viol; split; exact }
 
 (* ---- the rank <= 2 steps on the tracker state ---- *)
 
@@ -121,16 +143,7 @@ let fix_rank2_exact (t : Rat.t t) vid u v =
   let s = t.phi.(su) and w = t.phi.(sv) in
   let incs_u = inc_vector t u ~var:vid in
   let incs_v = inc_vector t v ~var:vid in
-  let score y = Rat.add (Rat.mul incs_u.(y) s) (Rat.mul incs_v.(y) w) in
-  let best = ref 0 and best_score = ref (score 0) in
-  for y = 1 to Array.length incs_u - 1 do
-    let sc = score y in
-    if not (Rat.leq !best_score sc) then begin
-      best := y;
-      best_score := sc
-    end
-  done;
-  let y = !best and score = !best_score in
+  let y, score = choose_rank2_exact incs_u incs_v ~s ~w in
   let iu = incs_u.(y) and iv = incs_v.(y) in
   let budget = Rat.add s w in
   (* the minimum is within budget: a mathematical invariant, not an

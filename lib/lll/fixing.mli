@@ -1,12 +1,13 @@
 (** The fixing process shared by the sequential fixers.
 
-    {!Fix_rank2} (Theorem 1.1), {!Fix_rank3} (Theorem 1.3),
-    {!Fix_rank3_exact} and {!Fix_rankr} (the rank-r generalisation) run
-    one process: fix a variable, pick a value whose scaled [Inc] ratios
-    stay within the potential's budget, and write the potential [phi]
-    back. Only the representability test differs between them; this
-    module is everything else. {!Dist_lll}'s message-passing nodes call
-    the same choice rules. *)
+    {!Fix_rank2} (Theorem 1.1), {!Fix_rank3} (Theorem 1.3) and
+    {!Fix_rankr} (the rank-r generalisation) run one process: fix a
+    variable, pick a value whose scaled [Inc] ratios stay within the
+    potential's budget, and write the potential [phi] back. The rank-2
+    and rank-3 rules keep [phi] exact ([Rat.t t]), so P* is checked
+    with no tolerance; a float [phi] ({!fix_rank2_float},
+    {!pstar_float}) is left only to {!Fix_rankr}. {!Dist_lll}'s
+    message-passing nodes call the same choice rules. *)
 
 module Rat = Lll_num.Rat
 module Assignment = Lll_prob.Assignment
@@ -49,21 +50,26 @@ val inc_vector : _ t -> int -> var:int -> Rat.t array
 val min_inc : Rat.t array -> int
 (** Rank 1: the value minimising [Inc] (some value has [Inc <= 1]). *)
 
-val choose_rank2_float : Rat.t array -> Rat.t array -> s:float -> w:float -> int
-(** Rank 2: the value minimising [Inc_u * s + Inc_v * w]. *)
+val choose_rank2_exact : Rat.t array -> Rat.t array -> s:Rat.t -> w:Rat.t -> int * Rat.t
+(** Rank 2: the value minimising [Inc_u * s + Inc_v * w], and that
+    minimum. *)
 
-val choose_rank3_float :
-  Rat.t array ->
-  Rat.t array ->
-  Rat.t array ->
-  a:float ->
-  b:float ->
-  c:float ->
-  int * float * Srep.decomposition
+type rank3_choice = {
+  value : int;
+  violation : float;  (** float [S_rep] violation of the chosen scaled triple *)
+  split : Rat.t Srep.split;  (** the new [phi] sides *)
+  exact : bool;
+      (** [split] came from {!Srep.decompose_rat}; [false] means the
+          chosen triple was outside [S_rep] and [split] is
+          {!Srep.decompose_down} *)
+}
+
+val choose_rank3 :
+  Rat.t array -> Rat.t array -> Rat.t array -> a:Rat.t -> b:Rat.t -> c:Rat.t -> rank3_choice
 (** Rank 3 (Lemma 3.2): the value whose scaled triple
-    [(Inc_u * a, Inc_v * b, Inc_w * c)] minimises the [S_rep]
-    violation, that violation, and the triple's decomposition (proof of
-    Lemma 3.5). *)
+    [(Inc_u * a, Inc_v * b, Inc_w * c)] has the least float
+    {!Srep.violation} (first minimum wins), with that triple split
+    exactly for the write-back (proof of Lemma 3.5). *)
 
 (** {1 Rank <= 2 steps on the tracker state} *)
 
@@ -85,7 +91,8 @@ val fix_rank2_exact : Rat.t t -> int -> int -> int -> Rat.t choice
     then each side of the edge scaled by its chosen [Inc]. *)
 
 val fix_rank2_float : float t -> int -> int -> int -> float choice
-(** {!fix_rank2_exact} with a float potential: {!choose_rank2_float}. *)
+(** {!fix_rank2_exact} with a float potential and the same rule in
+    floats, for {!Fix_rankr}. *)
 
 (** {1 Drivers} *)
 

@@ -169,12 +169,8 @@ let fix3_impl params inst =
          (fun (s : Fix_rank3.step) ->
            { var = s.var; value = s.value; incs = s.incs; srep_violation = Some s.violation })
          (Fix_rank3.steps t))
-    ~pstar:(Fix_rank3.pstar_holds t) ~max_violation:(Fix_rank3.max_violation t) []
-
-let fix3_exact_impl params inst =
-  let assignment, t = Fix_rank3_exact.solve ?order:params.order ~metrics:params.metrics inst in
-  fixed ~assignment ~pstar:(Fix_rank3_exact.pstar_holds_exact t)
-    [ ("fallbacks", string_of_int (Fix_rank3_exact.fallbacks t)) ]
+    ~pstar:(Fix_rank3.pstar_holds t) ~max_violation:(Fix_rank3.max_violation t)
+    [ ("fallbacks", string_of_int (Fix_rank3.fallbacks t)) ]
 
 let fixr_impl params inst =
   let assignment, t = Fix_rankr.solve ?order:params.order ~metrics:params.metrics inst in
@@ -268,15 +264,9 @@ let (_ : t) =
 
 let (_ : t) =
   register ~name:"fix3"
-    ~doc:"Theorem 1.3: rank-3 fixing via S_rep (float potential, min-violation value)"
-    ~caps:(seq_caps ~max_rank:(Some 3) ~exact:false)
-    fix3_impl
-
-let (_ : t) =
-  register ~name:"fix3-exact"
-    ~doc:"rank-3 fixing with exact rational potential (P* with no epsilon)"
+    ~doc:"Theorem 1.3: rank-3 fixing via S_rep (exact potential, min-violation value)"
     ~caps:(seq_caps ~max_rank:(Some 3) ~exact:true)
-    fix3_exact_impl
+    fix3_impl
 
 let (_ : t) =
   register ~name:"fixr"
@@ -330,7 +320,7 @@ let (_ : t) =
 let (_ : t) =
   register ~name:"dist3"
     ~doc:"Corollary 1.4: distributed rank-3 schedule (2-hop coloring + per-class sweep)"
-    ~caps:(dist_caps ~max_rank:(Some 3) ~exact:false)
+    ~caps:(dist_caps ~max_rank:(Some 3) ~exact:true)
     (dist_impl Distributed.solve_rank3)
 
 let (_ : t) =
@@ -349,5 +339,5 @@ let (_ : t) =
 let (_ : t) =
   register ~name:"mp3"
     ~doc:"Corollary 1.4 as a genuinely message-passing protocol on the LOCAL runtime"
-    ~caps:(dist_caps ~max_rank:(Some 3) ~exact:false)
+    ~caps:(dist_caps ~max_rank:(Some 3) ~exact:true)
     (dist_impl (fun ?domains ?metrics inst -> Dist_lll.solve ?domains ?metrics inst))

@@ -2,8 +2,8 @@
     pipeline across every LLL fixer and driver in the library.
 
     Each engine — the paper's deterministic fixing processes (rank 2,
-    rank 3, the exact-arithmetic rank-3 variant, the experimental
-    rank-r generalisation), the Moser–Tardos baselines, the
+    rank 3, both on an exact rational potential, and the experimental
+    rank-r generalisation on a float one), the Moser–Tardos baselines, the
     conditional-expectations union-bound baseline, and the distributed
     drivers of Corollaries 1.2/1.4 (both schedule-accounting and
     genuinely message-passing) — is a plain function from {!params}
@@ -48,8 +48,10 @@ type caps = {
   max_rank : int option;
       (** largest instance rank the engine accepts; [None] = any rank *)
   exact : bool;
-      (** every correctness-relevant comparison is exact-rational (no
-          float enters a decision) *)
+      (** the potential and every correctness-relevant comparison are
+          exact rationals. A float may still rank candidate values (the
+          rank-3 fixer orders them by float [S_rep] violation), but no
+          float decides P* or success. *)
   distributed : bool;
       (** round-accounted: reports LOCAL rounds; runtime-backed engines
           also honour [domains] and emit per-round metrics *)
@@ -88,8 +90,9 @@ type outcome = {
       (** result of the engine's own [P*] check; [None] when the engine
           does not claim [P*] *)
   max_violation : float option;
-      (** worst float-boundary violation over the run, for engines with
-          a float potential; compare against {!Srep.default_eps} *)
+      (** worst float [S_rep]-boundary violation over the run, for the
+          engines that rank values by one (fix3, fixr); compare against
+          {!Srep.default_eps} *)
   detail : (string * string) list;
       (** engine-specific diagnostics (resamplings, colors, fallbacks,
           final estimator, ...) as printable key/value pairs. Randomized

@@ -60,7 +60,8 @@ let mem_rat (a, b, c) =
 (* Constructive decomposition (proof of Lemma 3.5)                     *)
 (* ------------------------------------------------------------------ *)
 
-type decomposition = { a1 : float; a2 : float; b1 : float; b3 : float; c2 : float; c3 : float }
+type 'a split = { a1 : 'a; a2 : 'a; b1 : 'a; b3 : 'a; c2 : 'a; c3 : 'a }
+type decomposition = float split
 
 let products d = (d.a1 *. d.a2, d.b1 *. d.b3, d.c2 *. d.c3)
 
@@ -124,6 +125,105 @@ let decompose (a, b, c) =
     let c2 = if cmax > 0. then c2max *. (c /. cmax) else 0. in
     { a1; a2; b1; b3; c2; c3 }
   end
+
+(* ------------------------------------------------------------------ *)
+(* Exact dyadic splits (the rank-3 fixer's write-back)                 *)
+(* ------------------------------------------------------------------ *)
+
+let dyadic_bits = 40
+
+(* The dyadic rational nearest to [x] with denominator 2^40, kept in
+   (0, 2]. *)
+let dyadic_of_float x =
+  let scale = 1 lsl dyadic_bits in
+  let n = int_of_float (Float.round (x *. float_of_int scale)) in
+  Rat.of_ints (max 1 (min (2 * scale) n)) scale
+
+(* The sides a split x determines, as in [decompose]: c3 takes what
+   edge {v, w} leaves, c2 the rest of c. *)
+let split_at ~a ~b ~c x =
+  let open Rat in
+  let b1 = sub two x in
+  let b3 = div b b1 in
+  let c3 = sub two b3 in
+  { a1 = x; a2 = div a x; b1; b3; c2 = (if is_zero c3 then zero else div c c3); c3 }
+
+(* Definition 3.3, exactly: sides in [0, 2], the three edge sums at
+   most 2, products reaching the triple. *)
+let is_valid_split (a, b, c) d =
+  let open Rat in
+  let side x = sign x >= 0 && leq x two in
+  let edge x y = leq (add x y) two in
+  List.for_all side [ d.a1; d.a2; d.b1; d.b3; d.c2; d.c3 ]
+  && edge d.a1 d.b1 && edge d.a2 d.c2 && edge d.b3 d.c3
+  && geq (mul d.a1 d.a2) a && geq (mul d.b1 d.b3) b && geq (mul d.c2 d.c3) c
+
+(* Exact split of a rational triple; None exactly when the triple is
+   outside S_rep. A zero a or b has the rational witness [decompose]
+   uses. Otherwise x = a1 is the first that works of: the dyadic x
+   nearest the float optimum [best_x], the dyadic x within 32 steps of
+   2^-20 either side of it, a/2, 2 - b/2, their midpoint, and the
+   rational maximiser of P below. *)
+let decompose_rat ((a, b, c) as t) =
+  let open Rat in
+  let corner d = if is_valid_split t d then Some d else None in
+  if sign a < 0 || sign b < 0 || sign c < 0 then None
+  else if is_zero a && is_zero b then
+    corner { a1 = zero; a2 = zero; b1 = zero; b3 = zero; c2 = two; c3 = div c two }
+  else if is_zero a then corner { a1 = zero; a2 = zero; b1 = two; b3 = div b two; c2 = two; c3 = div c two }
+  else if is_zero b then corner { a1 = two; a2 = div a two; b1 = zero; b3 = zero; c2 = div c two; c3 = two }
+  else begin
+    (* Split x = a1 works iff x is in [a/2, 2 - b/2] and
+       c x (2 - x) <= (2x - a)(2(2 - x) - b), i.e. c <= [c_of_x] x,
+       i.e. P(x) >= 0 for the quadratic
+       P(x) = (c - 4) x^2 + (8 + 2a - 2b - 2c) x + ab - 4a. *)
+    let four = of_int 4 in
+    let lo = div a two and hi = sub two (div b two) in
+    let pa = sub c four and pb = sub (add (of_int 8) (mul two (sub a b))) (mul two c) in
+    let pc = mul a (sub b four) in
+    let p x = add (mul (add (mul pa x) pb) x) pc in
+    let feasible x = geq x lo && leq x hi && sign (p x) >= 0 in
+    let base = dyadic_of_float (best_x ~a:(to_float a) ~b:(to_float b)) in
+    let step = of_ints 1 (1 lsl 20) in
+    let rec search k =
+      if k > 64 then None
+      else begin
+        let delta = mul (of_int ((k + 1) / 2)) step in
+        let x = if k mod 2 = 0 then add base delta else sub base delta in
+        if feasible x then Some x else search (k + 1)
+      end
+    in
+    (* No split when c >= 4 or a + b > 4. Otherwise P is concave, so its
+       maximum on [a/2, 2 - b/2] is at its vertex clamped to that
+       interval, [top]. P(top) < 0: no split.
+       P(top) = 0 (the triple is on the surface): top is the one split,
+       so every search below would end at it. Otherwise top is a split
+       the search falls back on. *)
+    let x =
+      if feasible base then Some base
+      else if sign pa >= 0 || gt lo hi then None
+      else begin
+        let top = max lo (min hi (div pb (mul (of_int (-2)) pa))) in
+        match sign (p top) with
+        | -1 -> None
+        | 0 -> Some top
+        | _ -> (
+          match search 1 with
+          | Some _ as x -> x
+          | None -> List.find_opt feasible [ lo; hi; div (add lo hi) two; top ])
+      end
+    in
+    Option.map (split_at ~a ~b ~c) x
+  end
+
+(* [decompose] of the triple's float image, each side rounded down to
+   the 2^-40 grid: pair sums stay at most 2 exactly, products may fall
+   short of the triple. *)
+let decompose_down (a, b, c) =
+  let scale = 1 lsl dyadic_bits in
+  let down x = Rat.of_ints (int_of_float (Float.max 0. x *. float_of_int scale)) scale in
+  let d = decompose (Rat.to_float a, Rat.to_float b, Rat.to_float c) in
+  { a1 = down d.a1; a2 = down d.a2; b1 = down d.b1; b3 = down d.b3; c2 = down d.c2; c3 = down d.c3 }
 
 (* ------------------------------------------------------------------ *)
 (* Hessian of f (appendix, proof of Lemma 3.6) — for the convexity      *)

@@ -348,6 +348,26 @@ let srep_props =
         Srep.c_of_x ~a ~b x <= Srep.f a b +. 1e-9);
   ]
 
+(* On the surface the one split is the rational maximiser of c(x) - c,
+   which no dyadic step near the float optimum hits: (1, 1, 1) splits at
+   x = 1 (also the midpoint candidate) and (1/2, 7/8, 7/4) at x = 5/6
+   (no candidate but the maximiser). Just above the surface, or with
+   a + b > 4, there is no split. *)
+let test_decompose_rat_surface () =
+  let split t =
+    match Srep.decompose_rat t with
+    | Some d ->
+      Alcotest.(check bool) "valid witness" true (Srep.is_valid_split t d);
+      Some (R.to_string d.Srep.a1)
+    | None -> None
+  in
+  let q = R.of_ints in
+  Alcotest.(check (option string)) "(1, 1, 1)" (Some "1") (split (R.one, R.one, R.one));
+  Alcotest.(check (option string)) "(1/2, 7/8, 7/4)" (Some "5/6") (split (q 1 2, q 7 8, q 7 4));
+  Alcotest.(check (option string)) "(1, 1, 1 + 2^-40)" None
+    (split (R.one, R.one, R.add R.one (R.pow2 (-40))));
+  Alcotest.(check (option string)) "(3, 3/2, 0)" None (split (R.of_int 3, q 3 2, R.zero))
+
 (* rational-coordinate properties of the boundary surface (Lemmas
    3.5-3.7): points are dyadic rationals k/64 in [0,4], so [R.to_float]
    is exact and the float evaluation of [f] is only ever compared with
@@ -387,6 +407,45 @@ let srep_rat_props =
         let nc = max 0 (int_of_float (Srep.f (fq na) (fq nb) *. 64.) - 1) in
         let c = R.of_ints nc 64 in
         Srep.mem_rat (a, b, c) && Srep.mem_rat (a, b, R.mul c (R.of_ints k 64)));
+    prop "decompose_rat: exact witness for rational S_rep triples" 400
+      (QCheck.make
+         ~print:(fun ((na, nb), k, w) ->
+           Printf.sprintf "a=%d/64 b=%d/64 k=%d witness_seed=%s" na nb k
+             (Option.fold ~none:"-" ~some:string_of_int w))
+         QCheck.Gen.(triple gen_rat_ab (int_bound 64) (opt (int_bound 1_000_000))))
+      (fun ((na, nb), k, witness_seed) ->
+        (* a rational c below the surface at (na/64, nb/64), scaled down
+           by k/64; or the products of random k/64 witness sides *)
+        let ((a, b, c) as t) =
+          match witness_seed with
+          | Some seed ->
+            let rng = Random.State.make [| seed |] in
+            let q () = R.of_ints (Random.State.int rng 129) 64 in
+            let pair () =
+              let x = q () in
+              (x, R.min (R.sub R.two x) (q ()))
+            in
+            let a1, b1 = pair () and a2, c2 = pair () and b3, c3 = pair () in
+            (R.mul a1 a2, R.mul b1 b3, R.mul c2 c3)
+          | None ->
+            let nc = max 0 (int_of_float (Srep.f (fq na) (fq nb) *. 64.) - 1) in
+            (R.of_ints na 64, R.of_ints nb 64, R.mul (R.of_ints nc 64) (R.of_ints k 64))
+        in
+        Srep.mem_rat t
+        &&
+        match Srep.decompose_rat t with
+        | None ->
+          QCheck.Test.fail_reportf "no exact split for (%s, %s, %s)" (R.to_string a)
+            (R.to_string b) (R.to_string c)
+        | Some d ->
+          let side x = R.sign x >= 0 in
+          let edge x y = R.leq (R.add x y) R.two in
+          List.for_all side [ d.Srep.a1; d.a2; d.b1; d.b3; d.c2; d.c3 ]
+          && edge d.a1 d.b1 && edge d.a2 d.c2 && edge d.b3 d.c3
+          && R.geq (R.mul d.a1 d.a2) a
+          && R.geq (R.mul d.b1 d.b3) b
+          && R.geq (R.mul d.c2 d.c3) c
+          && Srep.is_valid_split t d);
     (* the numeric clique solver vs the exact rank-3 characterisation is
        one-sided: it never certifies a non-member even at tight eps, but
        its coordinate-balancing can stall ~0.1 log-slack short of the
@@ -619,15 +678,15 @@ let test_fix3_rejects_rank4 () =
 
 let fix3_props =
   [
+    (* the exact rank-3 fixer and the float-potential rank-r fixer *)
     prop "float, exact and rank-r fixers all succeed" 8
       (QCheck.make QCheck.Gen.(int_range 0 10_000))
       (fun seed ->
         let inst = Syn.random ~seed ~n:12 ~rank:3 ~delta:2 ~arity:8 () in
-        let a1, _ = F3.solve inst in
-        let a2, tx = Lll_core.Fix_rank3_exact.solve inst in
-        let a3, tr = Lll_core.Fix_rankr.solve inst in
-        V.avoids_all inst a1 && V.avoids_all inst a2 && V.avoids_all inst a3
-        && Lll_core.Fix_rank3_exact.pstar_holds_exact tx
+        let a1, t3 = F3.solve inst in
+        let a2, tr = Lll_core.Fix_rankr.solve inst in
+        V.avoids_all inst a1 && V.avoids_all inst a2
+        && F3.pstar_holds t3 && F3.fallbacks t3 = 0
         && Lll_core.Fix_rankr.min_slack tr >= -1e-7);
     prop "exact witness rationals are mem_rat members" 300
       (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
@@ -661,84 +720,42 @@ let fix3_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The exact-arithmetic rank-3 fixer                                    *)
+(* Exactness of the rank-3 fixer                                        *)
 (* ------------------------------------------------------------------ *)
-
-module F3X = Lll_core.Fix_rank3_exact
 
 let test_fix3_exact_solves () =
   for seed = 0 to 5 do
     let inst = Syn.random ~seed ~n:15 ~rank:3 ~delta:2 ~arity:8 () in
     let order = shuffled_order ~seed:(seed * 11) (I.num_vars inst) in
-    let a, t = F3X.solve ~order inst in
+    let a, t = F3.solve ~order inst in
     Alcotest.(check bool) (Printf.sprintf "seed %d avoids" seed) true (V.avoids_all inst a);
-    Alcotest.(check int) (Printf.sprintf "seed %d no fallback" seed) 0 (F3X.fallbacks t);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d P* EXACT" seed)
-      true (F3X.pstar_holds_exact t)
+    Alcotest.(check int) (Printf.sprintf "seed %d no fallback" seed) 0 (F3.fallbacks t);
+    Alcotest.(check bool) (Printf.sprintf "seed %d P* EXACT" seed) true (F3.pstar_holds t)
   done
 
 let test_fix3_exact_on_applications () =
   let h = Gen.random_regular_hypergraph ~seed:6 12 3 3 in
   let inst = Lll_apps.Hyper_orientation.instance h in
-  let a, t = F3X.solve inst in
+  let a, t = F3.solve inst in
   Alcotest.(check bool) "hyper solved" true (Lll_apps.Hyper_orientation.is_valid h a);
-  Alcotest.(check int) "no fallback" 0 (F3X.fallbacks t);
-  Alcotest.(check bool) "P* exact" true (F3X.pstar_holds_exact t);
+  Alcotest.(check int) "no fallback" 0 (F3.fallbacks t);
+  Alcotest.(check bool) "P* exact" true (F3.pstar_holds t);
   let adj = Gen.random_biregular_bipartite ~seed:6 ~nv:12 ~nu:12 ~deg_u:3 ~deg_v:3 in
   let inst = Lll_apps.Weak_splitting.instance ~nv:12 adj in
-  let a, t = F3X.solve inst in
+  let a, t = F3.solve inst in
   Alcotest.(check bool) "ws solved" true (Lll_apps.Weak_splitting.is_valid ~nv:12 adj a);
-  Alcotest.(check int) "ws no fallback" 0 (F3X.fallbacks t);
-  Alcotest.(check bool) "ws P* exact" true (F3X.pstar_holds_exact t)
+  Alcotest.(check int) "ws no fallback" 0 (F3.fallbacks t);
+  Alcotest.(check bool) "ws P* exact" true (F3.pstar_holds t)
 
 let test_fix3_exact_phi_sums_exact () =
   let inst = Syn.random ~seed:4 ~n:12 ~rank:3 ~delta:2 ~arity:8 () in
-  let _, t = F3X.solve inst in
+  let _, t = F3.solve inst in
   let g = I.dep_graph inst in
   for e = 0 to G.m g - 1 do
     let u, v = G.endpoints g e in
     Alcotest.(check bool) "sum <= 2 exactly" true
-      (R.leq (R.add (F3X.phi t e u) (F3X.phi t e v)) R.two)
+      (R.leq (R.add (F3.phi t e u) (F3.phi t e v)) R.two)
   done
-
-let test_fix3_exact_agrees_with_float_success () =
-  (* both variants must succeed; assignments may differ (tie-breaking) *)
-  let inst = Syn.random ~seed:8 ~n:15 ~rank:3 ~delta:2 ~arity:8 () in
-  let a_float, _ = F3.solve inst in
-  let a_exact, _ = F3X.solve inst in
-  Alcotest.(check bool) "float ok" true (V.avoids_all inst a_float);
-  Alcotest.(check bool) "exact ok" true (V.avoids_all inst a_exact)
-
-(* differential pass over the two rank-3 fixers: on random synthetic
-   instances below the threshold, the float-potential and the
-   exact-rational-potential processes must BOTH terminate with an
-   assignment accepted by the exact verifier, for the same fixing order *)
-let fix3_diff_props =
-  [
-    prop "float vs exact fixer: both verified on random instances" 24
-      (QCheck.make QCheck.Gen.(int_range 0 100_000))
-      (fun seed ->
-        let n = [| 6; 9; 12 |].(seed mod 3) in
-        let inst = Syn.random ~seed ~n ~rank:3 ~delta:2 ~arity:8 () in
-        let order = shuffled_order ~seed:(seed + 7) (I.num_vars inst) in
-        let a_float, _ = F3.solve ~order inst in
-        let a_exact, tx = F3X.solve ~order inst in
-        V.avoids_all inst a_float && V.avoids_all inst a_exact
-        && (F3X.fallbacks tx > 0 || F3X.pstar_holds_exact tx));
-  ]
-
-let test_fix3_float_exact_divergence_regression () =
-  (* smallest instance found (n = 6, seed = 0) on which the float and
-     rational potentials select different values: pins down that the two
-     paths genuinely diverge in their choices while both remain sound *)
-  let inst = Syn.random ~seed:0 ~n:6 ~rank:3 ~delta:2 ~arity:8 () in
-  let a_float, _ = F3.solve inst in
-  let a_exact, tx = F3X.solve inst in
-  Alcotest.(check bool) "assignments diverge" true (a_float <> a_exact);
-  Alcotest.(check bool) "float verified" true (V.avoids_all inst a_float);
-  Alcotest.(check bool) "exact verified" true (V.avoids_all inst a_exact);
-  Alcotest.(check bool) "exact P*" true (F3X.pstar_holds_exact tx)
 
 (* ------------------------------------------------------------------ *)
 (* Srep_r and the experimental rank-r fixer (Conjecture 1.5)            *)
@@ -1752,6 +1769,23 @@ let test_dist_lll_matches_sequential_driver () =
         "hyper-orientation" );
     ]
 
+let test_dist_lll_rank2_matches_sequential_driver () =
+  (* Corollary 1.2 likewise: the protocol's nodes run the exact rank-2
+     rule on the same phi, in the same per-edge order *)
+  List.iter
+    (fun (inst, name) ->
+      let seq = D.solve_rank2 inst in
+      let msg = DL.solve_rank2 inst in
+      Alcotest.(check bool) (name ^ " both ok") true (seq.D.ok && msg.DL.ok);
+      Alcotest.(check bool) (name ^ " identical assignment") true
+        (seq.D.assignment = msg.DL.assignment);
+      Alcotest.(check int) (name ^ " same colors") seq.D.colors msg.DL.colors)
+    [
+      (Syn.ring ~seed:9 ~n:48 ~arity:4 (), "ring");
+      (Syn.ring ~seed:10 ~n:96 ~arity:8 (), "ring arity 8");
+      (Lll_apps.Sinkless.relaxed_instance (Gen.random_regular ~seed:9 48 3), "sinkless");
+    ]
+
 let test_dist_lll_rank2_protocol () =
   List.iter
     (fun (inst, name) ->
@@ -1851,6 +1885,8 @@ let () =
           Alcotest.test_case "decompose surface points" `Quick test_decompose_surface_points;
           Alcotest.test_case "violation of negatives" `Quick test_violation_negatives;
           Alcotest.test_case "best_x in range" `Quick test_best_x_in_range;
+          Alcotest.test_case "decompose_rat on and off the surface" `Quick
+            test_decompose_rat_surface;
         ] );
       ("srep-properties", srep_props);
       ("srep-rational-properties", srep_rat_props);
@@ -1880,15 +1916,7 @@ let () =
           Alcotest.test_case "solves with exact P*" `Quick test_fix3_exact_solves;
           Alcotest.test_case "applications" `Quick test_fix3_exact_on_applications;
           Alcotest.test_case "phi sums exact" `Quick test_fix3_exact_phi_sums_exact;
-          Alcotest.test_case "agrees with float variant" `Quick
-            test_fix3_exact_agrees_with_float_success;
         ] );
-      ( "fix-rank3-differential",
-        fix3_diff_props
-        @ [
-            Alcotest.test_case "float/exact divergence regression (n=6, seed=0)" `Quick
-              test_fix3_float_exact_divergence_regression;
-          ] );
       ( "srep-r",
         [
           Alcotest.test_case "clique edges" `Quick test_clique_edges;
@@ -1976,6 +2004,8 @@ let () =
           Alcotest.test_case "rank-2 protocol rejects rank 3" `Quick
             test_dist_lll_rank2_rejects_rank3;
           Alcotest.test_case "rejects rank 4" `Quick test_dist_lll_rejects_rank4;
+          Alcotest.test_case "rank-2 protocol matches sequential driver" `Quick
+            test_dist_lll_rank2_matches_sequential_driver;
         ] );
       ( "synthetic",
         [

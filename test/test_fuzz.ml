@@ -49,7 +49,7 @@ let test_self_test_catches_mutant () =
 (* ------------------------------------------------------------------ *)
 
 let honest_sequential =
-  [ "fix2"; "fix3"; "fix3-exact"; "fixr"; "union-bound"; "mt-seq" ]
+  [ "fix2"; "fix3"; "fixr"; "union-bound"; "mt-seq" ]
 
 let test_honest_engines_clean () =
   let outcome = Fuzz.run ~engines:(engines honest_sequential) ~seed:11 ~budget:12 () in

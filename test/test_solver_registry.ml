@@ -189,7 +189,7 @@ let test_metrics_threaded () =
             (float_of_int (i + 1) /. float_of_int n)
             r.Metrics.halted_fraction)
         recs)
-    [ ("fix2", "fix-rank2"); ("fix3", "fix-rank3"); ("fix3-exact", "fix-rank3-exact"); ("fixr", "fix-rankr") ]
+    [ ("fix2", "fix-rank2"); ("fix3", "fix-rank3"); ("fixr", "fix-rankr") ]
 
 let test_trace_incs_exact () =
   (* the uniform trace must carry the exact Inc ratios: on a strictly
@@ -332,43 +332,43 @@ let golden_digests ~domains =
 
 let golden_table =
   [
-    ("fix2", "sinkless-at", "0d0bd0858cf75b91"); ("fix3", "sinkless-at", "53f975d3ea25aca2");
-    ("fix3-exact", "sinkless-at", "ba19109f235c3183"); ("fixr", "sinkless-at", "2d1f321515a9dffa");
+    ("fix2", "sinkless-at", "0d0bd0858cf75b91"); ("fix3", "sinkless-at", "74f3a4c44661e096");
+    ("fixr", "sinkless-at", "2d1f321515a9dffa");
     ("union-bound", "sinkless-at", "079a9cbd528b3530"); ("mt-seq", "sinkless-at", "28723542ceba8e85");
     ("mt-par", "sinkless-at", "11185ea85d8cdf03"); ("mt-par-rand", "sinkless-at", "367ff7588c7f9470");
     ("dist2", "sinkless-at", "81b017b5395887c7"); ("dist3", "sinkless-at", "e96343d7e9d7e0c5");
     ("distr", "sinkless-at", "e96343d7e9d7e0c5"); ("mp2", "sinkless-at", "0bdea6eec67f4a0d");
     ("mp3", "sinkless-at", "75556264aa8e85b7"); ("sinkless-orient", "sinkless-at", "5e98128ce16c7fa3");
     ("weak-split-greedy", "sinkless-at", "546c4c35181a3188"); ("fix2", "sinkless-below", "0b857ea7f5f1d2b0");
-    ("fix3", "sinkless-below", "fbd8308e052d5542"); ("fix3-exact", "sinkless-below", "e989e4f503c21b96");
+    ("fix3", "sinkless-below", "09d24d9513247dd4");
     ("fixr", "sinkless-below", "888834025b8e9258"); ("union-bound", "sinkless-below", "795b92d252e181a3");
     ("mt-seq", "sinkless-below", "ab226bf09a0a5da5"); ("mt-par", "sinkless-below", "4f936604f92a123c");
     ("mt-par-rand", "sinkless-below", "f660d2899b255bf7"); ("dist2", "sinkless-below", "eb07d7bbd3456047");
     ("dist3", "sinkless-below", "964fa0c159e620a5"); ("distr", "sinkless-below", "964fa0c159e620a5");
     ("mp2", "sinkless-below", "22f8249a3c8f6315"); ("mp3", "sinkless-below", "3e58ff0c2aaca71a");
     ("sinkless-orient", "sinkless-below", "67e8fb9c9b7fa7de"); ("weak-split-greedy", "sinkless-below", "546c4c35181a3188");
-    ("fix2", "ring-at", "d737e4aabc8bac92"); ("fix3", "ring-at", "4c8c8242bf29ce0c");
-    ("fix3-exact", "ring-at", "462e0b3ef08f928b"); ("fixr", "ring-at", "1aceb58f8263ad52");
+    ("fix2", "ring-at", "d737e4aabc8bac92"); ("fix3", "ring-at", "0e403c22b3116a2a");
+    ("fixr", "ring-at", "1aceb58f8263ad52");
     ("union-bound", "ring-at", "6ab33880b56faa00"); ("mt-seq", "ring-at", "c0c53e74ca83b967");
     ("mt-par", "ring-at", "24b04d0acfed359c"); ("mt-par-rand", "ring-at", "a4aff3a5c0f8c805");
     ("dist2", "ring-at", "9d503484c80af3b6"); ("dist3", "ring-at", "24f379a3d519f09a");
     ("distr", "ring-at", "24f379a3d519f09a"); ("mp2", "ring-at", "81f35005077c9358");
     ("mp3", "ring-at", "6959e3f094551422"); ("sinkless-orient", "ring-at", "f18725fbf9855e2e");
     ("weak-split-greedy", "ring-at", "f18725fbf9855e2e"); ("fix2", "ring-below", "83e327882217bb5a");
-    ("fix3", "ring-below", "a697f27c8f7318e1"); ("fix3-exact", "ring-below", "059c1f9c6674ca20");
+    ("fix3", "ring-below", "62272045e5a81c6f");
     ("fixr", "ring-below", "ae5857c6735a2651"); ("union-bound", "ring-below", "d65f8372daca66a2");
     ("mt-seq", "ring-below", "c72b120bb0f4d4e3"); ("mt-par", "ring-below", "6ea0d9cedaf5137a");
     ("mt-par-rand", "ring-below", "28114c60504b9396"); ("dist2", "ring-below", "ee175f82c12edfff");
     ("dist3", "ring-below", "5a82212d3822c310"); ("distr", "ring-below", "5a82212d3822c310");
     ("mp2", "ring-below", "fbc00d443c52cfff"); ("mp3", "ring-below", "d363ccff60e2389f");
     ("sinkless-orient", "ring-below", "f18725fbf9855e2e"); ("weak-split-greedy", "ring-below", "f18725fbf9855e2e");
-    ("fix3", "rank3-at", "9bd037d704b921f9"); ("fix3-exact", "rank3-at", "4861f93fb89e1c77");
+    ("fix3", "rank3-at", "785a45ad159d1f4d");
     ("fixr", "rank3-at", "46f976ba12dbceb5"); ("union-bound", "rank3-at", "6fac25d6e0eb7dc0");
     ("mt-seq", "rank3-at", "a737416d0084000e"); ("mt-par", "rank3-at", "eb55534a1bcfb7c9");
     ("mt-par-rand", "rank3-at", "54efd277decf073e"); ("dist3", "rank3-at", "8a4a18253d829844");
     ("distr", "rank3-at", "a7e4a5ee90972710"); ("mp3", "rank3-at", "4797b99aa5a77222");
-    ("weak-split-greedy", "rank3-at", "40db325db659cafd"); ("fix3", "rank3-below", "1a0c23cf485b35ad");
-    ("fix3-exact", "rank3-below", "7aba2e48eca9d39e"); ("fixr", "rank3-below", "d44c923074114ad8");
+    ("weak-split-greedy", "rank3-at", "40db325db659cafd"); ("fix3", "rank3-below", "f44385a8122d71a2");
+    ("fixr", "rank3-below", "d44c923074114ad8");
     ("union-bound", "rank3-below", "f6be081731f2c2fa"); ("mt-seq", "rank3-below", "72963a4f976ec58f");
     ("mt-par", "rank3-below", "01895d70747e9bdd"); ("mt-par-rand", "rank3-below", "04f0458ae922bd51");
     ("dist3", "rank3-below", "ec539ca95bd0af67"); ("distr", "rank3-below", "2a4867a16a92c823");
@@ -380,7 +380,7 @@ let golden_table =
     ("union-bound", "rank4-below", "dbc0a592f0e4352d"); ("mt-seq", "rank4-below", "c58fa638f2ab05be");
     ("mt-par", "rank4-below", "ab0042a960a6d3d1"); ("mt-par-rand", "rank4-below", "ab0042a960a6d3d1");
     ("distr", "rank4-below", "f9edb65beec618d8"); ("weak-split-greedy", "rank4-below", "26bbd58ee6404da6");
-    ("fix3", "weak-split-below", "f7f22dd9dd590824"); ("fix3-exact", "weak-split-below", "1330d2f387312974");
+    ("fix3", "weak-split-below", "e4be8ffcc6ff8134");
     ("fixr", "weak-split-below", "5871e611518e4517"); ("union-bound", "weak-split-below", "b2be4aef5e6f4619");
     ("mt-seq", "weak-split-below", "08e79f10c50cde80"); ("mt-par", "weak-split-below", "3995b5ddfce80fbe");
     ("mt-par-rand", "weak-split-below", "c00d59e92fa37da8"); ("dist3", "weak-split-below", "cb44155d47160b11");
@@ -396,6 +396,29 @@ let test_golden_outputs () =
         (List.sort compare golden_table)
         (List.sort compare (golden_digests ~domains:(Some d))))
     [ 1; 2 ]
+
+(* The rank-3 fixer's potential is exact: on every corpus family of
+   rank <= 3 (n = 48, the golden seeds) each step's write-back found an
+   exact split, and P* holds with no tolerance. At the threshold
+   (sinkless-at) P* still holds; only the final probability bound is
+   not below 1 there. *)
+let test_fix3_exact_on_corpus () =
+  let fix3 = Solver.find_exn "fix3" in
+  let store = Store.create () in
+  List.iter
+    (fun (f : Corpus.family) ->
+      List.iter
+        (fun seed ->
+          let inst = fst (Store.fetch store (f.Corpus.spec ~seed golden_n)) in
+          if I.rank inst <= 3 then begin
+            let o = (Solver.solve fix3 inst).Solver.outcome in
+            let label = Printf.sprintf "%s seed %d" f.Corpus.name seed in
+            Alcotest.(check (option bool)) (label ^ ": exact P*") (Some true) o.Solver.pstar;
+            Alcotest.(check (option string)) (label ^ ": fallbacks") (Some "0")
+              (List.assoc_opt "fallbacks" o.Solver.detail)
+          end)
+        golden_seeds)
+    Corpus.all
 
 (* The .lllbin bytes of one fixed spec per corpus family (n = 48,
    seed 1), pinned by md5, plus the decode/re-encode round trip. The
@@ -455,6 +478,8 @@ let () =
             test_shared_postcondition_catches_failure;
           Alcotest.test_case "envelope-stretching cases" `Quick test_envelope_cases;
           Alcotest.test_case "golden outputs at 1 and 2 domains" `Quick test_golden_outputs;
+          Alcotest.test_case "fix3 exact P* with no fallback on the corpus" `Quick
+            test_fix3_exact_on_corpus;
           Alcotest.test_case "artifact bytes pinned per corpus family" `Quick test_artifact_bytes;
         ] );
       ( "differential",

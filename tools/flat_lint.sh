@@ -16,6 +16,13 @@
 # And it bans top-level refs in lib/prob: exact conditionals are a
 # function of the space value alone (the enumerating reference is a
 # value, Space.enumerating, not a process-wide mode).
+#
+# And it keeps float potentials confined: Fixing.fix_rank2_float,
+# float Fixing.t and the float split Srep.decompose appear only in the
+# rank-r experiment (lib/lll/fix_rankr.ml), Srep itself, the fuzz
+# geometry oracle (lib/fuzz/fuzz.ml) and bin/ (experiments F1/F2 and
+# the surface CLI). The rank-2 and rank-3 fixers, Dist_lll and Replay
+# keep phi exact.
 set -u
 
 dirs=(lib bin examples)
@@ -55,7 +62,18 @@ if [ -n "$globals" ]; then
   fail=1
 fi
 
+# Float potentials outside their allowlist.
+allow='^lib/lll/(fix_rankr|srep)\.(ml|mli):|^lib/fuzz/fuzz\.(ml|mli):|^bin/'
+floats=$(grep -rnP --include='*.ml' --include='*.mli' \
+  'Fixing\.fix_rank2_float|float Fixing\.t|Srep\.decompose(?![A-Za-z0-9_])' "${dirs[@]}" \
+  | grep -vE "$allow" || true)
+if [ -n "$floats" ]; then
+  echo "flat-lint: float potential outside the rank-r experiment, Srep, the geometry oracle and bin/:" >&2
+  echo "$floats" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic, no top-level ref in lib/prob)"
+  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic, no top-level ref in lib/prob, float potentials confined)"
 fi
 exit "$fail"
