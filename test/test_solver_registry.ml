@@ -460,6 +460,22 @@ let test_artifact_bytes () =
       Alcotest.(check bool) (name ^ " decode/re-encode identical") true roundtrip)
     artifact_table (artifact_digests ())
 
+(* Decoding a container and writing it again gives the same bytes, for
+   every corpus family at two sizes and two seeds: the loader keeps
+   every field the writer reads. *)
+let test_decode_reencode_identical () =
+  List.iter
+    (fun (f : Corpus.family) ->
+      List.iter
+        (fun (n, seed) ->
+          let blob = Serial.to_binary_string (Spec.build (f.Corpus.spec ~seed n)) in
+          let again = Serial.to_binary_string (Serial.of_binary_string blob) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s n=%d seed %d" f.Corpus.name n seed)
+            true (String.equal blob again))
+        [ (48, 1); (48, 2); (480, 1); (480, 2) ])
+    Corpus.all
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -481,6 +497,8 @@ let () =
           Alcotest.test_case "fix3 exact P* with no fallback on the corpus" `Quick
             test_fix3_exact_on_corpus;
           Alcotest.test_case "artifact bytes pinned per corpus family" `Quick test_artifact_bytes;
+          Alcotest.test_case "decode/re-encode identical at n = 48 and 480" `Quick
+            test_decode_reencode_identical;
         ] );
       ( "differential",
         [
