@@ -35,7 +35,7 @@ let () =
   let r = Distributed.solve_rank3 instance in
   Format.printf "== distributed (Corollary 1.4) ==@.";
   Format.printf "solved=%b in %d LOCAL rounds (2-hop coloring %d + %d sweeps of %d classes)@.@."
-    r.ok r.rounds r.coloring_rounds r.sweep_rounds r.colors;
+    (Verify.avoids_all instance r.assignment) r.rounds r.coloring_rounds r.sweep_rounds r.colors;
 
   Format.printf "== first few hyperedges: heads per orientation ==@.";
   let decoded = HO.decode h r.assignment in

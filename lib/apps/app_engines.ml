@@ -95,10 +95,11 @@ let recognize_sinkless inst =
         (* semantics: event v is bad on exactly the all-point-at-v tuple *)
         Array.iter
           (fun ev ->
-            match Space.compiled_table sp ev with
+            match Space.table_rows sp ev with
             | None -> raise Reject
             | Some t ->
-              if Array.length t.Event.tscope = 0 then raise Reject;
+              let scope = Event.scope ev in
+              if Array.length scope = 0 then raise Reject;
               let v = Event.id ev in
               let code = ref 0 in
               Array.iteri
@@ -107,9 +108,10 @@ let recognize_sinkless inst =
                     if v = ends.(2 * e) then 0 else if v = ends.((2 * e) + 1) then 1
                     else raise Reject
                   in
-                  code := !code + (toward_v * t.Event.strides.(pos)))
-                t.Event.tscope;
-              if t.Event.codes <> [| !code |] then raise Reject)
+                  code := !code + (toward_v * t.Space.strides.(t.Space.stride0 + pos)))
+                scope;
+              if t.Space.last - t.Space.first <> 1 || t.Space.codes.(t.Space.first) <> !code then
+                raise Reject)
           (Instance.events inst);
         Some { graph; arity }
       with Reject | Invalid_argument _ -> None)
@@ -288,11 +290,17 @@ let ws_semantics_exact inst c =
   let sp = Instance.space inst in
   Array.for_all
     (fun ev ->
-      match Space.compiled_table sp ev with
+      match Space.table_rows sp ev with
       | None -> false
       | Some t ->
-        let stride_sum = Array.fold_left ( + ) 0 t.Event.strides in
-        t.Event.codes = Array.init c (fun y -> y * stride_sum))
+        let stride_sum = ref 0 in
+        for pos = 0 to Array.length (Event.scope ev) - 1 do
+          stride_sum := !stride_sum + t.Space.strides.(t.Space.stride0 + pos)
+        done;
+        let rec constant_rows y =
+          y = c || (t.Space.codes.(t.Space.first + y) = y * !stride_sum && constant_rows (y + 1))
+        in
+        t.Space.last - t.Space.first = c && constant_rows 0)
     (Instance.events inst)
 
 (* Sequential greedy repair: in id order, give each variable the

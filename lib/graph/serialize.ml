@@ -13,8 +13,9 @@ let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> ""
 
 (* ---- weighted tables ----
 
-   The textual form of a compiled event ({!Lll_prob.Event.table}): the
-   satisfying scope tuples with their exact rational weights. One block:
+   The textual form of a compiled event (its rows in the space's table
+   store): the satisfying scope tuples with their exact rational
+   weights. One block:
 
      p wtable <k> <nrows>
      a <arity_1> ... <arity_k>
@@ -215,6 +216,20 @@ module Bin = struct
     done;
     !h land max_int
 
+  (* The same fold over an in-heap string, read in place: the writer's
+     payload needs no bigstring copy to be checksummed. *)
+  let checksum_string s =
+    let len = String.length s in
+    let words = len / 8 in
+    let h = ref 0x1505 in
+    for i = 0 to words - 1 do
+      h := mix !h (Int64.to_int (String.get_int64_le s (8 * i)))
+    done;
+    for i = 8 * words to len - 1 do
+      h := mix !h (Char.code (String.unsafe_get s i))
+    done;
+    !h land max_int
+
   (* -- writer -- *)
 
   type writer = {
@@ -248,31 +263,38 @@ module Bin = struct
      tag byte) — column payloads are mostly small non-negative ints, and
      the narrower rows halve both the container and the decode's memory
      traffic. *)
-  let add_int_array w a =
+  let add_int_sub w a ~pos ~len =
     let b = cur w in
-    buf_i64 b (Array.length a);
+    buf_i64 b len;
     let lo = ref 0 and hi = ref 0 in
-    Array.iter
-      (fun i ->
-        if i < !lo then lo := i;
-        if i > !hi then hi := i)
-      a;
+    for j = pos to pos + len - 1 do
+      let i = a.(j) in
+      if i < !lo then lo := i;
+      if i > !hi then hi := i
+    done;
+    let each f =
+      for j = pos to pos + len - 1 do
+        f a.(j)
+      done
+    in
     if !lo >= 0 && !hi < 0x100 then begin
       Buffer.add_char b '\001';
-      Array.iter (fun i -> Buffer.add_char b (Char.unsafe_chr i)) a
+      each (fun i -> Buffer.add_char b (Char.unsafe_chr i))
     end
     else if !lo >= 0 && !hi < 0x1_0000 then begin
       Buffer.add_char b '\002';
-      Array.iter (fun i -> Buffer.add_uint16_le b i) a
+      each (fun i -> Buffer.add_uint16_le b i)
     end
     else if !lo >= -0x8000_0000 && !hi < 0x8000_0000 then begin
       Buffer.add_char b '\004';
-      Array.iter (fun i -> Buffer.add_int32_le b (Int32.of_int i)) a
+      each (fun i -> Buffer.add_int32_le b (Int32.of_int i))
     end
     else begin
       Buffer.add_char b '\008';
-      Array.iter (fun i -> buf_i64 b i) a
+      each (fun i -> buf_i64 b i)
     end
+
+  let add_int_array w a = add_int_sub w a ~pos:0 ~len:(Array.length a)
 
   let add_string w s =
     let b = cur w in
@@ -298,19 +320,21 @@ module Bin = struct
   (* Run-length encoding: (count, value) pairs until the declared total
      is reached. Probability and weight columns repeat a handful of
      values, so most arrays collapse to one or two runs. *)
-  let add_rat_array w qs =
-    let n = Array.length qs in
-    add_int w n;
-    let i = ref 0 in
-    while !i < n do
+  let add_rat_sub w qs ~pos ~len =
+    add_int w len;
+    let stop = pos + len in
+    let i = ref pos in
+    while !i < stop do
       let j = ref (!i + 1) in
-      while !j < n && Lll_num.Rat.equal qs.(!j) qs.(!i) do
+      while !j < stop && Lll_num.Rat.equal qs.(!j) qs.(!i) do
         incr j
       done;
       add_int w (!j - !i);
       add_rat w qs.(!i);
       i := !j
     done
+
+  let add_rat_array w qs = add_rat_sub w qs ~pos:0 ~len:(Array.length qs)
 
   let contents w =
     flush_cur w;
@@ -330,7 +354,7 @@ module Bin = struct
     buf_i64 h format_version;
     buf_i64 h (String.length w.w_kind);
     Buffer.add_string h w.w_kind;
-    buf_i64 h (checksum_src (source_of_string payload) 0 (String.length payload));
+    buf_i64 h (checksum_string payload);
     Buffer.add_string h payload;
     Buffer.contents h
 
@@ -427,7 +451,16 @@ module Bin = struct
     r.r_pos <- r.r_pos + 8;
     v
 
-  let read_int_array r =
+  (* [!dst] with room for [need] elements: itself, or a copy at least
+     twice as long holding its first [keep] elements. *)
+  let reserve dst ~keep ~need fill =
+    if need > Array.length !dst then begin
+      let a = Array.make (max need (2 * Array.length !dst)) fill in
+      Array.blit !dst 0 a 0 keep;
+      dst := a
+    end
+
+  let read_int_array_into r dst ~pos =
     let n = read_int r in
     if n < 0 || r.r_pos >= r.r_limit then
       corrupt "section %s: truncated array" r.r_cur_tag;
@@ -438,17 +471,34 @@ module Bin = struct
     | _ -> corrupt "section %s: bad array width %d" r.r_cur_tag width);
     if n > (r.r_limit - r.r_pos) / width then
       corrupt "section %s: truncated array" r.r_cur_tag;
+    reserve dst ~keep:pos ~need:(pos + n) 0;
+    let a = !dst in
     let { buf; off; _ } = r.r_data in
     let b0 = off + r.r_pos in
-    let a =
-      match width with
-      | 1 -> Array.init n (fun i -> Char.code (Bigarray.Array1.unsafe_get buf (b0 + i)))
-      | 2 -> Array.init n (fun i -> get16u buf (b0 + (2 * i)))
-      | 4 -> Array.init n (fun i -> Int32.to_int (get32u buf (b0 + (4 * i))))
-      | _ -> Array.init n (fun i -> Int64.to_int (get64u buf (b0 + (8 * i))))
-    in
+    (match width with
+    | 1 ->
+      for i = 0 to n - 1 do
+        a.(pos + i) <- Char.code (Bigarray.Array1.unsafe_get buf (b0 + i))
+      done
+    | 2 ->
+      for i = 0 to n - 1 do
+        a.(pos + i) <- get16u buf (b0 + (2 * i))
+      done
+    | 4 ->
+      for i = 0 to n - 1 do
+        a.(pos + i) <- Int32.to_int (get32u buf (b0 + (4 * i)))
+      done
+    | _ ->
+      for i = 0 to n - 1 do
+        a.(pos + i) <- Int64.to_int (get64u buf (b0 + (8 * i)))
+      done);
     r.r_pos <- r.r_pos + (n * width);
-    a
+    n
+
+  let read_int_array r =
+    let a = ref [||] in
+    ignore (read_int_array_into r a ~pos:0);
+    !a
 
   let read_string r =
     let n = read_int r in
@@ -496,17 +546,18 @@ module Bin = struct
       with Invalid_argument _ -> corrupt "bad rational")
     | c -> corrupt "bad rational tag %d" (Char.code c)
 
-  let read_rat_array r =
+  let read_rat_array_into r dst ~pos =
     let n = read_int r in
     if n < 0 then corrupt "section %s: negative rational count" r.r_cur_tag;
-    let a = Array.make n Lll_num.Rat.one in
+    reserve dst ~keep:pos ~need:(pos + n) Lll_num.Rat.one;
+    let a = !dst in
     let filled = ref 0 in
     let checked_run run =
       if run <= 0 || run > n - !filled then corrupt "section %s: bad rational run" r.r_cur_tag;
       run
     in
     let fill run q =
-      Array.fill a !filled run q;
+      Array.fill a (pos + !filled) run q;
       filled := !filled + run
     in
     (* Probability columns are long sequences of fixed-size 25-byte
@@ -525,7 +576,12 @@ module Bin = struct
         let run = checked_run (read_int r) in
         fill run (read_rat r)
     done;
-    a
+    n
+
+  let read_rat_array r =
+    let a = ref [||] in
+    ignore (read_rat_array_into r a ~pos:0);
+    !a
 
   let close r =
     if r.r_pos <> r.r_limit then

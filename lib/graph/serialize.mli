@@ -48,6 +48,10 @@ module Bin : sig
   (** Width-packed: elements are stored at the narrowest of u8, u16, i32
       or i64 that fits the whole array. *)
 
+  val add_int_sub : writer -> int array -> pos:int -> len:int -> unit
+  (** {!add_int_array} of the [len] elements from [pos]: the same bytes
+      as adding that slice as an array of its own. *)
+
   val add_string : writer -> string -> unit
   val add_rat : writer -> Lll_num.Rat.t -> unit
 
@@ -55,6 +59,9 @@ module Bin : sig
   (** Run-length encoded: consecutive equal rationals are stored once
       with a repeat count. Probability columns are mostly constant, so
       this collapses them to a handful of entries. *)
+
+  val add_rat_sub : writer -> Lll_num.Rat.t array -> pos:int -> len:int -> unit
+  (** {!add_rat_array} of the [len] elements from [pos]. *)
 
   val contents : writer -> string
   (** Assemble header + checksum + sections into the final blob. *)
@@ -93,6 +100,14 @@ module Bin : sig
 
   val read_int : reader -> int
   val read_int_array : reader -> int array
+
+  val read_int_array_into : reader -> int array ref -> pos:int -> int
+  (** Decode the next int array into [!dst] from index [pos] on and
+      return its length. When it does not fit, [!dst] is first replaced
+      by a copy at least twice as long that keeps its first [pos]
+      elements: columns of many arrays fill without a per-array
+      allocation. *)
+
   val read_string : reader -> string
 
   val read_blob : reader -> source
@@ -101,6 +116,9 @@ module Bin : sig
 
   val read_rat : reader -> Lll_num.Rat.t
   val read_rat_array : reader -> Lll_num.Rat.t array
+
+  val read_rat_array_into : reader -> Lll_num.Rat.t array ref -> pos:int -> int
+  (** {!read_int_array_into} for a run-length encoded rational array. *)
 
   val close : reader -> unit
   (** Assert every section was consumed in full. *)

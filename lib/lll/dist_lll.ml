@@ -118,7 +118,6 @@ let fix_one instance g st ~version vid =
 
 type result = Distributed.result = {
   assignment : Assignment.t;
-  ok : bool;
   rounds : int;
   coloring_rounds : int;
   sweep_rounds : int;
@@ -201,21 +200,18 @@ let run_sweep ?(engine = `Flat) ?domains ?(metrics = Metrics.disabled) instance 
 let no_events instance =
   {
     assignment = Assignment.empty (Instance.num_vars instance);
-    ok = true;
     rounds = 0;
     coloring_rounds = 0;
     sweep_rounds = 0;
     colors = 0;
   }
 
-(* The gossiping sweep, then the free variables at 0, then exact
-   verification. *)
-let sweep_and_verify ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors ~classes
+(* The gossiping sweep, then the free variables at 0. *)
+let sweep_and_fill ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors ~classes
     ~duty ~free =
   let assignment, sweep_rounds = run_sweep ?engine ?domains ~metrics instance g net ~classes ~duty in
   List.iter (fun vid -> Assignment.set_inplace assignment vid 0) free;
-  let ok = Assignment.is_complete assignment && Verify.avoids_all instance assignment in
-  { assignment; ok; rounds = coloring_rounds + sweep_rounds; coloring_rounds; sweep_rounds; colors }
+  { assignment; rounds = coloring_rounds + sweep_rounds; coloring_rounds; sweep_rounds; colors }
 
 (* Corollary 1.2 as a message-passing protocol: edge-color the dependency
    graph (variables of rank 2 live on its edges; the smaller endpoint of
@@ -252,7 +248,7 @@ let solve_rank2 ?engine ?domains ?(metrics = Metrics.disabled) instance =
       if cls = 0 then small.(me)
       else List.filter_map (fun (c, vid) -> if c = cls - 1 then Some vid else None) by_edge_owner.(me)
     in
-    sweep_and_verify ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors
+    sweep_and_fill ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors
       ~classes:(colors + 1) ~duty ~free:!free
   end
 
@@ -270,6 +266,6 @@ let solve ?engine ?domains ?(metrics = Metrics.disabled) instance =
     let owned, free = Distributed.vars_by_owner instance in
     (* phase 2: the gossiping sweep, three rounds per class *)
     let duty ~me ~cls = if vcolors.(me) = cls then owned.(me) else [] in
-    sweep_and_verify ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors
+    sweep_and_fill ?engine ?domains ~metrics instance g net ~coloring_rounds ~colors
       ~classes:colors ~duty ~free
   end

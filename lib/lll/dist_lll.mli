@@ -14,7 +14,6 @@ module Assignment = Lll_prob.Assignment
 
 type result = Distributed.result = {
   assignment : Assignment.t;
-  ok : bool;
   rounds : int;
   coloring_rounds : int;
   sweep_rounds : int;

@@ -32,7 +32,6 @@ module Assignment = Lll_prob.Assignment
 
 type result = {
   assignment : Assignment.t;
-  ok : bool; (* exact verification *)
   rounds : int;
   coloring_rounds : int;
   sweep_rounds : int;
@@ -66,12 +65,12 @@ module type FIXER = sig
 end
 
 (* The tail both schedules share: fix the [pre] variables in a leading
-   round (if any), sweep the color classes, verify. The per-item duty
+   round (if any), sweep the color classes. The per-item duty
    lists ([by_edge] / [by_owner]) are grouped into one duty array per
    color class — item order within a class is ascending item id — and
    each class is one [fix_class] fan-out with one sweep record in
    [metrics]. *)
-let sweep_and_verify (module F : FIXER) ?domains ~metrics instance ~coloring_rounds ~colors
+let sweep_classes (module F : FIXER) ?domains ~metrics instance ~coloring_rounds ~colors
     ~item_colors ~duties ~pre =
   let t = F.create instance in
   List.iter (F.fix_var t) pre;
@@ -94,7 +93,6 @@ let sweep_and_verify (module F : FIXER) ?domains ~metrics instance ~coloring_rou
   let sweep_rounds = colors + if pre = [] then 0 else 1 in
   {
     assignment;
-    ok = Verify.avoids_all instance assignment;
     rounds = coloring_rounds + sweep_rounds;
     coloring_rounds;
     sweep_rounds;
@@ -112,7 +110,7 @@ let solve_rank2 ?domains ?(metrics = Metrics.disabled) instance =
   let by_edge, small = vars_by_edge instance in
   (* round 0: every node fixes its rank <= 1 variables; then one round
      per edge-color class, class members fanned out *)
-  sweep_and_verify (module Fix_rank2) ?domains ~metrics instance ~coloring_rounds ~colors
+  sweep_classes (module Fix_rank2) ?domains ~metrics instance ~coloring_rounds ~colors
     ~item_colors:ecolors ~duties:by_edge ~pre:small
 
 (* Each variable is owned by its smallest event; a node's class round
@@ -140,7 +138,7 @@ let solve_two_hop fixer ?domains ?(metrics = Metrics.disabled) instance =
   in
   let colors = Array.fold_left (fun acc c -> max acc (c + 1)) 0 vcolors in
   let by_owner, free = vars_by_owner instance in
-  sweep_and_verify fixer ?domains ~metrics instance ~coloring_rounds ~colors
+  sweep_classes fixer ?domains ~metrics instance ~coloring_rounds ~colors
     ~item_colors:vcolors ~duties:by_owner ~pre:free
 
 let solve_rank3 ?domains ?metrics instance =

@@ -7,7 +7,6 @@ module Assignment = Lll_prob.Assignment
 
 type result = {
   assignment : Assignment.t;
-  ok : bool;  (** Exact verification outcome. *)
   rounds : int;  (** Total LOCAL rounds: coloring + sweep. *)
   coloring_rounds : int;
   sweep_rounds : int;

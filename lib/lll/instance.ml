@@ -22,24 +22,35 @@ type t = {
   dep_graph : Graph.t;
 }
 
-(* Check event ids and scopes; variable id -> sorted event ids. Scopes
-   are sorted and distinct, and event ids equal their index, so
-   iterating events in decreasing id order and prepending yields each
-   variable's event list already sorted and duplicate-free. *)
+(* Check event ids and scopes; variable id -> sorted event ids, by a
+   counting pass: count each variable's events, then fill in increasing
+   event id, which leaves every list sorted and duplicate-free (scopes
+   are sorted and distinct). *)
 let var_events_of ~fn space events =
   Array.iteri
     (fun i e -> if Event.id e <> i then invalid_arg (fn ^ ": event id must equal its index"))
     events;
   let nv = Space.num_vars space in
-  let var_events_l = Array.make nv [] in
-  for i = Array.length events - 1 downto 0 do
-    Array.iter
-      (fun vid ->
-        if vid < 0 || vid >= nv then invalid_arg (fn ^ ": event scope outside space");
-        var_events_l.(vid) <- i :: var_events_l.(vid))
-      (Event.scope events.(i))
+  let count = Array.make nv 0 in
+  for i = 0 to Array.length events - 1 do
+    let scope = Event.scope events.(i) in
+    for p = 0 to Array.length scope - 1 do
+      let vid = scope.(p) in
+      if vid < 0 || vid >= nv then invalid_arg (fn ^ ": event scope outside space");
+      count.(vid) <- count.(vid) + 1
+    done
   done;
-  Array.map Array.of_list var_events_l
+  let var_events = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 nv 0;
+  for i = 0 to Array.length events - 1 do
+    let scope = Event.scope events.(i) in
+    for p = 0 to Array.length scope - 1 do
+      let vid = scope.(p) in
+      var_events.(vid).(count.(vid)) <- i;
+      count.(vid) <- count.(vid) + 1
+    done
+  done;
+  var_events
 
 (* Is [vid] the smallest variable in both sorted scopes? Both contain
    [vid], so the merge stops at it or before. *)
@@ -82,11 +93,12 @@ let create space events =
   { space; events; var_events; dep_graph }
 
 (* Assembly from precomputed parts — the binary loader's fast path.
-   [var_events] is rebuilt here (a linear prepend loop, identical to
-   [create]'s); the expensive parts [create] would redo — the O(Σ deg²)
+   [var_events] is rebuilt here (the linear counting pass [create]
+   uses); the expensive parts [create] would redo — the O(Σ deg²)
    dependency-pair enumeration and [Space.compile_events]'s full-scope
    enumeration — are exactly what the caller supplies: a ready
-   dependency graph and a space whose tables are already installed. The
+   dependency graph and a space whose table store already holds the
+   events' rows. The
    dependency graph is structurally validated by [Graph.of_csr] on
    decode and covered by the container checksum; its semantic agreement
    with the scopes is the serializer's contract. *)

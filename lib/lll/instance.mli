@@ -14,8 +14,8 @@ val create : Space.t -> Event.t array -> t
 
 val of_precomputed : Space.t -> Event.t array -> dep_graph:Graph.t -> t
 (** Assemble an instance from precomputed parts (the binary loader's
-    fast path): the space must already carry the events' compiled
-    tables ({!Space.install_table}) and [dep_graph] must be the events'
+    fast path): the space's table store must already hold the events'
+    rows ({!Space.load_tables}) and [dep_graph] must be the events'
     dependency graph. The per-variable event lists are rebuilt
     deterministically (linear time), skipping [create]'s pair
     enumeration and table compilation. *)

@@ -72,21 +72,20 @@ let bad_tuples space event =
 let sanitize name =
   String.map (fun c -> if c = ' ' || c = '\t' || c = '\n' then '_' else c) name
 
-(* The weighted table of an event: straight from the space's compiled
-   cache when it has one, otherwise by brute-force enumeration with the
-   joint probabilities recomputed. *)
+(* The weighted table of an event: straight from the space's table
+   store when it has the event's rows, otherwise by brute-force
+   enumeration with the joint probabilities recomputed. *)
 let weighted_table space e =
   let scope = Event.scope e in
   let k = Array.length scope in
   let arities = Array.map (fun v -> Var.arity (Space.var space v)) scope in
-  match Space.compiled_table space e with
-  | Some tab ->
+  match Space.table_rows space e with
+  | Some t ->
+    let value code pos = code / t.Space.strides.(t.Space.stride0 + pos) mod arities.(pos) in
     let rows =
-      Array.to_list
-        (Array.mapi
-           (fun j code ->
-             (Array.init k (fun pos -> Event.value_at tab ~pos ~code), tab.Event.weights.(j)))
-           tab.Event.codes)
+      List.init (t.Space.last - t.Space.first) (fun r ->
+          let j = t.Space.first + r in
+          (Array.init k (value t.Space.codes.(j)), t.Space.weights.(j)))
     in
     { Serialize.arities; rows }
   | None ->
@@ -239,19 +238,21 @@ let of_string s = parse_lines (String.split_on_char '\n' s)
            encoded)
      DEPG  the dependency graph as a nested binary graph blob
 
-   Loading is the fast path the text format cannot take: variables and
-   events are rebuilt directly from the stored columns
-   ([Event.of_table] re-derives strides and the sat bitmap and installs
-   the bitmap as the event's predicate — the same closure replacement
-   the text loader performs via [of_bad_set], so tables and enumeration
-   solve identically), tables are installed into the space without
-   recompiling, the dependency graph decodes through [Graph.of_csr]'s
-   structural validation, and [Instance.of_precomputed] skips the
-   O(Σ deg²) pair enumeration. Unlike the self-checking text v2 loader,
-   weights are trusted verbatim: the container checksum guards
-   transport corruption, which is what re-derivation caught in
-   practice — that skip is most of the speed win. Cross-conversion with
-   text v2 is lossless (same vars, scopes, satisfying sets, weights). *)
+   Loading is the fast path the text format cannot take. Each event's
+   row codes and weights decode straight into two flat columns, which
+   [Space.load_tables] checks and keeps as the space's table store (it
+   derives strides and bitmaps and makes each event's predicate its
+   bitmap — the same closure replacement the text loader performs via
+   [of_bad_set], so tables and enumeration solve identically); nothing
+   is recompiled, and no per-event table is built. A variable whose
+   distribution equals the previous one's shares it unchecked. The
+   dependency graph decodes through [Graph.of_csr]'s structural
+   validation, and [Instance.of_precomputed] skips the O(Σ deg²) pair
+   enumeration. Unlike the self-checking text v2 loader, weights are
+   trusted verbatim: the container checksum guards transport
+   corruption, which is what re-derivation caught in practice — that
+   skip is most of the speed win. Cross-conversion with text v2 is
+   lossless (same vars, scopes, satisfying sets, weights). *)
 
 module Bin = Serialize.Bin
 
@@ -273,12 +274,13 @@ let to_binary_string instance =
     (fun e ->
       Bin.add_string w (Event.name e);
       Bin.add_int_array w (Event.scope e);
-      match Space.compiled_table space e with
-      | Some tab ->
-        Bin.add_int_array w tab.Event.codes;
-        Bin.add_rat_array w tab.Event.weights
+      match Space.table_rows space e with
+      | Some t ->
+        let len = t.Space.last - t.Space.first in
+        Bin.add_int_sub w t.Space.codes ~pos:t.Space.first ~len;
+        Bin.add_rat_sub w t.Space.weights ~pos:t.Space.first ~len
       | None ->
-        (* no cached table (a scope too large to tabulate): enumerate.
+        (* no rows in the store (a scope too large to tabulate): enumerate.
            Nested ascending enumeration yields ascending codes. *)
         let wt = weighted_table space e in
         let k = Array.length wt.Serialize.arities in
@@ -306,27 +308,43 @@ let of_binary_source src =
   Bin.enter r "VARS";
   let nvars = Bin.read_int r in
   if nvars < 0 then corrupt "negative variable count";
-  let vars =
-    Array.init nvars (fun i ->
-        let name = Bin.read_string r in
-        let probs = Bin.read_rat_array r in
-        guard (fun () -> Var.make ~id:i ~name probs))
+  (* probabilities decode into one scratch column; a variable with the
+     previous variable's distribution shares it, so the check runs once
+     per run of equal distributions *)
+  let probs = ref [||] in
+  let vars = Array.make nvars (Var.uniform ~id:0 ~name:"" 1) in
+  let same_as prev k =
+    Var.arity prev = k
+    &&
+    let p = !probs and y = ref 0 in
+    while !y < k && Rat.equal (Var.prob prev !y) p.(!y) do
+      incr y
+    done;
+    !y = k
   in
+  for i = 0 to nvars - 1 do
+    let name = Bin.read_string r in
+    let k = Bin.read_rat_array_into r probs ~pos:0 in
+    vars.(i) <-
+      (if i > 0 && same_as vars.(i - 1) k then Var.same_distribution ~id:i ~name vars.(i - 1)
+       else guard (fun () -> Var.make ~id:i ~name (Array.sub !probs 0 k)))
+  done;
   Bin.enter r "EVTS";
   let nevents = Bin.read_int r in
   if nevents < 0 then corrupt "negative event count";
-  let compiled =
-    Array.init nevents (fun i ->
-        let name = Bin.read_string r in
-        let scope = Bin.read_int_array r in
-        Array.iter (fun vid -> if vid < 0 || vid >= nvars then corrupt "scope outside space") scope;
-        let arities = Array.map (fun vid -> Var.arity vars.(vid)) scope in
-        let codes = Bin.read_int_array r in
-        let weights = Bin.read_rat_array r in
-        if Array.length weights <> Array.length codes then
-          corrupt "codes/weights count mismatch";
-        guard (fun () -> Event.of_table ~id:i ~name ~scope ~arities ~codes ~weights))
-  in
+  let names = Array.make nevents "" and scopes = Array.make nevents [||] in
+  let row_off = Array.make (nevents + 1) 0 in
+  let codes = ref (Array.make (2 * nevents) 0) in
+  let weights = ref (Array.make (2 * nevents) Rat.zero) in
+  for i = 0 to nevents - 1 do
+    names.(i) <- Bin.read_string r;
+    scopes.(i) <- Bin.read_int_array r;
+    let lo = row_off.(i) in
+    let nc = Bin.read_int_array_into r codes ~pos:lo in
+    let nw = Bin.read_rat_array_into r weights ~pos:lo in
+    if nw <> nc then corrupt "codes/weights count mismatch";
+    row_off.(i + 1) <- lo + nc
+  done;
   Bin.enter r "DEPG";
   (* the nested graph container decodes straight out of the parent's
      backing bytes — no copy of the (dominant) DEPG section *)
@@ -334,8 +352,10 @@ let of_binary_source src =
   Bin.close r;
   let dep_graph = Serialize.graph_of_binary_src gblob in
   let space = guard (fun () -> Space.create vars) in
-  Array.iter (fun (e, tab) -> Space.install_table space e tab) compiled;
-  let events = Array.map fst compiled in
+  let events =
+    guard (fun () ->
+        Space.load_tables space ~names ~scopes ~row_off ~codes:!codes ~weights:!weights)
+  in
   guard (fun () -> Instance.of_precomputed space events ~dep_graph)
 
 let of_binary_string s = of_binary_source (Bin.source_of_string s)

@@ -17,6 +17,10 @@ let make ~id ~name probs =
   if not (Rat.equal total Rat.one) then invalid_arg "Var.make: probabilities must sum to 1";
   { id; name; probs = Array.copy probs }
 
+(* The distribution array is immutable behind this interface, so
+   variables with one law may share it: no copy, no second check. *)
+let same_distribution ~id ~name v = { id; name; probs = v.probs }
+
 let uniform ~id ~name k =
   if k < 1 then invalid_arg "Var.uniform: arity >= 1";
   make ~id ~name (Array.make k (Rat.of_ints 1 k))

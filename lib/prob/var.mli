@@ -11,6 +11,11 @@ val make : id:int -> name:string -> Rat.t array -> t
 (** @raise Invalid_argument if the distribution is empty, has a
     non-positive entry, or does not sum to 1. *)
 
+val same_distribution : id:int -> name:string -> t -> t
+(** A variable with the given one's distribution, shared rather than
+    copied and not re-checked (the binary loader, for a run of
+    variables with one law). *)
+
 val uniform : id:int -> name:string -> int -> t
 (** Uniform distribution on [k >= 1] values. *)
 

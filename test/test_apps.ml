@@ -52,7 +52,7 @@ let test_sinkless_relaxed_solvable_everywhere () =
       Alcotest.(check bool) (name ^ " fixer") true (V.avoids_all inst a);
       Alcotest.(check bool) (name ^ " sinkless") true (Sink.is_sinkless g a);
       let r = D.solve_rank2 inst in
-      Alcotest.(check bool) (name ^ " distributed") true r.D.ok)
+      Alcotest.(check bool) (name ^ " distributed") true (V.avoids_all inst r.D.assignment))
     [
       (Gen.cycle 17, "odd cycle");
       (Gen.random_regular ~seed:2 16 4, "rr4");
@@ -142,7 +142,7 @@ let test_hyper_orientation_distributed () =
   let h = Gen.random_regular_hypergraph ~seed:9 15 3 3 in
   let inst = HO.instance h in
   let r = D.solve_rank3 inst in
-  Alcotest.(check bool) "distributed ok" true r.D.ok;
+  Alcotest.(check bool) "distributed ok" true (V.avoids_all inst r.D.assignment);
   Alcotest.(check bool) "valid orientations" true (HO.is_valid h r.D.assignment)
 
 let test_heads_encoding () =
@@ -198,7 +198,7 @@ let test_weak_splitting_distributed () =
   let adj = Gen.random_biregular_bipartite ~seed:17 ~nv:16 ~nu:16 ~deg_u:3 ~deg_v:3 in
   let inst = WS.instance ~nv:16 adj in
   let r = D.solve_rank3 inst in
-  Alcotest.(check bool) "ok" true r.D.ok;
+  Alcotest.(check bool) "ok" true (V.avoids_all inst r.D.assignment);
   Alcotest.(check bool) "valid" true (WS.is_valid ~nv:16 adj r.D.assignment)
 
 let test_weak_splitting_checker () =

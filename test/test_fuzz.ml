@@ -92,12 +92,23 @@ let test_backend_mismatch_fires () =
   | None -> ()
   | Some v ->
     Alcotest.failf "honest instance flagged: %s" (Format.asprintf "%a" Fuzz.pp_violation v));
-  let space = I.space inst in
-  let e0 = I.event inst 0 in
-  let tab = Option.get (Lll_prob.Space.compiled_table space e0) in
-  let w = tab.Lll_prob.Event.weights in
-  Alcotest.(check int) "two rows" 2 (Array.length w);
-  Lll_prob.Space.install_table space e0 { tab with weights = [| w.(1); w.(0) |] };
+  (* rebuild the instance through the loader's entry from its own rows,
+     with e0's two weights swapped *)
+  let module Space = Lll_prob.Space in
+  let rows = Array.map (fun e -> Option.get (Space.table_rows (I.space inst) e)) (I.events inst) in
+  let window (r : Space.table_rows) col = Array.sub col r.first (r.last - r.first) in
+  Alcotest.(check int) "two rows" 2 (rows.(0).last - rows.(0).first);
+  let w0 = window rows.(0) rows.(0).weights in
+  let space = Space.create (Space.vars (I.space inst)) in
+  let events =
+    Space.load_tables space
+      ~names:(Array.map Lll_prob.Event.name (I.events inst))
+      ~scopes:(Array.map Lll_prob.Event.scope (I.events inst))
+      ~row_off:[| 0; 2; 2 + (rows.(1).last - rows.(1).first) |]
+      ~codes:(Array.concat (Array.to_list (Array.map (fun r -> window r r.Space.codes) rows)))
+      ~weights:(Array.append [| w0.(1); w0.(0) |] (window rows.(1) rows.(1).weights))
+  in
+  let inst = I.of_precomputed space events ~dep_graph:(I.dep_graph inst) in
   match Fuzz.check ~engines:fix2 inst with
   | Some (Fuzz.Backend_mismatch { engine = "fix2" }) -> ()
   | Some v -> Alcotest.failf "wrong violation: %s" (Format.asprintf "%a" Fuzz.pp_violation v)

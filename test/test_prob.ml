@@ -570,9 +570,15 @@ let test_planted_table_is_visible () =
   let e = E.of_bad_set ~id:0 ~name:"e" ~scope:[| 0; 1 |] [ [ 0; 0 ]; [ 1; 1 ] ] in
   let space = S.create vars in
   S.compile_events space [| e |];
-  let tab = Option.get (S.compiled_table space e) in
-  let w = tab.E.weights in
-  S.install_table space e { tab with E.weights = [| w.(1); w.(0) |] };
+  let rows = Option.get (S.table_rows space e) in
+  Alcotest.(check int) "two rows" 2 (rows.S.last - rows.S.first);
+  let codes = Array.sub rows.S.codes rows.S.first 2 in
+  let w = Array.sub rows.S.weights rows.S.first 2 in
+  (* plant through the loader's entry: the same rows, weights swapped *)
+  let e =
+    (S.load_tables space ~names:[| "e" |] ~scopes:[| E.scope e |] ~row_off:[| 0; 2 |] ~codes
+       ~weights:[| w.(1); w.(0) |]).(0)
+  in
   let fixed = A.of_list 2 [ (0, 0) ] in
   let reference = S.enumerating space in
   (* Pr[e | x0 = 0] = Pr[x1 = 0] = 1/2; the planted row reads (3/8) / (1/4) *)

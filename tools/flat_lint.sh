@@ -23,6 +23,11 @@
 # geometry oracle (lib/fuzz/fuzz.ml) and bin/ (experiments F1/F2 and
 # the surface CLI). The rank-2 and rank-3 fixers, Dist_lll and Replay
 # keep phi exact.
+#
+# And it keeps compiled tables in one representation: the space's flat
+# table store. Event.table, Event.of_table, install_table and
+# compile_event (the per-event table path the store replaced) may not
+# appear in lib/, bin/, examples/ or test/.
 set -u
 
 dirs=(lib bin examples)
@@ -73,7 +78,17 @@ if [ -n "$floats" ]; then
   fail=1
 fi
 
+# A per-event table path beside the table store, anywhere, tests too.
+tables=$(grep -rnP --include='*.ml' --include='*.mli' \
+  'Event\.(of_)?table(?![A-Za-z0-9_])|install_table|compile_event(?![A-Za-z0-9_])' \
+  "${dirs[@]}" test || true)
+if [ -n "$tables" ]; then
+  echo "flat-lint: per-event table API beside the table store:" >&2
+  echo "$tables" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic, no top-level ref in lib/prob, float potentials confined)"
+  echo "flat-lint: lib/, bin/, examples/ clean (boxed engine confined to the reference allowlist, no Obj.magic, no top-level ref in lib/prob, float potentials confined, no per-event table API here or in test/)"
 fi
 exit "$fail"
